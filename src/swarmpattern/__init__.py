@@ -99,7 +99,7 @@ from .schedules import (
     registered_names,
     unregister_schedule,
 )
-from .swarm import Particle, Problem, RunResult, SwarmState, initialize, run, step
+from .swarm import Problem, RunResult, SwarmState, initialize, run, step
 from .benchmark import (
     ExperimentPlan,
     ResultSet,

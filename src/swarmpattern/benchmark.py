@@ -45,37 +45,45 @@ from .swarm import Problem, run
 PLAN_FORMAT_VERSION = 1
 
 
-# --- the classic functions (each maps a d-vector to a float) ----------------
+# --- the classic functions ---------------------------------------------------
+#
+# Each maps an (n, d) batch of positions to n values, reducing over the last
+# axis, so a single d-vector maps to a scalar.  A row's value is the same
+# bits whether it is evaluated alone or inside a batch.
 
-def sphere(x: np.ndarray) -> float:
-    return float(np.sum(x * x))
-
-
-def rosenbrock(x: np.ndarray) -> float:
-    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
-
-
-def rastrigin(x: np.ndarray) -> float:
-    return float(10.0 * x.size + np.sum(x * x - 10.0 * np.cos(2.0 * np.pi * x)))
+def sphere(x: np.ndarray) -> np.ndarray:
+    return np.sum(x * x, axis=-1)
 
 
-def ackley(x: np.ndarray) -> float:
-    d = x.size
-    return float(-20.0 * np.exp(-0.2 * np.sqrt(np.sum(x * x) / d))
-                 - np.exp(np.sum(np.cos(2.0 * np.pi * x)) / d)
-                 + 20.0 + np.e)
+def rosenbrock(x: np.ndarray) -> np.ndarray:
+    head, tail = x[..., :-1], x[..., 1:]
+    return np.sum(100.0 * (tail - head ** 2) ** 2 + (1.0 - head) ** 2, axis=-1)
 
 
-def griewank(x: np.ndarray) -> float:
-    i = np.arange(1, x.size + 1, dtype=float)
-    return float(1.0 + np.sum(x * x) / 4000.0 - np.prod(np.cos(x / np.sqrt(i))))
+def rastrigin(x: np.ndarray) -> np.ndarray:
+    return 10.0 * x.shape[-1] + np.sum(x * x - 10.0 * np.cos(2.0 * np.pi * x),
+                                       axis=-1)
 
 
-def schwefel226(x: np.ndarray) -> float:
-    return float(418.9829 * x.size - np.sum(x * np.sin(np.sqrt(np.abs(x)))))
+def ackley(x: np.ndarray) -> np.ndarray:
+    d = x.shape[-1]
+    return (-20.0 * np.exp(-0.2 * np.sqrt(np.sum(x * x, axis=-1) / d))
+            - np.exp(np.sum(np.cos(2.0 * np.pi * x), axis=-1) / d)
+            + 20.0 + np.e)
 
 
-def _shifted(x: np.ndarray, base, shift: np.ndarray) -> float:
+def griewank(x: np.ndarray) -> np.ndarray:
+    i = np.arange(1, x.shape[-1] + 1, dtype=float)
+    return (1.0 + np.sum(x * x, axis=-1) / 4000.0
+            - np.prod(np.cos(x / np.sqrt(i)), axis=-1))
+
+
+def schwefel226(x: np.ndarray) -> np.ndarray:
+    return 418.9829 * x.shape[-1] - np.sum(x * np.sin(np.sqrt(np.abs(x))),
+                                           axis=-1)
+
+
+def _shifted(x: np.ndarray, base, shift: np.ndarray) -> np.ndarray:
     return base(x - shift)
 
 
@@ -316,35 +324,38 @@ def _cell_path(out_dir: Path, algorithm: str, function: str) -> Path:
     return out_dir / "results" / f"{algorithm}__{function}.csv"
 
 
-def _read_cell(path: Path) -> dict[int, tuple[int, float, str]]:
-    rows: dict[int, tuple[int, float, str]] = {}
+def _read_cell(path: Path) -> dict[int, tuple[int, float]]:
+    rows: dict[int, tuple[int, float]] = {}
     if not path.exists():
         return rows
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["run", "seed", "best_value"]:
-            raise ValueError(f"{path} has unexpected header {header!r}")
-        for row in reader:
-            if len(row) != 3:
-                continue  # torn tail line from an interrupted write
-            try:
-                run_index = int(row[0])
-                seed = int(row[1])
-                value = float(row[2])
-            except ValueError:
-                continue
-            rows[run_index] = (seed, value, row[2])
+        text = fh.read()
+    # Every complete row ends with a line terminator.  A tail without one was
+    # torn by an interrupted write, even when what is left of it still parses.
+    reader = csv.reader(text[:text.rfind("\n") + 1].splitlines())
+    header = next(reader, None)
+    if header != ["run", "seed", "best_value"]:
+        raise ValueError(f"{path} has unexpected header {header!r}")
+    for row in reader:
+        if len(row) != 3:
+            continue  # malformed row
+        try:
+            run_index = int(row[0])
+            seed = int(row[1])
+            value = float(row[2])
+        except ValueError:
+            continue
+        rows[run_index] = (seed, value)
     return rows
 
 
-def _write_cell(path: Path, rows: dict[int, tuple[int, float, str]]) -> None:
+def _write_cell(path: Path, rows: dict[int, tuple[int, float]]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["run", "seed", "best_value"])
         for run_index in sorted(rows):
-            seed, value, _ = rows[run_index]
+            seed, value = rows[run_index]
             writer.writerow([run_index, seed, repr(value)])
 
 
@@ -370,7 +381,7 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | Path | None = None,
     if parallelism < 1:
         raise ValueError("parallelism must be positive")
     out_path = Path(out_dir) if out_dir is not None else None
-    existing: dict[tuple[int, int], dict[int, tuple[int, float, str]]] = {}
+    existing: dict[tuple[int, int], dict[int, tuple[int, float]]] = {}
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
         manifest_path = out_path / "manifest.json"
@@ -388,8 +399,12 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | Path | None = None,
                 fh.write("\n")
         for i, (algorithm, _) in enumerate(plan.algorithms):
             for k, function in enumerate(plan.functions):
-                existing[(i, k)] = _read_cell(
-                    _cell_path(out_path, algorithm, function.name))
+                path = _cell_path(out_path, algorithm, function.name)
+                rows = existing[(i, k)] = _read_cell(path)
+                if path.exists() and not rows.keys() >= set(range(plan.runs)):
+                    # New rows are appended: start them on a fresh line, not
+                    # glued to a torn tail where "4" + "4,..." reads as run 44.
+                    _write_cell(path, rows)
 
     tasks = []
     for i, (_, schedule) in enumerate(plan.algorithms):
@@ -408,7 +423,7 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | Path | None = None,
     seeds = np.zeros_like(values, dtype=np.uint64)
     failures: list[tuple[str, str, int, str]] = []
     for (i, k), done in existing.items():
-        for r, (seed, value, _) in done.items():
+        for r, (seed, value) in done.items():
             if r < plan.runs:
                 values[i, k, r] = value
                 seeds[i, k, r] = seed
@@ -445,7 +460,7 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | Path | None = None,
         # experiments then leave byte-identical files behind.
         for i, (algorithm, _) in enumerate(plan.algorithms):
             for k, function in enumerate(plan.functions):
-                rows = {r: (int(seeds[i, k, r]), float(values[i, k, r]), "")
+                rows = {r: (int(seeds[i, k, r]), float(values[i, k, r]))
                         for r in range(plan.runs)}
                 _write_cell(_cell_path(out_path, algorithm, function.name), rows)
         failure_path = out_path / "failures.csv"
@@ -484,7 +499,7 @@ def load_results(out_dir: str | Path) -> ResultSet:
             rows = _read_cell(_cell_path(out_path, algorithm, function.name))
             for r in range(plan.runs):
                 if r in rows:
-                    seed, value, _ = rows[r]
+                    seed, value = rows[r]
                     values[i, k, r] = value
                     seeds[i, k, r] = seed
                 else:

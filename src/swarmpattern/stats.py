@@ -168,12 +168,12 @@ def wilcoxon_rank_sum(a, b) -> float:
     return min(1.0, 2.0 * _normal_sf(z))
 
 
-def dominance(a, b, p_threshold: float = 0.05) -> int:
-    """+1 if the first sample is significantly better (lower median), -1 if
-    worse, 0 when the test is insignificant or the medians coincide."""
+def _require_threshold(p_threshold: float) -> None:
     if not (0.0 < p_threshold < 1.0):
         raise ValueError("p_threshold must lie in (0, 1)")
-    p = wilcoxon_rank_sum(a, b)
+
+
+def _outcome(a, b, p: float, p_threshold: float) -> int:
     if p >= p_threshold:
         return 0
     med_a = float(np.median(np.asarray(a, dtype=float)))
@@ -185,12 +185,20 @@ def dominance(a, b, p_threshold: float = 0.05) -> int:
     return 0
 
 
+def dominance(a, b, p_threshold: float = 0.05) -> int:
+    """+1 if the first sample is significantly better (lower median), -1 if
+    worse, 0 when the test is insignificant or the medians coincide."""
+    _require_threshold(p_threshold)
+    return _outcome(a, b, wilcoxon_rank_sum(a, b), p_threshold)
+
+
 def tournament(results: ResultSet, p_threshold: float = 0.05) -> TournamentMatrix:
     """Dominance totals for every ordered algorithm pair.
 
     Requires a complete ResultSet: failed (NaN) runs must be resolved before
     statistics, not silently compared.
     """
+    _require_threshold(p_threshold)
     if np.any(np.isnan(results.values)):
         raise ValueError("ResultSet contains failed (NaN) runs; "
                          "finish or repair the experiment before comparing")
@@ -201,14 +209,12 @@ def tournament(results: ResultSet, p_threshold: float = 0.05) -> TournamentMatri
         for j in range(i + 1, n):
             total = 0
             for k, function in enumerate(results.functions):
-                outcome = dominance(results.values[i, k], results.values[j, k],
-                                    p_threshold)
+                a, b = results.values[i, k], results.values[j, k]
+                p = wilcoxon_rank_sum(a, b)
+                outcome = _outcome(a, b, p, p_threshold)
                 entries.append(DominanceEntry(
                     first=results.algorithms[i], second=results.algorithms[j],
-                    function=function,
-                    p_value=wilcoxon_rank_sum(results.values[i, k],
-                                              results.values[j, k]),
-                    outcome=outcome))
+                    function=function, p_value=p, outcome=outcome))
                 total += outcome
             t[i, j] = total
             t[j, i] = -total

@@ -35,14 +35,17 @@ logger = logging.getLogger(__name__)
 class Problem:
     """Box-constrained minimisation target.
 
-    ``objective`` maps a d-vector to a real; non-finite returns are treated
-    as unusable (never an improvement) rather than crashing the run.
+    ``objective`` is batched: it maps an ``(n, d)`` array of positions to
+    ``n`` values, one per row, and the swarm calls it once per sweep.  A
+    function written for a single d-vector is lifted with
+    ``lambda X: np.apply_along_axis(f, -1, X)``.  Non-finite values are
+    treated as unusable (never an improvement) rather than crashing the run.
     """
 
     dimension: int
     lower: np.ndarray
     upper: np.ndarray
-    objective: Callable[[np.ndarray], float]
+    objective: Callable[[np.ndarray], np.ndarray]
     name: str = ""
 
     def __post_init__(self):
@@ -60,16 +63,6 @@ class Problem:
         upper.setflags(write=False)
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
-
-
-@dataclass(frozen=True)
-class Particle:
-    """Read-only view of one particle's state."""
-
-    x: np.ndarray
-    v: np.ndarray
-    pbest: np.ndarray
-    pbest_value: float
 
 
 @dataclass(frozen=True)
@@ -91,14 +84,6 @@ class SwarmState:
     def pop_size(self) -> int:
         return int(self.positions.shape[0])
 
-    @property
-    def particles(self) -> tuple[Particle, ...]:
-        return tuple(
-            Particle(x=self.positions[i].copy(), v=self.velocities[i].copy(),
-                     pbest=self.pbest_positions[i].copy(),
-                     pbest_value=float(self.pbest_values[i]))
-            for i in range(self.pop_size))
-
 
 @dataclass(frozen=True)
 class RunResult:
@@ -111,15 +96,27 @@ class RunResult:
 
 
 def _evaluate(problem: Problem, positions: np.ndarray) -> np.ndarray:
-    values = np.empty(positions.shape[0])
-    for i in range(positions.shape[0]):
-        value = float(problem.objective(positions[i]))
-        if not math.isfinite(value):
-            logger.warning(
-                "objective %s returned non-finite value %r; treating as no-improvement",
-                problem.name or "<anonymous>", value)
-            value = math.inf
-        values[i] = value
+    """One objective call for the whole sweep; non-finite values become inf.
+
+    The objective must return one value per row of ``positions``.  A
+    per-vector function ``f`` satisfies that as
+    ``lambda X: np.apply_along_axis(f, -1, X)``.
+    """
+    n = positions.shape[0]
+    values = np.array(problem.objective(positions), dtype=float)
+    if values.shape != (n,):
+        raise ValueError(
+            f"objective {problem.name or '<anonymous>'} returned shape "
+            f"{values.shape} for {n} positions; the contract is "
+            "f(X[n, d]) -> y[n] (lift a per-vector f with "
+            "np.apply_along_axis(f, -1, X))")
+    bad = ~np.isfinite(values)
+    if bad.any():
+        logger.warning(
+            "objective %s returned %d non-finite value(s) in a sweep of %d; "
+            "treating them as no-improvement",
+            problem.name or "<anonymous>", np.count_nonzero(bad), n)
+        values[bad] = math.inf
     return values
 
 
@@ -191,7 +188,7 @@ def step(state: SwarmState, coeffs: IpsoParams, rng: np.random.Generator,
         gbest_value=float(pbest_values[best]),
         t=state.t + 1,
         evals=state.evals + n,
-        success_rate=float(np.mean(improved)),
+        success_rate=np.count_nonzero(improved) / n,
     )
 
 

@@ -84,6 +84,16 @@ class TestClassicFunctions:
             assert np.isfinite(fn.objective(2.0 * fn.upper))
             assert np.isfinite(fn.objective(2.0 * fn.lower))
 
+    @pytest.mark.parametrize("dimension", [1, 2, 3, 9, 10, 17])
+    def test_batch_equals_row_by_row(self, dimension):
+        rng = np.random.default_rng(dimension)
+        for fn in classic_suite(dimension):
+            X = rng.uniform(2.0 * fn.lower, 2.0 * fn.upper, (7, dimension))
+            batched = fn.objective(X)
+            assert batched.shape == (7,)
+            assert np.array_equal(batched, [fn.objective(x) for x in X])
+            assert np.ndim(fn.objective(X[0])) == 0
+
     def test_suite_composition(self):
         suite = classic_suite(10)
         names = [fn.name for fn in suite]
@@ -245,6 +255,52 @@ class TestRunExperiment:
         cell = tmp_path / "results" / "icpso__sphere.csv"
         text = cell.read_text()
         cell.write_text(text[:text.rindex(",")], encoding="utf-8")
+        run_experiment(plan, out_dir=tmp_path)
+        assert _snapshot(tmp_path) == reference
+
+    def test_unterminated_final_row_is_recomputed(self, tmp_path):
+        # Dropping the line end and a few digits leaves a row that still
+        # parses; without its line end it must count as torn all the same.
+        plan = _tiny_plan()
+        run_experiment(plan, out_dir=tmp_path)
+        reference = _snapshot(tmp_path)
+        cell = tmp_path / "results" / "icpso__sphere.csv"
+        data = cell.read_bytes()
+        assert data.endswith(b"\r\n")
+        cell.write_bytes(data[:-2][:-6])
+        run_experiment(plan, out_dir=tmp_path)
+        assert _snapshot(tmp_path) == reference
+
+    def test_resume_interrupted_after_a_torn_tail(self, tmp_path, monkeypatch):
+        # A resume appends the rerun row after the torn "2"; a second
+        # interruption must not leave the two glued into a row for run 22.
+        plan = _tiny_plan()
+        run_experiment(plan, out_dir=tmp_path)
+        reference = _snapshot(tmp_path)
+        cell = tmp_path / "results" / "icpso__sphere.csv"
+        data = cell.read_bytes()
+        cell.write_bytes(data[:data.rstrip(b"\r\n").rindex(b"\n") + 1] + b"2")
+        # A lost cell later in the plan gives the resume a second run to
+        # be interrupted in, after the torn run was appended.
+        (tmp_path / "results" / "ldw__ackley.csv").unlink()
+
+        class Interrupted(Exception):
+            pass
+
+        calls = []
+
+        def run_once(*args, **kwargs):
+            calls.append(1)
+            if len(calls) > 1:
+                raise Interrupted
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr("swarmpattern.benchmark.run", run_once)
+        with pytest.raises(Interrupted):
+            run_experiment(plan, out_dir=tmp_path)
+        monkeypatch.undo()
+        lines = cell.read_text().splitlines()
+        assert [line.split(",")[0] for line in lines] == ["run", "0", "1", "2"]
         run_experiment(plan, out_dir=tmp_path)
         assert _snapshot(tmp_path) == reference
 

@@ -27,7 +27,7 @@ def _sphere(dimension, half_width=5.0):
         dimension=dimension,
         lower=np.full(dimension, -half_width),
         upper=np.full(dimension, half_width),
-        objective=lambda x: float(np.sum(x * x)),
+        objective=lambda X: np.sum(X * X, axis=-1),
         name="sphere",
     )
 
@@ -115,7 +115,7 @@ class TestStep:
         # Objective improves outside the box; the acceptance rule must hold
         # the personal best inside regardless.
         problem = Problem(1, np.zeros(1), np.ones(1),
-                          lambda x: float((x[0] - 20.0) ** 2))
+                          lambda X: (np.asarray(X)[..., 0] - 20.0) ** 2)
         state = _state(problem, [[0.5]], [[10.0]], [[0.5]], [problem.objective([0.5])])
         moved = step(state, IpsoParams(1.0, 0.0, 1.0), np.random.default_rng(0))
         assert moved.positions[0, 0] == pytest.approx(10.5)
@@ -138,7 +138,7 @@ class TestStep:
         assert moved.gbest_value <= 2.0
 
     def test_epsilon0_suppresses_marginal_gains(self):
-        problem = Problem(1, np.zeros(1), np.full(1, 10.0), lambda x: float(x[0]))
+        problem = Problem(1, np.zeros(1), np.full(1, 10.0), lambda X: X[..., 0])
         state = _state(problem, [[5.0]], [[-0.001]], [[5.0]], [5.0])
         strict = step(state, IpsoParams(1.0, 0.0, 1.0), np.random.default_rng(0))
         assert strict.pbest_values[0] == pytest.approx(4.999)
@@ -147,7 +147,7 @@ class TestStep:
         assert guarded.pbest_values[0] == 5.0
 
     def test_flat_objective_never_updates(self):
-        problem = Problem(3, -np.ones(3), np.ones(3), lambda x: 0.0)
+        problem = Problem(3, -np.ones(3), np.ones(3), lambda X: np.zeros(len(X)))
         state = initialize(problem, 6, seed=1)
         rng = np.random.default_rng(9)
         initial_pbest = state.pbest_positions.copy()
@@ -158,13 +158,31 @@ class TestStep:
         assert state.gbest_value == 0.0
 
     def test_non_finite_objective_is_logged_not_fatal(self, caplog):
-        problem = Problem(2, -np.ones(2), np.ones(2), lambda x: float("nan"))
+        problem = Problem(2, -np.ones(2), np.ones(2),
+                          lambda X: np.full(len(X), np.nan))
         with caplog.at_level("WARNING", logger="swarmpattern.swarm"):
             state = initialize(problem, 4, seed=0)
             state = step(state, IpsoParams(0.7, 1.4, 1.0), np.random.default_rng(0))
         assert "non-finite" in caplog.text
         assert state.gbest_value == np.inf
         assert np.all(np.isinf(state.pbest_values))
+
+    def test_only_non_finite_rows_become_inf_with_one_warning(self, caplog):
+        raw = np.array([3.0, np.nan, 1.0, np.inf, -np.inf, 2.0])
+        problem = Problem(1, -np.ones(1), np.ones(1), lambda X: raw.copy())
+        with caplog.at_level("WARNING", logger="swarmpattern.swarm"):
+            state = initialize(problem, raw.size, seed=0)
+        assert np.array_equal(state.pbest_values,
+                              [3.0, np.inf, 1.0, np.inf, np.inf, 2.0])
+        assert state.gbest_value == 1.0
+        assert len(caplog.records) == 1
+        assert "3 non-finite value(s) in a sweep of 6" in caplog.text
+
+    def test_scalar_for_a_batch_breaks_the_contract(self):
+        problem = Problem(2, -np.ones(2), np.ones(2),
+                          lambda x: float(np.sum(x * x)))
+        with pytest.raises(ValueError, match=r"f\(X\[n, d\]\) -> y\[n\]"):
+            initialize(problem, 4, seed=0)
 
 
 class TestRun:
