@@ -84,7 +84,6 @@ from .schedules import (
     LinearInertia,
     Mapso,
     MapsoConfig,
-    Named,
     RandomInertia,
     ScheduleFeedback,
     ScheduleSpec,
@@ -95,9 +94,6 @@ from .schedules import (
     mapso_pattern,
     mapso_rho1,
     mapso_vc,
-    register_schedule,
-    registered_names,
-    unregister_schedule,
 )
 from .swarm import Problem, RunResult, SwarmState, initialize, run, step
 from .benchmark import (

@@ -36,7 +36,6 @@ from .errors import SwarmPatternError
 from .schedules import (
     ScheduleSpec,
     baseline_schedules,
-    resolve,
     schedule_from_dict,
     schedule_to_dict,
 )
@@ -350,7 +349,6 @@ def _read_cell(path: Path) -> dict[int, tuple[int, float]]:
 
 
 def _write_cell(path: Path, rows: dict[int, tuple[int, float]]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["run", "seed", "best_value"])
@@ -383,7 +381,7 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | Path | None = None,
     out_path = Path(out_dir) if out_dir is not None else None
     existing: dict[tuple[int, int], dict[int, tuple[int, float]]] = {}
     if out_path is not None:
-        out_path.mkdir(parents=True, exist_ok=True)
+        (out_path / "results").mkdir(parents=True, exist_ok=True)
         manifest_path = out_path / "manifest.json"
         manifest = {"plan": plan_to_dict(plan), "toolkit_version": __version__}
         if manifest_path.exists():
@@ -408,14 +406,13 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | Path | None = None,
 
     tasks = []
     for i, (_, schedule) in enumerate(plan.algorithms):
-        concrete = resolve(schedule)
         for k, function in enumerate(plan.functions):
             done = existing.get((i, k), {})
             for r in range(plan.runs):
                 if r in done:
                     continue
                 seed = derive_seed(plan.base_seed, i, k, r)
-                tasks.append((i, k, r, seed, function, concrete,
+                tasks.append((i, k, r, seed, function, schedule,
                               plan.pop_size, plan.budget_evals))
 
     values = np.full((len(plan.algorithms), len(plan.functions), plan.runs),
@@ -438,7 +435,6 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | Path | None = None,
         if out_path is not None:
             path = _cell_path(out_path, plan.algorithms[i][0],
                               plan.functions[k].name)
-            path.parent.mkdir(parents=True, exist_ok=True)
             new_file = not path.exists()
             with open(path, "a", newline="", encoding="utf-8") as fh:
                 writer = csv.writer(fh)

@@ -55,7 +55,6 @@ from .schedules import (
     Constant,
     LinearInertia,
     Mapso,
-    Named,
     RandomInertia,
     ScheduleFeedback,
     SuccessRateInertia,
@@ -64,7 +63,6 @@ from .schedules import (
     mapso_focus,
     mapso_rho1,
     mapso_vc,
-    registered_names,
 )
 from .simulate import (
     FixedAttractors,
@@ -105,9 +103,9 @@ def _emit(output: str | None, text: str) -> None:
 
 
 def _parse_schedule(text: str):
-    """Schedule mini-language: a stock name, a registered name, or
-    ``constant:omega,c,alpha`` / ``linear:ws,we[,c[,alpha]]`` /
-    ``random[:c[,alpha]]`` / ``success[:wmin,wmax[,c[,alpha]]]``."""
+    """Schedule mini-language: a stock name or ``constant:omega,c,alpha`` /
+    ``linear:ws,we[,c[,alpha]]`` / ``random[:c[,alpha]]`` /
+    ``success[:wmin,wmax[,c[,alpha]]]``."""
     stock = baseline_schedules()
     head, _, tail = text.partition(":")
     args = []
@@ -135,14 +133,12 @@ def _parse_schedule(text: str):
             if len(args) not in (0, 2, 3, 4):
                 raise _InputError("success schedule needs [wmin,wmax[,c[,alpha]]]")
             return SuccessRateInertia(*args)
-        if head in registered_names():
-            return Named(head)
     except ValueError as exc:
         if isinstance(exc, _InputError):
             raise
         raise _InputError(f"bad schedule {text!r}: {exc}") from exc
-    known = sorted(set(stock) | set(registered_names()))
-    raise _InputError(f"unknown schedule {text!r}; known: {', '.join(known)}")
+    known = ", ".join(sorted(stock))
+    raise _InputError(f"unknown schedule {text!r}; known: {known}")
 
 
 def _parse_process(args):

@@ -30,7 +30,7 @@ class ConsistencyError(SwarmPatternError, RuntimeError):
 
 
 class ScheduleError(SwarmPatternError, ValueError):
-    """Schedule registry misuse or a schedule contract violation."""
+    """A malformed schedule spec or a schedule contract violation."""
 
 
 class SampleError(SwarmPatternError, ValueError):

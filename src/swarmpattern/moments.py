@@ -361,73 +361,15 @@ def variance_fixed_point(coeffs: CoefficientMoments,
     return -(k3 + k4) / (k1 * k2) * (coeffs.mu_omega + 1.0)
 
 
-def spectral_radius(system: MomentSystem | np.ndarray,
-                    tol: float = 1e-10,
-                    max_iter: int = 50_000,
-                    seed: int = 0,
-                    restarts: int = 8) -> float:
-    """Dominant-eigenvalue magnitude of the update matrix by power iteration.
+def spectral_radius(system: MomentSystem | np.ndarray) -> float:
+    """Largest eigenvalue modulus of the update matrix.
 
-    The update matrix is real but its dominant eigenvalues often form a
-    complex conjugate pair, so the classical single-vector Rayleigh estimate
-    would oscillate forever.  Each sweep therefore fits the two-step
-    recurrence ``A(Au) ~ a Au + b u`` by least squares and reads the dominant
-    magnitude off the roots of ``t^2 - a t - b``; for a simple real dominant
-    eigenvalue the fit degenerates gracefully to it.  The iterate advances by
-    two applications of ``A`` per sweep and is renormalised each time.
-
-    Restart-on-stall: if the fit residual stops improving before reaching
-    ``tol`` (start vector orthogonal to the dominant subspace, or a modulus
-    tie beyond a conjugate pair), the sweep restarts from a fresh seeded
-    random vector.  Exhausting ``restarts`` raises
-    :class:`ConvergenceError`; a result at or above 1 is a legitimate radius
-    of an unstable system, never an error.
+    A result at or above 1 is a legitimate radius of an unstable system,
+    never an error.
     """
     a = system.m if isinstance(system, MomentSystem) else np.asarray(system, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
-    n = a.shape[0]
-    if not a.any():
-        return 0.0
-
-    rng = np.random.default_rng(seed)
-    died_in_nullspace = 0
-    for _ in range(restarts):
-        u = rng.standard_normal(n)
-        u /= np.linalg.norm(u)
-        best = math.inf
-        stalled = 0
-        for _ in range(max_iter):
-            w1 = a @ u
-            if not np.linalg.norm(w1):
-                died_in_nullspace += 1
-                break
-            w2 = a @ w1
-            scale = np.linalg.norm(w2)
-            if not scale:
-                # A(Au) = 0 with Au != 0: the orbit dies, dominant part nilpotent.
-                died_in_nullspace += 1
-                break
-            basis = np.column_stack([w1, u])
-            coef, *_ = np.linalg.lstsq(basis, w2, rcond=None)
-            residual = np.linalg.norm(w2 - basis @ coef) / scale
-            roots = np.roots([1.0, -coef[0], -coef[1]])
-            estimate = float(np.max(np.abs(roots)))
-            if residual < tol:
-                return estimate
-            if residual < 0.999 * best:
-                best = residual
-                stalled = 0
-            else:
-                stalled += 1
-                if stalled > 100:
-                    break
-            u = w2 / scale
-    if died_in_nullspace == restarts:
-        # Every random start was annihilated within finitely many steps.
-        return 0.0
-    raise ConvergenceError(
-        f"power iteration failed to reach residual {tol:g} after "
-        f"{restarts} restarts")
+    return float(np.max(np.abs(np.linalg.eigvals(a))))

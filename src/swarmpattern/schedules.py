@@ -21,14 +21,13 @@ The profile over normalised time (knots at ``t1 = t_max/5`` and
 
 Baselines for comparison runs: linearly decreasing or increasing inertia,
 uniformly random inertia, success-rate-adaptive inertia, and any constant
-triple.  Extra schedules can be registered by name.
+triple.  Every schedule is a frozen dataclass, so a spec pickles by value and
+means the same thing in every process.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -141,6 +140,11 @@ class Constant:
 
     params: IpsoParams
 
+    def __post_init__(self):
+        if not isinstance(self.params, IpsoParams):
+            raise ScheduleError(
+                f"Constant needs IpsoParams, got {type(self.params).__name__}")
+
 
 @dataclass(frozen=True)
 class Mapso:
@@ -177,50 +181,8 @@ class SuccessRateInertia:
     alpha: float = 1.0
 
 
-@dataclass(frozen=True)
-class Named:
-    """Deferred lookup into the schedule registry at call time."""
-
-    name: str
-
-
 ScheduleSpec = (Constant | Mapso | LinearInertia | RandomInertia
-                | SuccessRateInertia | Named)
-
-_REGISTRY: dict[str, Callable[[ScheduleFeedback], IpsoParams]] = {}
-
-
-def register_schedule(name: str,
-                      generator: Callable[[ScheduleFeedback], IpsoParams]) -> None:
-    """Add a named coefficient generator; names are single-registration."""
-    if not name or not isinstance(name, str):
-        raise ScheduleError("schedule name must be a non-empty string")
-    if name in _REGISTRY:
-        raise ScheduleError(f"schedule {name!r} is already registered")
-    if not callable(generator):
-        raise ScheduleError("schedule generator must be callable")
-    _REGISTRY[name] = generator
-
-
-def unregister_schedule(name: str) -> None:
-    if name not in _REGISTRY:
-        raise ScheduleError(f"schedule {name!r} is not registered")
-    del _REGISTRY[name]
-
-
-def registered_names() -> tuple[str, ...]:
-    return tuple(sorted(_REGISTRY))
-
-
-def _validated(params: IpsoParams, origin: str) -> IpsoParams:
-    if not isinstance(params, IpsoParams):
-        raise ScheduleError(f"{origin} must produce IpsoParams, got {type(params).__name__}")
-    # IpsoParams validates finiteness on construction; a generator can still
-    # hand back a stale/duck-typed object, so re-check the three fields.
-    for name in ("omega", "c", "alpha"):
-        if not math.isfinite(getattr(params, name)):
-            raise ScheduleError(f"{origin} produced non-finite {name}")
-    return params
+                | SuccessRateInertia)
 
 
 def coefficients_at(spec: ScheduleSpec, feedback: ScheduleFeedback,
@@ -232,7 +194,7 @@ def coefficients_at(spec: ScheduleSpec, feedback: ScheduleFeedback,
     stay deterministic.
     """
     if isinstance(spec, Constant):
-        return _validated(spec.params, "Constant")
+        return spec.params
     if isinstance(spec, Mapso):
         pattern = mapso_pattern(feedback.t, feedback.t_max, spec.config)
         return solve_coefficients(pattern, alpha_sign=1)
@@ -249,30 +211,7 @@ def coefficients_at(spec: ScheduleSpec, feedback: ScheduleFeedback,
         omega = (spec.omega_min
                  + (spec.omega_max - spec.omega_min) * feedback.success_rate)
         return IpsoParams(omega=omega, c=spec.c, alpha=spec.alpha)
-    if isinstance(spec, Named):
-        try:
-            generator = _REGISTRY[spec.name]
-        except KeyError:
-            known = ", ".join(registered_names()) or "(none)"
-            raise ScheduleError(
-                f"unknown schedule {spec.name!r}; registered: {known}") from None
-        return _validated(generator(feedback), f"schedule {spec.name!r}")
     raise ScheduleError(f"unknown schedule spec {spec!r}")
-
-
-def resolve(spec: ScheduleSpec) -> ScheduleSpec:
-    """Collapse a Named spec to its registered target when that target is a spec.
-
-    Registered generators are arbitrary callables, so only Named specs whose
-    generator advertises a concrete spec via a ``spec`` attribute collapse;
-    everything else passes through unchanged.
-    """
-    if isinstance(spec, Named):
-        generator = _REGISTRY.get(spec.name)
-        inner = getattr(generator, "spec", None)
-        if inner is not None:
-            return inner
-    return spec
 
 
 def baseline_schedules() -> dict[str, ScheduleSpec]:
@@ -309,8 +248,6 @@ def schedule_to_dict(spec: ScheduleSpec) -> dict:
         return {"kind": "success_rate_inertia",
                 "omega_min": spec.omega_min, "omega_max": spec.omega_max,
                 "c": spec.c, "alpha": spec.alpha}
-    if isinstance(spec, Named):
-        return {"kind": "named", "name": spec.name}
     raise ScheduleError(f"cannot serialise schedule spec {spec!r}")
 
 
@@ -331,8 +268,6 @@ def schedule_from_dict(data: dict) -> ScheduleSpec:
             return RandomInertia(**rest)
         if kind == "success_rate_inertia":
             return SuccessRateInertia(**rest)
-        if kind == "named":
-            return Named(**rest)
     except (TypeError, ValueError) as exc:
         raise ScheduleError(f"bad fields for schedule kind {kind!r}: {exc}") from exc
     raise ScheduleError(f"unknown schedule kind {kind!r}")

@@ -1,7 +1,10 @@
 """Benchmark suite and the resumable experiment runner."""
 from __future__ import annotations
 
+import functools
 import json
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,7 +14,8 @@ from swarmpattern import (
     ExperimentPlan,
     IpsoParams,
     LinearInertia,
-    Named,
+    Mapso,
+    MapsoConfig,
     ResultSet,
     classic_suite,
     default_plan,
@@ -167,7 +171,7 @@ class TestDeriveSeed:
 class TestPlanSerialization:
     def test_round_trip_preserves_every_field(self):
         plan = ExperimentPlan(
-            algorithms=(("icpso", ICPSO), ("named", Named("mapso"))),
+            algorithms=(("icpso", ICPSO), ("wide", Mapso(MapsoConfig(v_max=30.0)))),
             functions=(suite_function("shifted_sphere", 3),),
             dimension=3, pop_size=7, runs=4, evals_per_dim=100, base_seed=99)
         back = plan_from_dict(plan_to_dict(plan))
@@ -311,7 +315,8 @@ class TestRunExperiment:
 
     def test_failed_runs_become_nan_not_crashes(self, tmp_path):
         plan = ExperimentPlan(
-            algorithms=(("icpso", ICPSO), ("ghost", Named("no-such-schedule"))),
+            algorithms=(("icpso", ICPSO),
+                        ("biased", Mapso(MapsoConfig(f_min=1e9, f_max=1e9)))),
             functions=(suite_function("sphere", 2),),
             dimension=2, pop_size=5, runs=2, evals_per_dim=20)
         results = run_experiment(plan, out_dir=tmp_path)
@@ -319,11 +324,29 @@ class TestRunExperiment:
         assert np.all(np.isnan(results.values[1]))
         assert len(results.failures) == 2
         algorithm, function, _, error = results.failures[0]
-        assert (algorithm, function) == ("ghost", "sphere")
-        assert "unknown schedule" in error
+        assert (algorithm, function) == ("biased", "sphere")
+        assert error.startswith("ConsistencyError: ")
         failures = (tmp_path / "failures.csv").read_text().splitlines()
         assert failures[0] == "algorithm,function,run,error"
         assert len(failures) == 3
+
+    def test_spawned_workers_match_a_serial_run(self, tmp_path, monkeypatch):
+        # Spawned workers share no module state with the parent: every spec
+        # must mean the same thing after a pickle round trip.
+        plan = ExperimentPlan(
+            algorithms=(("mapso", Mapso()), ("icpso", ICPSO)),
+            functions=(suite_function("sphere", 2),),
+            dimension=2, pop_size=5, runs=2, evals_per_dim=50)
+        serial = run_experiment(plan, out_dir=tmp_path / "serial")
+        monkeypatch.setattr(
+            "swarmpattern.benchmark.ProcessPoolExecutor",
+            functools.partial(ProcessPoolExecutor,
+                              mp_context=multiprocessing.get_context("spawn")))
+        spawned = run_experiment(plan, out_dir=tmp_path / "spawned", parallelism=2)
+        assert spawned.failures == ()
+        assert np.array_equal(spawned.values, serial.values)
+        assert np.array_equal(spawned.seeds, serial.seeds)
+        assert _snapshot(tmp_path / "spawned") == _snapshot(tmp_path / "serial")
 
     def test_parallelism_guard(self):
         with pytest.raises(ValueError, match="parallelism must be positive"):

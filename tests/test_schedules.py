@@ -1,8 +1,6 @@
 """Coefficient schedules: the pattern-driven profile, the classic baselines,
-the registry, and the plan serialization round trip."""
+and the plan serialization round trip."""
 from __future__ import annotations
-
-import math
 
 import numpy as np
 import pytest
@@ -13,7 +11,6 @@ from swarmpattern import (
     LinearInertia,
     Mapso,
     MapsoConfig,
-    Named,
     RandomInertia,
     ScheduleError,
     ScheduleFeedback,
@@ -27,13 +24,10 @@ from swarmpattern import (
     mapso_pattern,
     mapso_rho1,
     mapso_vc,
-    register_schedule,
-    registered_names,
     rho1,
-    unregister_schedule,
     vc,
 )
-from swarmpattern.schedules import resolve, schedule_from_dict, schedule_to_dict
+from swarmpattern.schedules import schedule_from_dict, schedule_to_dict
 
 T_MAX = 1000
 CFG = MapsoConfig()
@@ -171,68 +165,9 @@ class TestCoefficientsAt:
         with pytest.raises(ScheduleError, match="unknown schedule spec"):
             coefficients_at(object(), ScheduleFeedback(t=0, t_max=10))
 
-
-class TestRegistry:
-    def test_register_and_use(self):
-        spec = Constant(IpsoParams(0.5, 1.0, 1.0))
-        generator = lambda feedback: spec.params  # noqa: E731
-        generator.spec = spec
-        register_schedule("steady", generator)
-        try:
-            assert "steady" in registered_names()
-            out = coefficients_at(Named("steady"), ScheduleFeedback(t=0, t_max=10))
-            assert out == spec.params
-            assert resolve(Named("steady")) == spec
-        finally:
-            unregister_schedule("steady")
-
-    def test_duplicate_names_are_rejected(self):
-        register_schedule("once", lambda feedback: IpsoParams(0.5, 1.0, 1.0))
-        try:
-            with pytest.raises(ScheduleError, match="already registered"):
-                register_schedule("once", lambda feedback: IpsoParams(0.5, 1.0, 1.0))
-        finally:
-            unregister_schedule("once")
-
-    def test_name_and_callable_validation(self):
-        with pytest.raises(ScheduleError, match="non-empty string"):
-            register_schedule("", lambda feedback: None)
-        with pytest.raises(ScheduleError, match="must be callable"):
-            register_schedule("broken", "not a function")
-        with pytest.raises(ScheduleError, match="is not registered"):
-            unregister_schedule("never-was")
-
-    def test_unknown_name_lists_what_exists(self):
-        with pytest.raises(ScheduleError, match="unknown schedule 'ghost'"):
-            coefficients_at(Named("ghost"), ScheduleFeedback(t=0, t_max=10))
-
-    def test_wrong_return_type_is_a_contract_error(self):
-        register_schedule("tuple-maker", lambda feedback: (0.5, 1.0, 1.0))
-        try:
-            with pytest.raises(ScheduleError, match="must produce IpsoParams"):
-                coefficients_at(Named("tuple-maker"), ScheduleFeedback(t=0, t_max=10))
-        finally:
-            unregister_schedule("tuple-maker")
-
-    def test_non_finite_coefficients_are_a_contract_error(self):
-        # Constructor validation can be sidestepped by mutating a frozen
-        # instance; the registry must still catch the bad value at use time.
-        def corrupted(feedback):
-            params = IpsoParams(0.5, 1.0, 1.0)
-            object.__setattr__(params, "omega", math.nan)
-            return params
-
-        register_schedule("corrupted", corrupted)
-        try:
-            with pytest.raises(ScheduleError, match="produced non-finite omega"):
-                coefficients_at(Named("corrupted"), ScheduleFeedback(t=0, t_max=10))
-        finally:
-            unregister_schedule("corrupted")
-
-    def test_resolve_passes_unknown_and_plain_specs_through(self):
-        assert resolve(Named("ghost")) == Named("ghost")
-        spec = LinearInertia(0.9, 0.4)
-        assert resolve(spec) is spec
+    def test_constant_needs_ipso_params(self):
+        with pytest.raises(ScheduleError, match="Constant needs IpsoParams, got tuple"):
+            Constant((0.5, 1.0, 1.0))
 
 
 class TestBaselines:
@@ -252,7 +187,6 @@ class TestSerialization:
         LinearInertia(0.9, 0.4),
         RandomInertia(c=2.0),
         SuccessRateInertia(omega_min=0.1, omega_max=0.7),
-        Named("future"),
     ], ids=lambda s: type(s).__name__)
     def test_round_trip(self, spec):
         assert schedule_from_dict(schedule_to_dict(spec)) == spec
@@ -264,6 +198,10 @@ class TestSerialization:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown schedule kind"):
             schedule_from_dict({"kind": "chaotic"})
+
+    def test_named_kind_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown schedule kind 'named'"):
+            schedule_from_dict({"kind": "named", "name": "mapso"})
 
     def test_bad_fields(self):
         with pytest.raises(ValueError, match="bad fields for schedule kind"):
