@@ -22,7 +22,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     ConsistencyError,
-    ConvergenceError,
     DegenerateParameterError,
     DivergenceError,
     SampleError,
@@ -47,19 +46,16 @@ from .moments import (
     spectral_radius,
     stability_terms,
     variance_fixed_point,
-    variance_terms,
 )
 from .patterns import (
     AutocorrelationSeq,
     IpsoParams,
     MovementPattern,
     autocorrelation,
-    c_for_vc,
     convergence_report,
     expected_movement_distance,
     focus,
     gamma,
-    ipso_is_convergent,
     ipso_to_moments,
     rho1,
     solve_coefficients,

@@ -1,9 +1,11 @@
 """Command-line window onto the toolkit.
 
 Every subcommand prints a one-line ``effective-config: {...}`` JSON block to
-stderr holding the fully resolved settings (defaults included, package
-version included), which is sufficient to reproduce its output exactly.
-Payloads go to stdout or to ``--output``.
+stderr holding every parsed flag (defaults included), the values the command
+resolved from them (``bench``'s full plan, ``compare``'s output directory)
+and the package version, which is sufficient to reproduce its output
+exactly.  Payloads go to stdout or to ``--output``; ``--format json`` always
+writes indented JSON with sorted keys.
 
 Exit codes: 0 on success, 2 for input errors (bad flag values, unknown
 names, malformed files), 3 for numerical or degenerate-parameter errors
@@ -60,9 +62,7 @@ from .schedules import (
     SuccessRateInertia,
     baseline_schedules,
     coefficients_at,
-    mapso_focus,
-    mapso_rho1,
-    mapso_vc,
+    mapso_pattern,
 )
 from .simulate import (
     FixedAttractors,
@@ -89,8 +89,10 @@ class _InputError(ValueError):
     """User-supplied value rejected before any computation started."""
 
 
-def _print_config(command: str, values: dict) -> None:
-    payload = {"command": command, "toolkit_version": __version__, **values}
+def _print_config(args, **resolved) -> None:
+    """Every parsed flag of the command, overridden by the values it resolved."""
+    values = {key: value for key, value in vars(args).items() if key != "func"}
+    payload = {**values, "toolkit_version": __version__, **resolved}
     print("effective-config: " + json.dumps(payload, sort_keys=True),
           file=sys.stderr)
 
@@ -100,6 +102,15 @@ def _emit(output: str | None, text: str) -> None:
         Path(output).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
+
+
+def _emit_payload(args, payload: dict, lines: list[str]) -> None:
+    """Write ``payload`` as JSON under ``--format json``, else the text ``lines``."""
+    if args.format == "json":
+        text = json.dumps(payload, indent=2, sort_keys=True)
+    else:
+        text = "\n".join(lines)
+    _emit(args.output, text + "\n")
 
 
 def _parse_schedule(text: str):
@@ -175,11 +186,7 @@ def _float_csv(value: float) -> str:
 # --- subcommands -------------------------------------------------------------
 
 def cmd_solve(args) -> int:
-    _print_config("solve", {
-        "rho1": args.rho1, "vc": args.vc, "focus": args.focus,
-        "alpha_sign": args.alpha_sign, "format": args.format,
-        "output": args.output,
-    })
+    _print_config(args)
     target = MovementPattern(rho1=args.rho1, vc=args.vc, focus=args.focus)
     params = solve_coefficients(target, alpha_sign=args.alpha_sign)
     coeffs = ipso_to_moments(params)
@@ -191,34 +198,24 @@ def cmd_solve(args) -> int:
         "residual_focus": focus(coeffs) - target.focus,
         "conditions": report,
     }
-    if args.format == "json":
-        _emit(args.output, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
-        lines = [
-            f"omega = {params.omega!r}",
-            f"c     = {params.c!r}",
-            f"alpha = {params.alpha!r}",
-            f"round-trip residuals: rho1 {payload['residual_rho1']:.3e}, "
-            f"vc {payload['residual_vc']:.3e}, "
-            f"focus {payload['residual_focus']:.3e}",
-            f"conditions: -1 < omega < 1: {report['omega_in_range']}; "
-            f"0 < c(1+alpha) = {report['spread']:.6g} "
-            f"< {report['spread_bound']:.6g}: {report['spread_ok']}; "
-            f"k2 = {report['k2']:.6g} < 0: {report['k2_negative']}",
-            f"convergent: {report['convergent']}",
-        ]
-        _emit(args.output, "\n".join(lines) + "\n")
+    _emit_payload(args, payload, [
+        f"omega = {params.omega!r}",
+        f"c     = {params.c!r}",
+        f"alpha = {params.alpha!r}",
+        f"round-trip residuals: rho1 {payload['residual_rho1']:.3e}, "
+        f"vc {payload['residual_vc']:.3e}, "
+        f"focus {payload['residual_focus']:.3e}",
+        f"conditions: -1 < omega < 1: {report['omega_in_range']}; "
+        f"0 < c(1+alpha) = {report['spread']:.6g} "
+        f"< {report['spread_bound']:.6g}: {report['spread_ok']}; "
+        f"k2 = {report['k2']:.6g} < 0: {report['k2_negative']}",
+        f"convergent: {report['convergent']}",
+    ])
     return 0
 
 
 def cmd_autocorr(args) -> int:
-    _print_config("autocorr", {
-        "omega": args.omega, "c": args.c, "alpha": args.alpha,
-        "max_lag": args.max_lag, "simulate": args.simulate,
-        "process": args.process if args.simulate else None,
-        "iterations": args.iterations, "burn_in": args.burn_in,
-        "seed": args.seed, "format": args.format, "output": args.output,
-    })
+    _print_config(args)
     params = IpsoParams(omega=args.omega, c=args.c, alpha=args.alpha)
     analytic = autocorrelation(ipso_to_moments(params), args.max_lag)
     empirical = None
@@ -228,31 +225,20 @@ def cmd_autocorr(args) -> int:
                            seed=args.seed)
         trace = simulate(params, process, config)
         empirical = empirical_autocorrelation(trace, args.burn_in, args.max_lag)
-    if args.format == "json":
-        payload = {"lags": list(range(args.max_lag + 1)),
-                   "rho_analytic": [float(v) for v in analytic.rho]}
-        if empirical is not None:
-            payload["rho_empirical"] = [float(v) for v in empirical.rho]
-        _emit(args.output, json.dumps(payload, indent=2) + "\n")
-    else:
-        header = "lag,rho_analytic" + (",rho_empirical" if empirical else "")
-        lines = [header]
-        for lag in range(args.max_lag + 1):
-            row = f"{lag},{_float_csv(analytic.rho[lag])}"
-            if empirical is not None:
-                row += f",{_float_csv(empirical.rho[lag])}"
-            lines.append(row)
-        _emit(args.output, "\n".join(lines) + "\n")
+    payload = {"lags": list(range(args.max_lag + 1)),
+               "rho_analytic": [float(v) for v in analytic.rho]}
+    if empirical is not None:
+        payload["rho_empirical"] = [float(v) for v in empirical.rho]
+    columns = [key for key in ("rho_analytic", "rho_empirical") if key in payload]
+    lines = [",".join(["lag", *columns])]
+    lines += [",".join([str(lag), *(_float_csv(payload[key][lag]) for key in columns)])
+              for lag in payload["lags"]]
+    _emit_payload(args, payload, lines)
     return 0
 
 
 def cmd_moments(args) -> int:
-    _print_config("moments", {
-        "omega": args.omega, "c": args.c, "alpha": args.alpha,
-        "mu_p": args.mu_p, "sigma_p": args.sigma_p,
-        "mu_g": args.mu_g, "sigma_g": args.sigma_g,
-        "format": args.format, "output": args.output,
-    })
+    _print_config(args)
     params = IpsoParams(omega=args.omega, c=args.c, alpha=args.alpha)
     coeffs = ipso_to_moments(params)
     attractors = AttractorMoments(mu_p=args.mu_p, sigma_p=args.sigma_p,
@@ -274,21 +260,13 @@ def cmd_moments(args) -> int:
     if order2:
         payload["movement_distance"] = expected_movement_distance(
             payload["v_x"], payload["rho1"])
-    if args.format == "json":
-        _emit(args.output, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
-        lines = [f"{key} = {value!r}" for key, value in sorted(payload.items())]
-        _emit(args.output, "\n".join(lines) + "\n")
+    _emit_payload(args, payload,
+                  [f"{key} = {value!r}" for key, value in sorted(payload.items())])
     return 0
 
 
 def cmd_simulate(args) -> int:
-    _print_config("simulate", {
-        "omega": args.omega, "c": args.c, "alpha": args.alpha,
-        "process": args.process, "iterations": args.iterations,
-        "burn_in": args.burn_in, "seed": args.seed,
-        "x0": args.x0, "x1": args.x1, "output": args.output,
-    })
+    _print_config(args)
     params = IpsoParams(omega=args.omega, c=args.c, alpha=args.alpha)
     process = _parse_process(args)
     config = SimConfig(iterations=args.iterations, burn_in=args.burn_in,
@@ -311,13 +289,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    _print_config("optimize", {
-        "function": args.function, "dimension": args.dimension,
-        "schedule": args.schedule, "pop_size": args.pop_size,
-        "budget_evals": args.budget_evals, "seed": args.seed,
-        "epsilon0": args.epsilon0, "format": args.format,
-        "history": args.history,
-    })
+    _print_config(args)
     function = suite_function(args.function, args.dimension)
     schedule = _parse_schedule(args.schedule)
     budget = (args.budget_evals if args.budget_evals is not None
@@ -336,12 +308,9 @@ def cmd_optimize(args) -> int:
         "steps": len(result.history) - 1,
         "seed": result.seed,
     }
-    if args.format == "json":
-        _emit(args.output, json.dumps(payload, indent=2) + "\n")
-    else:
-        _emit(args.output,
-              f"{function.name}: best {result.best_value!r} after "
-              f"{payload['evals']} evaluations ({payload['steps']} steps)\n")
+    _emit_payload(args, payload, [
+        f"{function.name}: best {result.best_value!r} after "
+        f"{payload['evals']} evaluations ({payload['steps']} steps)"])
     return 0
 
 
@@ -351,10 +320,7 @@ def cmd_bench(args) -> int:
     else:
         plan = default_plan(dimension=args.dimension, runs=args.runs,
                             base_seed=args.base_seed)
-    _print_config("bench", {
-        "plan_file": args.plan, "out": args.out,
-        "parallelism": args.parallelism, "plan": plan_to_dict(plan),
-    })
+    _print_config(args, plan_file=args.plan, plan=plan_to_dict(plan))
     results = run_experiment(plan, out_dir=args.out,
                              parallelism=args.parallelism)
     done = int(np.sum(~np.isnan(results.values)))
@@ -368,10 +334,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    _print_config("compare", {
-        "results": args.results, "p_threshold": args.p_threshold,
-        "out": args.out or args.results,
-    })
+    _print_config(args, out=args.out or args.results)
     results = load_results(args.results)
     tm = tournament(results, p_threshold=args.p_threshold)
     graph = beat_digraph(tm)
@@ -388,10 +351,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_schedule_dump(args) -> int:
-    _print_config("schedule-dump", {
-        "schedule": args.schedule, "t_max": args.t_max, "stride": args.stride,
-        "seed": args.seed, "output": args.output,
-    })
+    _print_config(args)
     spec = _parse_schedule(args.schedule)
     rng = np.random.default_rng(args.seed)
     is_mapso = isinstance(spec, Mapso)
@@ -400,10 +360,9 @@ def cmd_schedule_dump(args) -> int:
         feedback = ScheduleFeedback(t=t, t_max=args.t_max)
         params = coefficients_at(spec, feedback, rng)
         if is_mapso:
-            cfg = spec.config
-            pattern = (_float_csv(mapso_vc(t, args.t_max, cfg)),
-                       _float_csv(mapso_rho1(t, args.t_max, cfg)),
-                       _float_csv(mapso_focus(t, args.t_max, cfg)))
+            target = mapso_pattern(t, args.t_max, spec.config)
+            pattern = (_float_csv(target.vc), _float_csv(target.rho1),
+                       _float_csv(target.focus))
         else:
             pattern = ("", "", "")
         lines.append(f"{t},{pattern[0]},{pattern[1]},{pattern[2]},"

@@ -21,10 +21,6 @@ class DivergenceError(SwarmPatternError, RuntimeError):
         self.partial = partial
 
 
-class ConvergenceError(SwarmPatternError, RuntimeError):
-    """An iterative method ran out of iterations without meeting tolerance."""
-
-
 class ConsistencyError(SwarmPatternError, RuntimeError):
     """A closed-form solution failed its own verification residual."""
 

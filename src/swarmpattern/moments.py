@@ -20,8 +20,9 @@ enter ``M`` and ``b``, so every result in this module is distribution-free.
 block driving the second moments are both attractor-free, hence stability
 never depends on where the attractors sit.
 
-Closed forms are provided for the fixed points of the mean (``E_x``) and the
-variance (``V_x``), together with the two stability predicates:
+The fixed point of the whole update, :func:`iterate_to_fixed_point`, is the
+exact solve of ``(I - M) z = b``.  Closed forms are provided for its mean
+(``E_x``) and variance (``V_x``), together with the two stability predicates:
 
 * order-1 (means settle):   -1 < mu_w < 1  and  0 < s < 2 (mu_w + 1),
   where ``s = mu_phi1 + mu_phi2``;
@@ -36,12 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    DegenerateParameterError,
-    DivergenceError,
-    StabilityError,
-)
+from .errors import DegenerateParameterError, DivergenceError, StabilityError
 
 # A moment trajectory whose components pass this magnitude is declared
 # divergent rather than being iterated into float overflow.
@@ -266,30 +262,17 @@ def iterate_moments(system: MomentSystem, z0: MomentState,
     return out
 
 
-def iterate_to_fixed_point(system: MomentSystem,
-                           z0: MomentState | None = None,
-                           tol: float = 1e-12,
-                           max_steps: int = 10 ** 6) -> MomentState:
-    """Iterate until ``max|z[t+1] - z[t]| < tol``; return the settled state.
+def iterate_to_fixed_point(system: MomentSystem) -> MomentState:
+    """The state ``z = M z + b`` that the affine update settles to.
 
-    The fixed point of a stable affine map is independent of ``z0``; the
-    default start is the zero vector.
+    Solved exactly as ``(I - M) z = b``.  The iteration settles from every
+    start only when the spectral radius of ``M`` is below 1; otherwise a
+    :class:`StabilityError` is raised.
     """
-    if z0 is None:
-        z0 = MomentState(np.zeros(5))
-    m, b = system.m, system.b
-    z = z0.z
-    for _ in range(max_steps):
-        z_next = m @ z + b
-        if not np.all(np.isfinite(z_next)) or np.max(np.abs(z_next)) > DIVERGENCE_LIMIT:
-            raise DivergenceError(
-                f"moment trajectory exceeded {DIVERGENCE_LIMIT:g} before settling",
-                partial=[MomentState(z_next)])
-        if np.max(np.abs(z_next - z)) < tol:
-            return MomentState(z_next)
-        z = z_next
-    raise ConvergenceError(
-        f"moment iteration did not settle to {tol:g} within {max_steps} steps")
+    if spectral_radius(system) >= 1.0:
+        raise StabilityError(
+            "moment fixed point requested for a system with spectral radius >= 1")
+    return MomentState(np.linalg.solve(np.eye(5) - system.m, system.b))
 
 
 def stability_terms(coeffs: CoefficientMoments) -> tuple[float, float]:
@@ -305,18 +288,6 @@ def stability_terms(coeffs: CoefficientMoments) -> tuple[float, float]:
           + 2.0 * s * (mu_w ** 2 + coeffs.sigma_omega ** 2 - 1.0)
           + (coeffs.sigma_phi1 ** 2 + coeffs.sigma_phi2 ** 2) * (mu_w + 1.0))
     return k1, k2
-
-
-def variance_terms(coeffs: CoefficientMoments,
-                   attractors: AttractorMoments) -> tuple[float, float, float, float]:
-    """All four terms ``(k1, k2, k3, k4)`` of the variance fixed point."""
-    k1, k2 = stability_terms(coeffs)
-    mu1, mu2 = coeffs.mu_phi1, coeffs.mu_phi2
-    s1, s2 = coeffs.sigma_phi1, coeffs.sigma_phi2
-    vp, vg = attractors.sigma_p ** 2, attractors.sigma_g ** 2
-    k3 = k1 * (mu1 ** 2 * vp + mu2 ** 2 * vg + s1 ** 2 * vp + s2 ** 2 * vg)
-    k4 = (mu1 ** 2 * s2 ** 2 + mu2 ** 2 * s1 ** 2) * (attractors.mu_g - attractors.mu_p) ** 2
-    return k1, k2, k3, k4
 
 
 def is_order1_convergent(coeffs: CoefficientMoments) -> bool:
@@ -347,11 +318,17 @@ def variance_fixed_point(coeffs: CoefficientMoments,
                          attractors: AttractorMoments) -> float:
     """Equilibrium variance ``V_x = -(k3 + k4) (mu_w + 1) / (k1 k2)``.
 
-    Only meaningful on the order-2 convergent set; outside it the variance
-    recursion has no finite attracting fixed point and a
-    :class:`StabilityError` is raised.
+    ``k1, k2`` are the :func:`stability_terms`; ``k3`` carries the attractor
+    spreads and ``k4`` their separation.  Only meaningful on the order-2
+    convergent set; outside it the variance recursion has no finite
+    attracting fixed point and a :class:`StabilityError` is raised.
     """
-    k1, k2, k3, k4 = variance_terms(coeffs, attractors)
+    k1, k2 = stability_terms(coeffs)
+    mu1, mu2 = coeffs.mu_phi1, coeffs.mu_phi2
+    s1, s2 = coeffs.sigma_phi1, coeffs.sigma_phi2
+    vp, vg = attractors.sigma_p ** 2, attractors.sigma_g ** 2
+    k3 = k1 * (mu1 ** 2 * vp + mu2 ** 2 * vg + s1 ** 2 * vp + s2 ** 2 * vg)
+    k4 = (mu1 ** 2 * s2 ** 2 + mu2 ** 2 * s1 ** 2) * (attractors.mu_g - attractors.mu_p) ** 2
     if k1 == 0.0 or k2 == 0.0:
         raise DegenerateParameterError(
             f"variance fixed point degenerate: k1={k1!r}, k2={k2!r}")

@@ -22,7 +22,10 @@ inertia weight fixed at ``omega`` and draws ``phi1 ~ U[0, c]``,
 Its movement pattern has closed forms in both directions: ``vc`` maps
 ``(omega, c, alpha)`` to the variance coefficient, and
 :func:`solve_coefficients` inverts a full ``MovementPattern`` back to
-parameters, which is what makes pattern scheduling practical.
+parameters, which is what makes pattern scheduling practical.  Whether a
+triple converges is the general order-2 test of :mod:`swarmpattern.moments`
+applied to :func:`ipso_to_moments`; :func:`convergence_report` spells out
+its conditions in the family's own terms.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .errors import ConsistencyError, DegenerateParameterError
 from .moments import (
     AttractorMoments,
     CoefficientMoments,
-    is_order1_convergent,
+    is_order2_convergent,
     stability_terms,
 )
 
@@ -137,13 +140,10 @@ def autocorrelation(coeffs: CoefficientMoments, max_lag: int) -> Autocorrelation
     if max_lag < 0:
         raise ValueError("max_lag must be non-negative")
     mu_w = coeffs.mu_omega
-    if mu_w == -1.0:
-        raise DegenerateParameterError("autocorrelation undefined at mu_omega = -1")
     mu_l = 1.0 + mu_w - coeffs.mu_phi1 - coeffs.mu_phi2
     rho = np.empty(max_lag + 1)
     rho[0] = 1.0
-    if max_lag >= 1:
-        rho[1] = mu_l / (mu_w + 1.0)
+    rho[1:2] = rho1(coeffs)  # called even at max_lag 0: it rejects mu_omega = -1
     for i in range(2, max_lag + 1):
         rho[i] = mu_l * rho[i - 1] - mu_w * rho[i - 2]
     return AutocorrelationSeq(rho)
@@ -189,19 +189,6 @@ def vc(params: IpsoParams) -> float:
     return -c * (omega + 1.0) / den
 
 
-def c_for_vc(vc_target: float, omega: float, alpha: float) -> float:
-    """Pull range ``c`` achieving a requested variance coefficient.
-
-    Inverts :func:`vc` at fixed ``omega`` and ``alpha``:
-    ``c = -6 vc (alpha+1)^3 (omega^2 - 1) / (vc (m2 - m1 omega) + omega + 1)``.
-    """
-    m1, m2 = _m1_m2(alpha)
-    den = vc_target * (m2 - m1 * omega) + (omega + 1.0)
-    if den == 0.0:
-        raise DegenerateParameterError("no finite c reaches the requested vc")
-    return -6.0 * vc_target * (alpha + 1.0) ** 3 * (omega ** 2 - 1.0) / den
-
-
 def focus(coeffs: CoefficientMoments) -> float:
     """Squared pull ratio ``(mu_phi2 / mu_phi1)^2``."""
     if coeffs.mu_phi1 == 0.0:
@@ -209,28 +196,13 @@ def focus(coeffs: CoefficientMoments) -> float:
     return (coeffs.mu_phi2 / coeffs.mu_phi1) ** 2
 
 
-def ipso_is_convergent(params: IpsoParams) -> bool:
-    """Order-2 convergence test specialised to the uniform family.
-
-    Requires ``-1 < omega < 1``, ``0 < c (1 + alpha) < 4 (1 + omega)`` and
-    a negative quadratic stability term ``k2``.
-    """
-    omega, c, alpha = params.omega, params.c, params.alpha
-    if not (-1.0 < omega < 1.0):
-        return False
-    spread = c * (1.0 + alpha)
-    if not (0.0 < spread < 4.0 * (1.0 + omega)):
-        return False
-    _, k2 = stability_terms(ipso_to_moments(params))
-    return k2 < 0.0
-
-
 def convergence_report(params: IpsoParams) -> dict:
     """Condition-by-condition stability diagnostics for one parameter triple."""
     omega, c, alpha = params.omega, params.c, params.alpha
     spread = c * (1.0 + alpha)
     spread_bound = 4.0 * (1.0 + omega)
-    _, k2 = stability_terms(ipso_to_moments(params))
+    coeffs = ipso_to_moments(params)
+    _, k2 = stability_terms(coeffs)
     return {
         "omega": omega,
         "c": c,
@@ -241,7 +213,7 @@ def convergence_report(params: IpsoParams) -> dict:
         "spread_ok": 0.0 < spread < spread_bound,
         "k2": k2,
         "k2_negative": k2 < 0.0,
-        "convergent": ipso_is_convergent(params),
+        "convergent": is_order2_convergent(coeffs),
     }
 
 

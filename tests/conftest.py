@@ -27,6 +27,14 @@ TRACE_ITERATIONS = 201_000
 TRACE_BURN_IN = 1_000
 TRACE_SEED = 0
 
+# Order-2 violating parameter sets; every one has spectral radius > 1.
+UNSTABLE = [
+    IpsoParams(0.9, 4.5, 1.0),
+    IpsoParams(-0.5, 3.9, 1.0),
+    IpsoParams(0.3, 3.4, 1.0),
+    IpsoParams(0.99, 4.2, 1.0),
+]
+
 
 def sample_stable_sets(n, rng_seed, sr_cap, vx_cap=1e3):
     """Rejection-sample n order-2 stable (params, coeffs, attractors) triples.

@@ -109,7 +109,7 @@ def test_03_iterated_moments_reach_the_closed_forms(capsys, stable_sets,
     for (params, coeffs, attractors), trace in zip(stable_sets,
                                                    stable_set_traces):
         system = build_moment_system(coeffs, attractors)
-        settled = iterate_to_fixed_point(system, tol=1e-11)
+        settled = iterate_to_fixed_point(system)
         e_x = expectation_fixed_point(coeffs, attractors)
         v_x = variance_fixed_point(coeffs, attractors)
         worst_closed = max(worst_closed,
@@ -120,7 +120,7 @@ def test_03_iterated_moments_reach_the_closed_forms(capsys, stable_sets,
     _verdict(capsys, "moment fixed points",
              len(stable_sets) >= 20 and worst_closed <= 1e-8
              and worst_mc <= 0.05,
-             f"{len(stable_sets)} stable sets; iterated vs closed form "
+             f"{len(stable_sets)} stable sets; fixed point vs closed form "
              f"{worst_closed:.2e} (tolerance 1e-8); Monte Carlo variance "
              f"error {worst_mc:.3%} (tolerance 5%)")
 

@@ -36,6 +36,26 @@ def _rows(text):
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
 
 
+class TestEffectiveConfig:
+    def test_attractor_process_flags_are_recorded(self, capsys):
+        code, _, err = _run(capsys, "simulate", "--omega", "0.7", "--c", "1.4",
+                            "--p-range", "0", "1", "--iterations", "50",
+                            "--burn-in", "10")
+        assert code == 0
+        config = _config_line(err)
+        assert config["command"] == "simulate"
+        assert config["p_range"] == [0.0, 1.0]
+
+        code, _, err = _run(capsys, "autocorr", "--omega", "0.7", "--c", "1.4",
+                            "--simulate", "--process", "walk", "--g0", "3",
+                            "--iterations", "2000", "--burn-in", "100",
+                            "--max-lag", "2")
+        assert code == 0
+        config = _config_line(err)
+        assert config["process"] == "walk"
+        assert config["g0"] == 3.0
+
+
 class TestSolve:
     def test_text_worked_example(self, capsys):
         code, out, err = _run(capsys, "solve", "--rho1", "0.5", "--vc", "1.0")

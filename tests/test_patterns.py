@@ -17,18 +17,18 @@ from swarmpattern import (
     IpsoParams,
     MovementPattern,
     autocorrelation,
-    c_for_vc,
     convergence_report,
     expected_movement_distance,
     focus,
     gamma,
-    ipso_is_convergent,
     ipso_to_moments,
     is_order2_convergent,
     rho1,
     solve_coefficients,
     vc,
 )
+
+from conftest import UNSTABLE
 
 SLOW_MIXING = IpsoParams(0.73084, 1.6443, 1.0)
 FAST_MIXING = IpsoParams(0.98237, 0.19824, 1.0)
@@ -179,26 +179,6 @@ class TestVc:
             vc(IpsoParams(1.0, 0.0, 1.0))
 
 
-class TestCForVc:
-    @pytest.mark.parametrize("target_vc", [0.05, 0.5, 3.0, 30.0])
-    @pytest.mark.parametrize("omega", [-0.5, 0.0, 0.7])
-    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
-    def test_inverse_of_vc(self, target_vc, omega, alpha):
-        c = c_for_vc(target_vc, omega, alpha)
-        assert vc(IpsoParams(omega, c, alpha)) == pytest.approx(target_vc, rel=1e-9)
-
-    def test_unit_inertia_needs_no_pull(self):
-        assert c_for_vc(5.0, 1.0, 1.0) == 0.0
-
-    def test_agrees_with_the_full_solver(self):
-        params = solve_coefficients(MovementPattern(0.8, 3.0, 1.0))
-        assert c_for_vc(3.0, params.omega, 1.0) == pytest.approx(params.c, rel=1e-9)
-
-    def test_degenerate_denominator(self):
-        with pytest.raises(DegenerateParameterError, match="no finite c"):
-            c_for_vc(0.25, 2.0, 1.0)
-
-
 class TestFocus:
     def test_balanced_search(self):
         assert focus(ipso_to_moments(IpsoParams(0.5, 1.2, 1.0))) == pytest.approx(1.0)
@@ -230,13 +210,14 @@ class TestSolveCoefficients:
         coeffs = ipso_to_moments(params)
         assert rho1(coeffs) == pytest.approx(target.rho1, rel=1e-9, abs=1e-9)
         assert vc(params) == pytest.approx(target.vc, rel=1e-9)
-        assert ipso_is_convergent(params)
+        assert is_order2_convergent(coeffs)
 
     def test_negative_alpha_branch(self):
         params = solve_coefficients(MovementPattern(0.3, 1.0, 4.0), alpha_sign=-1)
         assert params.alpha == -2.0
-        assert focus(ipso_to_moments(params)) == pytest.approx(4.0, rel=1e-9)
-        assert ipso_is_convergent(params)
+        coeffs = ipso_to_moments(params)
+        assert focus(coeffs) == pytest.approx(4.0, rel=1e-9)
+        assert is_order2_convergent(coeffs)
 
     def test_alpha_sign_validation(self):
         with pytest.raises(ValueError, match=r"alpha_sign must be \+1 or -1"):
@@ -284,13 +265,13 @@ class TestSolveCoefficients:
 
 class TestConvergencePredicate:
     def test_reference_parameters(self):
-        assert ipso_is_convergent(IpsoParams(0.711897, 1.711897, 1.0))
+        assert convergence_report(IpsoParams(0.711897, 1.711897, 1.0))["convergent"]
 
     def test_zero_total_pull_fails(self):
-        assert not ipso_is_convergent(IpsoParams(0.0, 1.0, -1.0))
+        assert not convergence_report(IpsoParams(0.0, 1.0, -1.0))["convergent"]
 
     def test_oversized_pull_fails(self):
-        assert not ipso_is_convergent(IpsoParams(0.9, 4.5, 1.0))
+        assert not convergence_report(IpsoParams(0.9, 4.5, 1.0))["convergent"]
 
     def test_report_carries_the_individual_conditions(self):
         report = convergence_report(IpsoParams(0.711897, 1.711897, 1.0))
@@ -301,5 +282,9 @@ class TestConvergencePredicate:
         assert report["k2"] < 0.0
 
     def test_report_agrees_with_the_predicate(self, stable_sets):
-        for params, _, _ in stable_sets:
-            assert convergence_report(params)["convergent"] == ipso_is_convergent(params)
+        # The verdict is the conjunction of the conditions the report lists.
+        for params in [p for p, _, _ in stable_sets] + UNSTABLE:
+            report = convergence_report(params)
+            assert report["convergent"] == (report["omega_in_range"]
+                                            and report["spread_ok"]
+                                            and report["k2_negative"])

@@ -18,8 +18,8 @@ from swarmpattern import (
     baseline_schedules,
     coefficients_at,
     focus,
-    ipso_is_convergent,
     ipso_to_moments,
+    is_order2_convergent,
     mapso_focus,
     mapso_pattern,
     mapso_rho1,
@@ -111,9 +111,9 @@ class TestCoefficientsAt:
         t_max = 600
         for t in range(t_max + 1):
             params = coefficients_at(spec, ScheduleFeedback(t=t, t_max=t_max))
-            assert ipso_is_convergent(params), t
-            pattern = mapso_pattern(t, t_max, CFG)
             coeffs = ipso_to_moments(params)
+            assert is_order2_convergent(coeffs), t
+            pattern = mapso_pattern(t, t_max, CFG)
             assert rho1(coeffs) == pytest.approx(pattern.rho1, rel=1e-9, abs=1e-9)
             assert vc(params) == pytest.approx(pattern.vc, rel=1e-9)
             assert focus(coeffs) == pytest.approx(pattern.focus, rel=1e-9)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from swarmpattern import (
+    AttractorMoments,
     Constant,
     IpsoParams,
     LinearInertia,
@@ -13,10 +14,14 @@ from swarmpattern import (
     RandomInertia,
     SuccessRateInertia,
     SwarmState,
+    expectation_fixed_point,
     initialize,
+    ipso_to_moments,
+    rho1,
     run,
     step,
     suite_function,
+    variance_fixed_point,
 )
 
 ICPSO = Constant(IpsoParams(0.711897, 1.711897, 1.0))
@@ -183,6 +188,63 @@ class TestStep:
                           lambda x: float(np.sum(x * x)))
         with pytest.raises(ValueError, match=r"f\(X\[n, d\]\) -> y\[n\]"):
             initialize(problem, 4, seed=0)
+
+
+def _batch_means_se(y):
+    # Standard error of the mean of a correlated series, batch length
+    # floor(sqrt(n)) (Flegal & Jones 2010).
+    b = int(np.sqrt(y.size))
+    a = y.size // b
+    means = y[:a * b].reshape(a, b).mean(axis=1)
+    return float(np.sqrt(np.var(means, ddof=1) / a))
+
+
+class TestStagnation:
+    """A flat objective never improves a personal best, so pbest and gbest
+    stay frozen and every coordinate of every particle follows the scalar
+    recursion whose moments :mod:`swarmpattern.moments` solves."""
+
+    COEFFS = IpsoParams(0.6, 1.2, 1.0)
+    TICKS, BURN_IN = 20_000, 500
+    Z_LIMIT = 6.0  # batch-means standard errors; seeds 0-11 stayed below 4
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_frozen_swarm_settles_to_the_analytic_moments(self, seed):
+        problem = Problem(3, -np.ones(3), np.ones(3), lambda X: np.zeros(len(X)))
+        state = initialize(problem, 10, seed)
+        pbest = state.pbest_positions.copy()
+        rng = np.random.default_rng(seed)
+        trace = np.empty((self.TICKS, 10, 3))
+        for t in range(self.TICKS):
+            state = step(state, self.COEFFS, rng)
+            trace[t] = state.positions
+        assert np.array_equal(state.pbest_positions, pbest)
+        gbest = state.gbest
+        assert np.array_equal(gbest, pbest[0])
+        x = trace[self.BURN_IN:]
+
+        # Particle 0 is its own global best: p = g leaves it nothing to orbit.
+        assert np.max(np.abs(x[:, 0] - gbest)) <= 1e-12
+
+        coeffs = ipso_to_moments(self.COEFFS)
+        lag1 = rho1(coeffs)
+        for i in range(1, 10):
+            for j in range(3):
+                attractors = AttractorMoments(pbest[i, j], 0.0, gbest[j], 0.0)
+                series = x[:, i, j]
+                centred = series - series.mean()
+                var_hat = np.mean(centred ** 2)
+                # Lag-1 by its linearised estimator (gamma_1 - rho1 gamma_0) / gamma_0.
+                y = (centred[:-1] * centred[1:] - lag1 * centred[:-1] ** 2) / var_hat
+                z = {
+                    "mean": (series.mean() - expectation_fixed_point(coeffs, attractors))
+                    / _batch_means_se(series),
+                    "variance": (var_hat - variance_fixed_point(coeffs, attractors))
+                    / _batch_means_se(centred ** 2),
+                    "rho1": np.mean(y) / _batch_means_se(y),
+                }
+                for name, value in z.items():
+                    assert abs(value) < self.Z_LIMIT, (i, j, name, value)
 
 
 class TestRun:
