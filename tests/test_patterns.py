@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -177,6 +178,43 @@ class TestVc:
     def test_degenerate_denominator(self):
         with pytest.raises(DegenerateParameterError, match="denominator vanishes"):
             vc(IpsoParams(1.0, 0.0, 1.0))
+
+
+def _c_reaching(target_vc, omega, alpha):
+    """Pull range giving ``vc == target_vc`` at fixed omega and alpha, by root search.
+
+    For ``|omega| < 1`` the reciprocal ``1 / vc`` falls monotonically and without
+    a pole from +inf (c -> 0+) to ``-(m2 - m1 omega) / (omega + 1)``, so one sign
+    change brackets the root.
+    """
+    def excess(c):
+        return 1.0 / vc(IpsoParams(omega, c, alpha)) - 1.0 / target_vc
+
+    hi = 1.0
+    while excess(hi) > 0.0:
+        hi *= 2.0
+    return scipy.optimize.brentq(excess, 1e-12, hi, xtol=1e-15)
+
+
+class TestCForVc:
+    """The pull range reaching a target vc at fixed omega and alpha is the one
+    :func:`solve_coefficients` returns for the pattern it realises."""
+
+    @pytest.mark.parametrize("target_vc", [0.05, 0.5, 3.0, 30.0])
+    @pytest.mark.parametrize("omega", [-0.5, 0.0, 0.7])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_inverse_of_vc(self, target_vc, omega, alpha):
+        c = _c_reaching(target_vc, omega, alpha)
+        params = IpsoParams(omega, c, alpha)
+        assert vc(params) == pytest.approx(target_vc, rel=1e-9)
+        solved = solve_coefficients(
+            MovementPattern(rho1(ipso_to_moments(params)), target_vc, alpha ** 2))
+        assert solved.omega == pytest.approx(omega, rel=1e-9, abs=1e-9)
+        assert solved.c == pytest.approx(c, rel=1e-9)
+
+    def test_agrees_with_the_full_solver(self):
+        params = solve_coefficients(MovementPattern(0.8, 3.0, 1.0))
+        assert _c_reaching(3.0, params.omega, 1.0) == pytest.approx(params.c, rel=1e-9)
 
 
 class TestFocus:
