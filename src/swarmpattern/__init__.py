@@ -91,7 +91,15 @@ from .schedules import (
     mapso_rho1,
     mapso_vc,
 )
-from .swarm import Problem, RunResult, SwarmState, initialize, run, step
+from .swarm import (
+    Problem,
+    RunResult,
+    SwarmState,
+    initialize,
+    run,
+    run_many,
+    step,
+)
 from .benchmark import (
     ExperimentPlan,
     ResultSet,

@@ -9,8 +9,13 @@ Run seeds mix ``(base_seed, algorithm index, function index, run index)``
 through a splitmix64-style finaliser, giving headline-number reproducibility
 independent of execution order or parallelism.
 
-Results persist incrementally: one CSV per (algorithm, function) cell with
-columns ``run, seed, best_value``, plus a JSON manifest of the plan.  An
+The pending runs of one (algorithm, function) cell are stepped in lockstep
+by :func:`swarmpattern.swarm.run_many`; with ``parallelism > 1`` worker
+processes take whole cells, not single runs.
+
+Results persist incrementally: one CSV per cell with columns
+``run, seed, best_value``, plus a JSON manifest of the plan.  A cell's new
+rows are appended as soon as its runs finish, so an interruption loses at most the pending runs of the cells in flight.  An
 interrupted experiment resumes by rerunning with the same plan and output
 directory; completed runs are detected and skipped, and finished CSVs are
 rewritten run-sorted so a resumed experiment is byte-identical to an
@@ -39,7 +44,7 @@ from .schedules import (
     schedule_from_dict,
     schedule_to_dict,
 )
-from .swarm import Problem, run
+from .swarm import Problem, run_many
 
 PLAN_FORMAT_VERSION = 1
 
@@ -357,24 +362,32 @@ def _write_cell(path: Path, rows: dict[int, tuple[int, float]]) -> None:
             writer.writerow([run_index, seed, repr(value)])
 
 
-def _run_one(task) -> tuple[int, int, int, float, str]:
-    i, k, run_index, seed, function, schedule, pop_size, budget = task
+def _run_cell(task) -> tuple[int, int, list[tuple[int, float, str]]]:
+    """Every pending run of one cell, stepped in lockstep."""
+    i, k, runs, seeds, function, schedule, pop_size, budget = task
     try:
-        result = run(function.problem(), schedule, pop_size, budget, seed)
-        return (i, k, run_index, result.best_value, "")
+        results = run_many(function.problem(), schedule, pop_size, budget,
+                           seeds)
+        return i, k, [(r, result.best_value, "")
+                      for r, result in zip(runs, results)]
     except SwarmPatternError as exc:
-        return (i, k, run_index, math.nan, f"{type(exc).__name__}: {exc}")
+        # Only a schedule shared by every run raises a toolkit error, and it
+        # fails them all at the same tick, as each would fail alone.
+        error = f"{type(exc).__name__}: {exc}"
+        return i, k, [(r, math.nan, error) for r in runs]
 
 
 def run_experiment(plan: ExperimentPlan, out_dir: str | Path | None = None,
                    parallelism: int = 1) -> ResultSet:
     """Execute (or finish) every run of the plan.
 
-    With ``out_dir`` set, results stream to per-cell CSVs as runs complete
-    and existing complete runs are skipped, which is what makes interrupted
-    experiments resumable.  Failed runs are recorded as NaN with the error
-    captured in ``ResultSet.failures`` (and ``failures.csv``), never
-    silently dropped.
+    The pending runs of one (algorithm, function) cell step in lockstep, and
+    ``parallelism`` worker processes take one cell at a time.  With
+    ``out_dir`` set, each cell's new rows are appended to its CSV as soon
+    as the cell finishes and existing complete runs are skipped, which is
+    what makes interrupted experiments resumable.  Failed runs are recorded
+    as NaN with the error captured in ``ResultSet.failures`` (and
+    ``failures.csv``), never silently dropped.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be positive")
@@ -408,11 +421,10 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | Path | None = None,
     for i, (_, schedule) in enumerate(plan.algorithms):
         for k, function in enumerate(plan.functions):
             done = existing.get((i, k), {})
-            for r in range(plan.runs):
-                if r in done:
-                    continue
-                seed = derive_seed(plan.base_seed, i, k, r)
-                tasks.append((i, k, r, seed, function, schedule,
+            runs = [r for r in range(plan.runs) if r not in done]
+            if runs:
+                seeds = [derive_seed(plan.base_seed, i, k, r) for r in runs]
+                tasks.append((i, k, runs, seeds, function, schedule,
                               plan.pop_size, plan.budget_evals))
 
     values = np.full((len(plan.algorithms), len(plan.functions), plan.runs),
@@ -425,13 +437,16 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | Path | None = None,
                 values[i, k, r] = value
                 seeds[i, k, r] = seed
 
-    def record(i: int, k: int, r: int, value: float, error: str) -> None:
-        seed = derive_seed(plan.base_seed, i, k, r)
-        values[i, k, r] = value
-        seeds[i, k, r] = seed
-        if error:
-            failures.append((plan.algorithms[i][0], plan.functions[k].name,
-                             r, error))
+    def record(i: int, k: int, outcomes: list[tuple[int, float, str]]) -> None:
+        rows = []
+        for r, value, error in outcomes:
+            seed = derive_seed(plan.base_seed, i, k, r)
+            values[i, k, r] = value
+            seeds[i, k, r] = seed
+            if error:
+                failures.append((plan.algorithms[i][0], plan.functions[k].name,
+                                 r, error))
+            rows.append([r, seed, repr(value)])
         if out_path is not None:
             path = _cell_path(out_path, plan.algorithms[i][0],
                               plan.functions[k].name)
@@ -440,15 +455,15 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | Path | None = None,
                 writer = csv.writer(fh)
                 if new_file:
                     writer.writerow(["run", "seed", "best_value"])
-                writer.writerow([r, seed, repr(value)])
+                writer.writerows(rows)
 
     if parallelism == 1 or len(tasks) <= 1:
         for task in tasks:
-            record(*_run_one(task))
+            record(*_run_cell(task))
     else:
         workers = min(parallelism, os.cpu_count() or 1, len(tasks))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for outcome in pool.map(_run_one, tasks, chunksize=1):
+            for outcome in pool.map(_run_cell, tasks, chunksize=1):
                 record(*outcome)
 
     if out_path is not None:

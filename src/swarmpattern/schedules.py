@@ -214,6 +214,15 @@ def coefficients_at(spec: ScheduleSpec, feedback: ScheduleFeedback,
     raise ScheduleError(f"unknown schedule spec {spec!r}")
 
 
+def is_per_run(spec: ScheduleSpec) -> bool:
+    """Whether the triple depends on one run's generator or success rate.
+
+    Every other kind gives all runs the same triple at a tick, so runs
+    stepped in lockstep share one :func:`coefficients_at` call per tick.
+    """
+    return isinstance(spec, (RandomInertia, SuccessRateInertia))
+
+
 def baseline_schedules() -> dict[str, ScheduleSpec]:
     """The stock comparison set: pattern-adaptive plus five classics."""
     return {

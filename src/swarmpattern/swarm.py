@@ -11,9 +11,15 @@ AND only when the position lies inside the search box; positions themselves
 are never clamped, so particles may roam outside and return.  The global
 best is recomputed synchronously after the whole population has moved.
 
-Determinism: one PCG64 generator owned by :func:`run` drives everything, in
-a fixed order per iteration -- first the schedule's own draw (if its rule is
-random), then the phi1 matrix, then the phi2 matrix.
+Lockstep: :func:`run_many` advances ``R`` independent runs of one problem
+and schedule together.  Their state is stacked along a leading run axis and
+updated in place, and each tick makes one objective call on all ``R*n``
+positions.  :func:`run` is the case ``R = 1``.
+
+Determinism: every run owns one PCG64 generator, seeded from its own seed,
+and draws from it in a fixed order per iteration -- first the schedule's own
+draw (if its rule is random), then the phi1 matrix, then the phi2 matrix.
+So a run's result depends on its seed only, never on the runs beside it.
 """
 
 from __future__ import annotations
@@ -21,12 +27,17 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .patterns import IpsoParams
-from .schedules import ScheduleFeedback, ScheduleSpec, coefficients_at
+from .schedules import (
+    ScheduleFeedback,
+    ScheduleSpec,
+    coefficients_at,
+    is_per_run,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -36,7 +47,10 @@ class Problem:
     """Box-constrained minimisation target.
 
     ``objective`` is batched: it maps an ``(n, d)`` array of positions to
-    ``n`` values, one per row, and the swarm calls it once per sweep.  A
+    ``n`` values, one per row, and the swarm calls it once per sweep, with
+    the particles of every run stepped in lockstep stacked into one array.
+    That array is the swarm's own and moves on after the call: an objective
+    must not write to it, and must copy whatever of it it keeps.  A
     function written for a single d-vector is lifted with
     ``lambda X: np.apply_along_axis(f, -1, X)``.  Non-finite values are
     treated as unusable (never an improvement) rather than crashing the run.
@@ -65,9 +79,15 @@ class Problem:
         object.__setattr__(self, "upper", upper)
 
 
-@dataclass(frozen=True)
+@dataclass
 class SwarmState:
-    """Whole-population state after ``t`` steps and ``evals`` evaluations."""
+    """Stacked state of ``R`` independent swarms after ``t`` steps.
+
+    Positions, velocities and personal bests have shape ``(R, n, d)``,
+    personal-best values ``(R, n)``, the global bests ``(R, d)`` and their
+    values and success rates ``(R,)``.  :func:`step` updates the arrays in
+    place.  Every run has made ``evals`` evaluations.
+    """
 
     problem: Problem
     positions: np.ndarray
@@ -75,14 +95,18 @@ class SwarmState:
     pbest_positions: np.ndarray
     pbest_values: np.ndarray
     gbest: np.ndarray
-    gbest_value: float
-    t: int
-    evals: int
-    success_rate: float = 0.0
+    gbest_value: np.ndarray
+    success_rate: np.ndarray
+    t: int = 0
+    evals: int = 0
+
+    @property
+    def runs(self) -> int:
+        return int(self.positions.shape[0])
 
     @property
     def pop_size(self) -> int:
-        return int(self.positions.shape[0])
+        return int(self.positions.shape[1])
 
 
 @dataclass(frozen=True)
@@ -98,16 +122,19 @@ class RunResult:
 def _evaluate(problem: Problem, positions: np.ndarray) -> np.ndarray:
     """One objective call for the whole sweep; non-finite values become inf.
 
-    The objective must return one value per row of ``positions``.  A
-    per-vector function ``f`` satisfies that as
+    ``positions`` stacks the particles of every run, ``(R, n, d)``; the
+    objective sees them as one ``(R*n, d)`` array and must return one value
+    per row.  A per-vector function ``f`` satisfies that as
     ``lambda X: np.apply_along_axis(f, -1, X)``.
     """
-    n = positions.shape[0]
-    values = np.array(problem.objective(positions), dtype=float)
-    if values.shape != (n,):
+    runs, n, d = positions.shape
+    rows = runs * n
+    values = np.array(problem.objective(positions.reshape(rows, d)),
+                      dtype=float)
+    if values.shape != (rows,):
         raise ValueError(
             f"objective {problem.name or '<anonymous>'} returned shape "
-            f"{values.shape} for {n} positions; the contract is "
+            f"{values.shape} for {rows} positions; the contract is "
             "f(X[n, d]) -> y[n] (lift a per-vector f with "
             "np.apply_along_axis(f, -1, X))")
     bad = ~np.isfinite(values)
@@ -115,108 +142,139 @@ def _evaluate(problem: Problem, positions: np.ndarray) -> np.ndarray:
         logger.warning(
             "objective %s returned %d non-finite value(s) in a sweep of %d; "
             "treating them as no-improvement",
-            problem.name or "<anonymous>", np.count_nonzero(bad), n)
+            problem.name or "<anonymous>", np.count_nonzero(bad), rows)
         values[bad] = math.inf
-    return values
+    return values.reshape(runs, n)
 
 
-def _initialize(problem: Problem, pop_size: int,
-                rng: np.random.Generator) -> SwarmState:
-    positions = rng.uniform(problem.lower, problem.upper,
-                            (pop_size, problem.dimension))
-    velocities = np.zeros_like(positions)
-    values = _evaluate(problem, positions)
-    best = int(np.argmin(values))
-    return SwarmState(
-        problem=problem,
-        positions=positions,
-        velocities=velocities,
-        pbest_positions=positions.copy(),
-        pbest_values=values,
-        gbest=positions[best].copy(),
-        gbest_value=float(values[best]),
-        t=0,
-        evals=pop_size,
-        success_rate=0.0,
-    )
+def _take_gbest(state: SwarmState) -> None:
+    rows = np.arange(state.runs)
+    best = state.pbest_values.argmin(axis=1)
+    state.gbest[:] = state.pbest_positions[rows, best]
+    state.gbest_value[:] = state.pbest_values[rows, best]
 
 
-def initialize(problem: Problem, pop_size: int, seed: int) -> SwarmState:
-    """Uniform positions in the box, zero velocities, bests from one sweep."""
+def initialize(problem: Problem, pop_size: int,
+               rngs: Sequence[np.random.Generator]) -> SwarmState:
+    """One swarm per generator: uniform positions in the box, zero
+    velocities, bests from one sweep over every run."""
     if pop_size < 1:
         raise ValueError("pop_size must be positive")
-    return _initialize(problem, pop_size, np.random.default_rng(seed))
-
-
-def step(state: SwarmState, coeffs: IpsoParams, rng: np.random.Generator,
-         epsilon0: float = 0.0) -> SwarmState:
-    """Advance the whole population one iteration.
-
-    Personal bests require strict improvement by more than ``epsilon0`` and
-    an in-box position; the global best is the synchronous minimum of the
-    updated personal bests.
-    """
-    problem = state.problem
-    n, d = state.positions.shape
-    c, ac = coeffs.c, coeffs.alpha * coeffs.c
-    phi1 = rng.uniform(min(0.0, c), max(0.0, c), (n, d))
-    phi2 = rng.uniform(min(0.0, ac), max(0.0, ac), (n, d))
-
-    velocities = (coeffs.omega * state.velocities
-                  + phi1 * (state.pbest_positions - state.positions)
-                  + phi2 * (state.gbest - state.positions))
-    positions = state.positions + velocities
-
-    values = _evaluate(problem, positions)
-    in_box = np.all((positions >= problem.lower) & (positions <= problem.upper),
-                    axis=1)
-    improved = in_box & (values < state.pbest_values - epsilon0)
-
-    pbest_positions = state.pbest_positions.copy()
-    pbest_values = state.pbest_values.copy()
-    pbest_positions[improved] = positions[improved]
-    pbest_values[improved] = values[improved]
-
-    best = int(np.argmin(pbest_values))
-    return SwarmState(
+    if not rngs:
+        raise ValueError("need at least one generator")
+    positions = np.stack([rng.uniform(problem.lower, problem.upper,
+                                      (pop_size, problem.dimension))
+                          for rng in rngs])
+    runs = len(rngs)
+    state = SwarmState(
         problem=problem,
         positions=positions,
-        velocities=velocities,
-        pbest_positions=pbest_positions,
-        pbest_values=pbest_values,
-        gbest=pbest_positions[best].copy(),
-        gbest_value=float(pbest_values[best]),
-        t=state.t + 1,
-        evals=state.evals + n,
-        success_rate=np.count_nonzero(improved) / n,
+        velocities=np.zeros_like(positions),
+        pbest_positions=positions.copy(),
+        pbest_values=_evaluate(problem, positions),
+        gbest=np.empty((runs, problem.dimension)),
+        gbest_value=np.empty(runs),
+        success_rate=np.zeros(runs),
+        evals=pop_size,
     )
+    _take_gbest(state)
+    return state
 
 
-def run(problem: Problem, schedule: ScheduleSpec, pop_size: int,
-        budget_evals: int, seed: int, epsilon0: float = 0.0) -> RunResult:
-    """Full optimisation run under an evaluation budget.
+def step(state: SwarmState, coeffs: Sequence[IpsoParams],
+         rngs: Sequence[np.random.Generator], epsilon0: float = 0.0) -> None:
+    """Advance every run one iteration, in place.
 
-    The schedule clock runs over ``t_max = budget_evals // pop_size`` ticks;
-    stepping stops once the budget is spent, so the final evaluation count
-    is exactly ``pop_size * (1 + steps)``.
+    Run ``r`` moves under ``coeffs[r]`` and draws its phi1 and then its phi2
+    matrix from ``rngs[r]``.  Personal bests require strict improvement by
+    more than ``epsilon0`` and an in-box position; each run's global best is
+    the synchronous minimum of its updated personal bests.
+    """
+    problem = state.problem
+    runs, n, d = state.positions.shape
+    if not (len(coeffs) == len(rngs) == runs):
+        raise ValueError(f"{len(coeffs)} coefficient triples and {len(rngs)} "
+                         f"generators for {runs} runs")
+    table = np.array([(p.omega, p.c, p.alpha * p.c) for p in coeffs])
+    omega, bounds = table[:, 0, None, None], table[:, 1:, None, None]
+    # Run r draws its phi1 and then its phi2 as one block of standard draws u
+    # from its own generator.  Generator.uniform(low, high) is
+    # low + (high - low) * u for the same u, so U[min(0, b), max(0, b)] is
+    # |b| * u + min(0, b), and the shift adds an exact zero when b >= 0.
+    phi = np.empty((runs, 2, n, d))
+    for rng, block in zip(rngs, phi):
+        rng.random(out=block)
+    phi *= np.abs(bounds)
+    phi += np.minimum(bounds, 0.0)
+
+    x, v = state.positions, state.velocities
+    v *= omega
+    pull = state.pbest_positions - x
+    pull *= phi[:, 0]
+    v += pull
+    np.subtract(state.gbest[:, None, :], x, out=pull)
+    pull *= phi[:, 1]
+    v += pull
+    x += v
+
+    values = _evaluate(problem, x)
+    in_box = ((x >= problem.lower) & (x <= problem.upper)).all(axis=2)
+    improved = in_box & (values < state.pbest_values - epsilon0)
+    np.copyto(state.pbest_positions, x, where=improved[:, :, None])
+    np.copyto(state.pbest_values, values, where=improved)
+    _take_gbest(state)
+    state.success_rate[:] = improved.sum(axis=1) / n
+    state.t += 1
+    state.evals += n
+
+
+def run_many(problem: Problem, schedule: ScheduleSpec, pop_size: int,
+             budget_evals: int, seeds: Sequence[int],
+             epsilon0: float = 0.0) -> list[RunResult]:
+    """One run per seed, all stepped in lockstep; run ``r`` alone under
+    ``seeds[r]`` gives the same result bit for bit.
+
+    Each run owns a PCG64 generator seeded from its seed.  The schedule
+    clock runs over ``t_max = budget_evals // pop_size`` ticks; stepping
+    stops once the budget is spent, so each run's final evaluation count is
+    exactly ``pop_size * (1 + steps)``.  A schedule that reads a run's
+    generator or success rate is asked once per run and tick; any other is
+    asked once per tick for all runs.
     """
     if pop_size < 1:
         raise ValueError("pop_size must be positive")
     if budget_evals < pop_size:
         raise ValueError("budget_evals must cover at least the initial sweep")
-    rng = np.random.default_rng(seed)
+    seeds = list(seeds)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     t_max = budget_evals // pop_size
-    state = _initialize(problem, pop_size, rng)
-    history = [(state.evals, state.gbest_value)]
-    while state.evals < budget_evals:
-        feedback = ScheduleFeedback(t=state.t, t_max=t_max,
-                                    success_rate=state.success_rate)
-        coeffs = coefficients_at(schedule, feedback, rng)
-        state = step(state, coeffs, rng, epsilon0=epsilon0)
-        history.append((state.evals, state.gbest_value))
-    return RunResult(
-        best_value=state.gbest_value,
-        best_position=state.gbest.copy(),
-        history=tuple(history),
-        seed=seed,
-    )
+    steps = -(-budget_evals // pop_size) - 1
+    state = initialize(problem, pop_size, rngs)
+    per_run = is_per_run(schedule)
+    best_so_far = np.empty((steps + 1, len(seeds)))
+    best_so_far[0] = state.gbest_value
+    for t in range(steps):
+        if per_run:
+            coeffs = [coefficients_at(schedule,
+                                      ScheduleFeedback(t, t_max, float(rate)),
+                                      rng)
+                      for rate, rng in zip(state.success_rate, rngs)]
+        else:
+            coeffs = [coefficients_at(schedule,
+                                      ScheduleFeedback(t, t_max))] * len(rngs)
+        step(state, coeffs, rngs, epsilon0=epsilon0)
+        best_so_far[t + 1] = state.gbest_value
+    evals = range(pop_size, pop_size * (steps + 2), pop_size)
+    return [RunResult(best_value=float(state.gbest_value[r]),
+                      best_position=state.gbest[r].copy(),
+                      history=tuple(zip(evals, best_so_far[:, r].tolist())),
+                      seed=seed)
+            for r, seed in enumerate(seeds)]
+
+
+def run(problem: Problem, schedule: ScheduleSpec, pop_size: int,
+        budget_evals: int, seed: int, epsilon0: float = 0.0) -> RunResult:
+    """Full optimisation run under an evaluation budget: :func:`run_many`
+    with one seed."""
+    return run_many(problem, schedule, pop_size, budget_evals, [seed],
+                    epsilon0=epsilon0)[0]

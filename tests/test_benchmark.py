@@ -17,6 +17,7 @@ from swarmpattern import (
     Mapso,
     MapsoConfig,
     ResultSet,
+    baseline_schedules,
     classic_suite,
     default_plan,
     derive_seed,
@@ -26,8 +27,10 @@ from swarmpattern import (
     plan_to_dict,
     run,
     run_experiment,
+    run_many,
     suite_function,
 )
+from swarmpattern import benchmark
 
 ICPSO = Constant(IpsoParams(0.711897, 1.711897, 1.0))
 
@@ -212,14 +215,31 @@ class TestRunExperiment:
         assert results.failures == ()
 
     def test_cells_match_direct_runs_exactly(self):
-        plan = _tiny_plan()
+        # Every stock kind: shared triples (constant, MAPSO, linear), a
+        # per-run inertia draw ahead of phi1 and phi2, and a per-run success
+        # rate.  Each run of a lockstep cell must equal a run of its own.
+        plan = ExperimentPlan(
+            algorithms=tuple(baseline_schedules().items()),
+            functions=(suite_function("sphere", 2), suite_function("ackley", 2),
+                       suite_function("shifted_rastrigin", 2)),
+            dimension=2, pop_size=10, runs=4, evals_per_dim=200, base_seed=7)
         results = run_experiment(plan)
-        for (i, k, r) in ((0, 0, 0), (1, 1, 2), (0, 1, 1)):
-            seed = derive_seed(plan.base_seed, i, k, r)
-            direct = run(plan.functions[k].problem(), plan.algorithms[i][1],
-                         plan.pop_size, plan.budget_evals, seed)
-            assert results.values[i, k, r] == direct.best_value
-            assert results.seeds[i, k, r] == seed
+        for i, (_, schedule) in enumerate(plan.algorithms):
+            for k, function in enumerate(plan.functions):
+                seeds = [derive_seed(plan.base_seed, i, k, r)
+                         for r in range(plan.runs)]
+                lockstep = run_many(function.problem(), schedule, plan.pop_size,
+                                    plan.budget_evals, seeds)
+                for r, seed in enumerate(seeds):
+                    direct = run(function.problem(), schedule, plan.pop_size,
+                                 plan.budget_evals, seed)
+                    assert results.values[i, k, r] == direct.best_value
+                    assert results.seeds[i, k, r] == seed
+                    assert lockstep[r].seed == seed
+                    assert lockstep[r].best_value == direct.best_value
+                    assert (lockstep[r].best_position.tobytes()
+                            == direct.best_position.tobytes())
+                    assert lockstep[r].history == direct.history
 
     def test_persisted_layout(self, tmp_path):
         plan = _tiny_plan()
@@ -284,8 +304,8 @@ class TestRunExperiment:
         cell = tmp_path / "results" / "icpso__sphere.csv"
         data = cell.read_bytes()
         cell.write_bytes(data[:data.rstrip(b"\r\n").rindex(b"\n") + 1] + b"2")
-        # A lost cell later in the plan gives the resume a second run to
-        # be interrupted in, after the torn run was appended.
+        # A lost cell later in the plan gives the resume a second cell to
+        # be interrupted in, after the torn cell's rerun row was appended.
         (tmp_path / "results" / "ldw__ackley.csv").unlink()
 
         class Interrupted(Exception):
@@ -293,13 +313,14 @@ class TestRunExperiment:
 
         calls = []
 
-        def run_once(*args, **kwargs):
+        def one_cell(task):
             calls.append(1)
             if len(calls) > 1:
                 raise Interrupted
-            return run(*args, **kwargs)
+            return run_cell(task)
 
-        monkeypatch.setattr("swarmpattern.benchmark.run", run_once)
+        run_cell = benchmark._run_cell
+        monkeypatch.setattr(benchmark, "_run_cell", one_cell)
         with pytest.raises(Interrupted):
             run_experiment(plan, out_dir=tmp_path)
         monkeypatch.undo()

@@ -1,6 +1,8 @@
 """Population optimizer: initialization, the step rule, and full runs."""
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from swarmpattern import (
     ipso_to_moments,
     rho1,
     run,
+    run_many,
     step,
     suite_function,
     variance_fixed_point,
@@ -37,20 +40,27 @@ def _sphere(dimension, half_width=5.0):
     )
 
 
+def _rngs(*seeds):
+    return [np.random.default_rng(seed) for seed in seeds]
+
+
 def _state(problem, positions, velocities, pbest, pbest_values):
-    positions = np.asarray(positions, dtype=float)
-    pbest_values = np.asarray(pbest_values, dtype=float)
-    best = int(np.argmin(pbest_values))
+    """A one-run stack; every array is copied, since step works in place."""
+    positions = np.array(positions, dtype=float)[None]
+    pbest = np.array(pbest, dtype=float)[None]
+    pbest_values = np.array(pbest_values, dtype=float)[None]
+    best = int(np.argmin(pbest_values[0]))
     return SwarmState(
         problem=problem,
         positions=positions,
-        velocities=np.asarray(velocities, dtype=float),
-        pbest_positions=np.asarray(pbest, dtype=float),
+        velocities=np.array(velocities, dtype=float)[None],
+        pbest_positions=pbest,
         pbest_values=pbest_values,
-        gbest=np.asarray(pbest, dtype=float)[best].copy(),
-        gbest_value=float(pbest_values[best]),
+        gbest=pbest[:, best].copy(),
+        gbest_value=pbest_values[:, best].copy(),
+        success_rate=np.zeros(1),
         t=0,
-        evals=positions.shape[0],
+        evals=positions.shape[1],
     )
 
 
@@ -74,11 +84,14 @@ class TestProblem:
 class TestInitialize:
     def test_population_layout(self):
         problem = _sphere(30)
-        state = initialize(problem, 20, seed=0)
+        state = initialize(problem, 20, _rngs(0))
+        assert state.runs == 1
         assert state.pop_size == 20
         assert state.evals == 20
         assert state.t == 0
-        assert state.positions.shape == (20, 30)
+        assert state.positions.shape == (1, 20, 30)
+        assert state.pbest_values.shape == (1, 20)
+        assert state.gbest.shape == (1, 30)
         assert np.all(state.positions >= problem.lower)
         assert np.all(state.positions <= problem.upper)
         assert np.all(state.velocities == 0.0)
@@ -86,23 +99,29 @@ class TestInitialize:
 
     def test_personal_bests_are_freshly_evaluated(self):
         problem = _sphere(4)
-        state = initialize(problem, 10, seed=3)
-        for i in range(10):
-            assert state.pbest_values[i] == problem.objective(state.positions[i])
-        best = int(np.argmin(state.pbest_values))
-        assert state.gbest_value == state.pbest_values[best]
-        assert np.array_equal(state.gbest, state.positions[best])
+        state = initialize(problem, 10, _rngs(3, 4))
+        for r in range(2):
+            for i in range(10):
+                assert (state.pbest_values[r, i]
+                        == problem.objective(state.positions[r, i]))
+            best = int(np.argmin(state.pbest_values[r]))
+            assert state.gbest_value[r] == state.pbest_values[r, best]
+            assert np.array_equal(state.gbest[r], state.positions[r, best])
 
     def test_same_seed_same_swarm(self):
+        # A run's swarm depends on its own generator only, not on the stack.
         problem = _sphere(6)
-        first = initialize(problem, 8, seed=42)
-        second = initialize(problem, 8, seed=42)
-        assert np.array_equal(first.positions, second.positions)
-        assert np.array_equal(first.pbest_values, second.pbest_values)
+        first = initialize(problem, 8, _rngs(42))
+        second = initialize(problem, 8, _rngs(7, 42, 9))
+        for name in ("positions", "pbest_values", "gbest", "gbest_value"):
+            assert np.array_equal(getattr(first, name)[0],
+                                  getattr(second, name)[1])
 
     def test_pop_size_guard(self):
         with pytest.raises(ValueError, match="pop_size must be positive"):
-            initialize(_sphere(2), 0, seed=0)
+            initialize(_sphere(2), 0, _rngs(0))
+        with pytest.raises(ValueError, match="at least one generator"):
+            initialize(_sphere(2), 4, [])
 
 
 class TestStep:
@@ -110,11 +129,12 @@ class TestStep:
         problem = _sphere(2)
         positions = np.zeros((3, 2))
         state = _state(problem, positions, np.zeros((3, 2)), positions, [0.0, 0.0, 0.0])
-        moved = step(state, IpsoParams(0.6, 1.5, 1.0), np.random.default_rng(0))
-        assert np.array_equal(moved.positions, positions)
-        assert np.array_equal(moved.pbest_values, state.pbest_values)
-        assert moved.t == 1
-        assert moved.evals == state.evals + 3
+        before = copy.deepcopy(state)
+        step(state, [IpsoParams(0.6, 1.5, 1.0)], _rngs(0))
+        assert np.array_equal(state.positions[0], positions)
+        assert np.array_equal(state.pbest_values, before.pbest_values)
+        assert state.t == 1
+        assert state.evals == before.evals + 3
 
     def test_out_of_box_improvement_is_rejected(self):
         # Objective improves outside the box; the acceptance rule must hold
@@ -122,12 +142,13 @@ class TestStep:
         problem = Problem(1, np.zeros(1), np.ones(1),
                           lambda X: (np.asarray(X)[..., 0] - 20.0) ** 2)
         state = _state(problem, [[0.5]], [[10.0]], [[0.5]], [problem.objective([0.5])])
-        moved = step(state, IpsoParams(1.0, 0.0, 1.0), np.random.default_rng(0))
-        assert moved.positions[0, 0] == pytest.approx(10.5)
-        assert problem.objective(moved.positions[0]) < state.pbest_values[0]
-        assert np.array_equal(moved.pbest_positions, state.pbest_positions)
-        assert np.array_equal(moved.pbest_values, state.pbest_values)
-        assert moved.success_rate == 0.0
+        before = copy.deepcopy(state)
+        step(state, [IpsoParams(1.0, 0.0, 1.0)], _rngs(0))
+        assert state.positions[0, 0, 0] == pytest.approx(10.5)
+        assert problem.objective(state.positions[0, 0]) < before.pbest_values[0, 0]
+        assert np.array_equal(state.pbest_positions, before.pbest_positions)
+        assert np.array_equal(state.pbest_values, before.pbest_values)
+        assert state.success_rate[0] == 0.0
 
     def test_in_box_improvement_is_accepted(self):
         problem = _sphere(2)
@@ -136,58 +157,127 @@ class TestStep:
                        velocities=np.zeros((2, 2)),
                        pbest=[[3.0, 3.0], [1.0, 1.0]],
                        pbest_values=[18.0, 2.0])
-        moved = step(state, IpsoParams(0.0, 1.49618, 1.0), np.random.default_rng(5))
-        assert moved.pbest_values[0] < 18.0
-        assert not np.array_equal(moved.pbest_positions[0], [3.0, 3.0])
-        assert moved.gbest_value == np.min(moved.pbest_values)
-        assert moved.gbest_value <= 2.0
+        step(state, [IpsoParams(0.0, 1.49618, 1.0)], _rngs(5))
+        assert state.pbest_values[0, 0] < 18.0
+        assert not np.array_equal(state.pbest_positions[0, 0], [3.0, 3.0])
+        assert state.gbest_value[0] == np.min(state.pbest_values)
+        assert state.gbest_value[0] <= 2.0
 
     def test_epsilon0_suppresses_marginal_gains(self):
         problem = Problem(1, np.zeros(1), np.full(1, 10.0), lambda X: X[..., 0])
-        state = _state(problem, [[5.0]], [[-0.001]], [[5.0]], [5.0])
-        strict = step(state, IpsoParams(1.0, 0.0, 1.0), np.random.default_rng(0))
-        assert strict.pbest_values[0] == pytest.approx(4.999)
-        guarded = step(state, IpsoParams(1.0, 0.0, 1.0), np.random.default_rng(0),
-                       epsilon0=0.01)
-        assert guarded.pbest_values[0] == 5.0
+        strict = _state(problem, [[5.0]], [[-0.001]], [[5.0]], [5.0])
+        guarded = copy.deepcopy(strict)
+        step(strict, [IpsoParams(1.0, 0.0, 1.0)], _rngs(0))
+        assert strict.pbest_values[0, 0] == pytest.approx(4.999)
+        step(guarded, [IpsoParams(1.0, 0.0, 1.0)], _rngs(0), epsilon0=0.01)
+        assert guarded.pbest_values[0, 0] == 5.0
 
     def test_flat_objective_never_updates(self):
         problem = Problem(3, -np.ones(3), np.ones(3), lambda X: np.zeros(len(X)))
-        state = initialize(problem, 6, seed=1)
-        rng = np.random.default_rng(9)
+        state = initialize(problem, 6, _rngs(1))
+        rngs = _rngs(9)
         initial_pbest = state.pbest_positions.copy()
         for _ in range(20):
-            state = step(state, IpsoParams(0.7, 1.4, 1.0), rng)
-            assert state.success_rate == 0.0
+            step(state, [IpsoParams(0.7, 1.4, 1.0)], rngs)
+            assert state.success_rate[0] == 0.0
         assert np.array_equal(state.pbest_positions, initial_pbest)
-        assert state.gbest_value == 0.0
+        assert state.gbest_value[0] == 0.0
 
     def test_non_finite_objective_is_logged_not_fatal(self, caplog):
         problem = Problem(2, -np.ones(2), np.ones(2),
                           lambda X: np.full(len(X), np.nan))
         with caplog.at_level("WARNING", logger="swarmpattern.swarm"):
-            state = initialize(problem, 4, seed=0)
-            state = step(state, IpsoParams(0.7, 1.4, 1.0), np.random.default_rng(0))
+            state = initialize(problem, 4, _rngs(0))
+            step(state, [IpsoParams(0.7, 1.4, 1.0)], _rngs(0))
         assert "non-finite" in caplog.text
-        assert state.gbest_value == np.inf
+        assert state.gbest_value[0] == np.inf
         assert np.all(np.isinf(state.pbest_values))
 
     def test_only_non_finite_rows_become_inf_with_one_warning(self, caplog):
         raw = np.array([3.0, np.nan, 1.0, np.inf, -np.inf, 2.0])
         problem = Problem(1, -np.ones(1), np.ones(1), lambda X: raw.copy())
         with caplog.at_level("WARNING", logger="swarmpattern.swarm"):
-            state = initialize(problem, raw.size, seed=0)
+            state = initialize(problem, raw.size, _rngs(0))
         assert np.array_equal(state.pbest_values,
-                              [3.0, np.inf, 1.0, np.inf, np.inf, 2.0])
-        assert state.gbest_value == 1.0
+                              [[3.0, np.inf, 1.0, np.inf, np.inf, 2.0]])
+        assert state.gbest_value[0] == 1.0
         assert len(caplog.records) == 1
         assert "3 non-finite value(s) in a sweep of 6" in caplog.text
+
+    def test_one_warning_per_sweep_of_every_run(self, caplog):
+        # Stacked runs share one objective call per tick, hence one warning
+        # that counts the rows of all of them.
+        raw = np.array([3.0, np.nan, 1.0, np.inf, -np.inf, 2.0])
+        problem = Problem(1, -np.ones(1), np.ones(1),
+                          lambda X: np.tile(raw, len(X) // raw.size))
+        with caplog.at_level("WARNING", logger="swarmpattern.swarm"):
+            state = initialize(problem, raw.size, _rngs(0, 1, 2))
+            assert len(caplog.records) == 1
+            assert "9 non-finite value(s) in a sweep of 18" in caplog.text
+            step(state, [IpsoParams(0.7, 1.4, 1.0)] * 3, _rngs(3, 4, 5))
+        assert len(caplog.records) == 2
+        assert np.array_equal(state.gbest_value, [1.0, 1.0, 1.0])
+
+    def test_one_triple_and_one_generator_per_run(self):
+        state = initialize(_sphere(2), 4, _rngs(0, 1))
+        with pytest.raises(ValueError, match="1 coefficient triples and 2 "
+                                             "generators for 2 runs"):
+            step(state, [ICPSO.params], _rngs(2, 3))
+
+    @pytest.mark.parametrize("omega, c, alpha", [
+        (0.711897, 1.711897, 1.0), (0.0, 1.49618, 0.3), (-0.4, 0.9, 2.5),
+        (0.5, -1.3, 0.5), (0.6, 1.2, -1.5)])
+    def test_matches_the_uniform_draw_reference(self, omega, c, alpha):
+        # The velocity rule with phi1 ~ U[min(0, c), max(0, c)] and phi2 on
+        # alpha*c, drawn per run with Generator.uniform, phi1 first.
+        problem = _sphere(3)
+        state = initialize(problem, 6, _rngs(1, 2, 3))
+        noise = np.random.default_rng(4).normal(size=(2, 3, 6, 3))
+        state.velocities[:] = noise[0]
+        state.positions += noise[1]  # off their personal bests
+        before = copy.deepcopy(state)
+        step(state, [IpsoParams(omega, c, alpha)] * 3, _rngs(7, 8, 9))
+        for r, rng in enumerate(_rngs(7, 8, 9)):
+            phi1 = rng.uniform(min(0.0, c), max(0.0, c), (6, 3))
+            ac = alpha * c
+            phi2 = rng.uniform(min(0.0, ac), max(0.0, ac), (6, 3))
+            x = before.positions[r]
+            v = (omega * before.velocities[r]
+                 + phi1 * (before.pbest_positions[r] - x)
+                 + phi2 * (before.gbest[r] - x))
+            if c >= 0 and ac >= 0:
+                # Generator.uniform(0, b) is the product b * u alone: exact.
+                assert np.array_equal(state.velocities[r], v)
+                assert np.array_equal(state.positions[r], x + v)
+            else:
+                # A negative bound adds its shift after the product, which
+                # Generator.uniform may fuse into one rounding.
+                np.testing.assert_allclose(state.velocities[r], v,
+                                           rtol=0, atol=1e-13)
+                np.testing.assert_allclose(state.positions[r], x + v,
+                                           rtol=0, atol=1e-13)
+
+    def test_each_run_moves_as_it_would_alone(self):
+        problem = _sphere(3)
+        stacked = initialize(problem, 5, _rngs(10, 11))
+        alone = [initialize(problem, 5, _rngs(seed)) for seed in (10, 11)]
+        coeffs = [IpsoParams(0.5, 1.2, 1.0), IpsoParams(0.9, 1.7, 0.5)]
+        stacked_rngs, alone_rngs = _rngs(20, 21), _rngs(20, 21)
+        for _ in range(15):
+            step(stacked, coeffs, stacked_rngs)
+            for r in range(2):
+                step(alone[r], coeffs[r:r + 1], alone_rngs[r:r + 1])
+        for r in range(2):
+            for name in ("positions", "velocities", "pbest_positions",
+                         "pbest_values", "gbest", "gbest_value", "success_rate"):
+                assert np.array_equal(getattr(stacked, name)[r],
+                                      getattr(alone[r], name)[0]), name
 
     def test_scalar_for_a_batch_breaks_the_contract(self):
         problem = Problem(2, -np.ones(2), np.ones(2),
                           lambda x: float(np.sum(x * x)))
         with pytest.raises(ValueError, match=r"f\(X\[n, d\]\) -> y\[n\]"):
-            initialize(problem, 4, seed=0)
+            initialize(problem, 4, _rngs(0))
 
 
 def _batch_means_se(y):
@@ -211,15 +301,15 @@ class TestStagnation:
     @pytest.mark.parametrize("seed", range(5))
     def test_frozen_swarm_settles_to_the_analytic_moments(self, seed):
         problem = Problem(3, -np.ones(3), np.ones(3), lambda X: np.zeros(len(X)))
-        state = initialize(problem, 10, seed)
-        pbest = state.pbest_positions.copy()
-        rng = np.random.default_rng(seed)
+        state = initialize(problem, 10, _rngs(seed))
+        pbest = state.pbest_positions[0].copy()
+        rngs = _rngs(seed)
         trace = np.empty((self.TICKS, 10, 3))
         for t in range(self.TICKS):
-            state = step(state, self.COEFFS, rng)
-            trace[t] = state.positions
-        assert np.array_equal(state.pbest_positions, pbest)
-        gbest = state.gbest
+            step(state, [self.COEFFS], rngs)
+            trace[t] = state.positions[0]
+        assert np.array_equal(state.pbest_positions[0], pbest)
+        gbest = state.gbest[0]
         assert np.array_equal(gbest, pbest[0])
         x = trace[self.BURN_IN:]
 
@@ -259,13 +349,13 @@ class TestRun:
 
     def test_gbest_never_rises_and_pbest_stays_in_the_box(self):
         problem = _sphere(2)
-        state = initialize(problem, 8, seed=11)
-        rng = np.random.default_rng(11)
-        last = state.gbest_value
+        state = initialize(problem, 8, _rngs(11))
+        rngs = _rngs(11)
+        last = state.gbest_value[0]
         for _ in range(40):
-            state = step(state, IpsoParams(0.711897, 1.711897, 1.0), rng)
-            assert state.gbest_value <= last
-            last = state.gbest_value
+            step(state, [IpsoParams(0.711897, 1.711897, 1.0)], rngs)
+            assert state.gbest_value[0] <= last
+            last = state.gbest_value[0]
             assert np.all(state.pbest_positions >= problem.lower)
             assert np.all(state.pbest_positions <= problem.upper)
 
@@ -273,9 +363,9 @@ class TestRun:
         problem = _sphere(5)
         result = run(problem, ICPSO, pop_size=12, budget_evals=12, seed=3)
         assert result.history == ((12, result.best_value),)
-        fresh = initialize(problem, 12, seed=3)
-        assert result.best_value == fresh.gbest_value
-        assert np.array_equal(result.best_position, fresh.gbest)
+        fresh = initialize(problem, 12, _rngs(3))
+        assert result.best_value == fresh.gbest_value[0]
+        assert np.array_equal(result.best_position, fresh.gbest[0])
 
     def test_partial_final_sweep_still_counts_whole_steps(self):
         result = run(_sphere(2), ICPSO, pop_size=10, budget_evals=25, seed=0)
@@ -297,6 +387,8 @@ class TestRun:
             run(_sphere(2), ICPSO, 0, 100, seed=0)
         with pytest.raises(ValueError, match="cover at least the initial sweep"):
             run(_sphere(2), ICPSO, 10, 9, seed=0)
+        with pytest.raises(ValueError, match="at least one generator"):
+            run_many(_sphere(2), ICPSO, 10, 100, [])
 
     def test_sphere_oracle_across_fifty_seeds(self):
         # Desk-scale sanity threshold: the constant-coefficient baseline
