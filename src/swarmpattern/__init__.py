@@ -23,7 +23,6 @@ __version__ = "0.1.0"
 from .errors import (
     ConsistencyError,
     DegenerateParameterError,
-    DivergenceError,
     SampleError,
     ScheduleError,
     StabilityError,
@@ -32,16 +31,12 @@ from .errors import (
 from .moments import (
     AttractorMoments,
     CoefficientMoments,
-    DerivedExpectations,
     MomentState,
     MomentSystem,
     build_moment_system,
-    derive_expectations,
     expectation_fixed_point,
-    initial_state,
     is_order1_convergent,
     is_order2_convergent,
-    iterate_moments,
     iterate_to_fixed_point,
     spectral_radius,
     stability_terms,
@@ -86,10 +81,7 @@ from .schedules import (
     SuccessRateInertia,
     baseline_schedules,
     coefficients_at,
-    mapso_focus,
     mapso_pattern,
-    mapso_rho1,
-    mapso_vc,
 )
 from .swarm import (
     Problem,
@@ -121,7 +113,6 @@ from .stats import (
     beat_digraph,
     digraph_edges_csv,
     digraph_to_dot,
-    dominance,
     ranking_table,
     tournament,
     tournament_to_csv,

@@ -316,7 +316,11 @@ def cmd_optimize(args) -> int:
 
 def cmd_bench(args) -> int:
     if args.plan:
-        plan = load_plan(args.plan)
+        try:
+            plan = load_plan(args.plan)
+        except ValueError as exc:
+            # A plan is user input: reject it before the manifest is written.
+            raise _InputError(f"bad plan {args.plan}: {exc}") from exc
     else:
         plan = default_plan(dimension=args.dimension, runs=args.runs,
                             base_seed=args.base_seed)

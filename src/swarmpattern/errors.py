@@ -13,14 +13,6 @@ class StabilityError(SwarmPatternError, ValueError):
     """An equilibrium quantity was requested for non-convergent parameters."""
 
 
-class DivergenceError(SwarmPatternError, RuntimeError):
-    """An iteration blew up.  ``partial`` holds whatever was computed."""
-
-    def __init__(self, message: str, partial=None):
-        super().__init__(message)
-        self.partial = partial
-
-
 class ConsistencyError(SwarmPatternError, RuntimeError):
     """A closed-form solution failed its own verification residual."""
 

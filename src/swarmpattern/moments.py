@@ -37,11 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateParameterError, DivergenceError, StabilityError
-
-# A moment trajectory whose components pass this magnitude is declared
-# divergent rather than being iterated into float overflow.
-DIVERGENCE_LIMIT = 1e100
+from .errors import DegenerateParameterError, StabilityError
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -103,25 +99,6 @@ class AttractorMoments:
 
 
 @dataclass(frozen=True)
-class DerivedExpectations:
-    """Expectations of coefficient products entering the moment update.
-
-    ``e_p``, ``e_p2`` and ``e_lp`` refer to the combined pull
-    ``P = phi1 * p + phi2 * g``, not to the attractor ``p`` itself.
-    """
-
-    e_l: float
-    e_omega2: float
-    e_phi1_2: float
-    e_phi2_2: float
-    e_omega_p: float
-    e_l2: float
-    e_p: float
-    e_p2: float
-    e_lp: float
-
-
-@dataclass(frozen=True)
 class MomentSystem:
     """Affine update ``z -> m @ z + b`` for the five position moments.
 
@@ -129,7 +106,7 @@ class MomentSystem:
     shift rows ``[1,0,0,0,0]`` and ``[0,0,1,0,0]`` at indices 1 and 3 and
     zeros in ``b`` everywhere except indices 0 and 2; the constructor only
     enforces shape and finiteness so that degenerate matrices can still be
-    fed to :func:`spectral_radius` and :func:`iterate_moments` directly.
+    fed to :func:`spectral_radius` directly.
     """
 
     m: np.ndarray
@@ -176,13 +153,15 @@ class MomentState:
         return float(self.z[2] - self.z[0] ** 2)
 
 
-def derive_expectations(coeffs: CoefficientMoments,
-                        attractors: AttractorMoments) -> DerivedExpectations:
-    """Expand the product expectations feeding the moment update.
+def build_moment_system(coeffs: CoefficientMoments,
+                        attractors: AttractorMoments) -> MomentSystem:
+    """Assemble the affine moment update from first/second moments.
 
-    Everything follows from independence of ``w``, ``phi1``, ``phi2``,
-    ``p`` and ``g``; the only care needed is that ``l`` shares randomness
-    with each coefficient it contains.
+    Every entry is a product expectation that follows from independence of
+    ``w``, ``phi1``, ``phi2``, ``p`` and ``g``; the only care needed is that
+    ``l`` shares randomness with each coefficient it contains.  ``e_p``,
+    ``e_p2`` and ``e_lp`` refer to the combined pull ``P``, not to the
+    attractor ``p`` itself.
     """
     mu_w = coeffs.mu_omega
     mu1, mu2 = coeffs.mu_phi1, coeffs.mu_phi2
@@ -203,63 +182,17 @@ def derive_expectations(coeffs: CoefficientMoments,
             + mu_w * mu1 * mu_p + mu_w * mu2 * mu_g
             - mu_p * e_phi1_2 - mu1 * mu2 * (mu_p + mu_g)
             - mu_g * e_phi2_2)
-    return DerivedExpectations(
-        e_l=e_l, e_omega2=e_omega2, e_phi1_2=e_phi1_2, e_phi2_2=e_phi2_2,
-        e_omega_p=e_omega_p, e_l2=e_l2, e_p=e_p, e_p2=e_p2, e_lp=e_lp,
-    )
-
-
-def build_moment_system(coeffs: CoefficientMoments,
-                        attractors: AttractorMoments) -> MomentSystem:
-    """Assemble the affine moment update from first/second moments."""
-    e = derive_expectations(coeffs, attractors)
-    mu_w = coeffs.mu_omega
     # E(l w) expands through the shared w term; the phi means factor out.
-    e_l_omega = mu_w * e.e_l + coeffs.sigma_omega ** 2
+    e_l_omega = mu_w * e_l + coeffs.sigma_omega ** 2
     m = np.array([
-        [e.e_l, -mu_w, 0.0, 0.0, 0.0],
+        [e_l, -mu_w, 0.0, 0.0, 0.0],
         [1.0, 0.0, 0.0, 0.0, 0.0],
-        [2.0 * e.e_lp, -2.0 * e.e_omega_p, e.e_l2, e.e_omega2, -2.0 * e_l_omega],
+        [2.0 * e_lp, -2.0 * e_omega_p, e_l2, e_omega2, -2.0 * e_l_omega],
         [0.0, 0.0, 1.0, 0.0, 0.0],
-        [e.e_p, 0.0, e.e_l, 0.0, -mu_w],
+        [e_p, 0.0, e_l, 0.0, -mu_w],
     ])
-    b = np.array([e.e_p, 0.0, e.e_p2, 0.0, 0.0])
+    b = np.array([e_p, 0.0, e_p2, 0.0, 0.0])
     return MomentSystem(m=m, b=b)
-
-
-def initial_state(x1: float, x0: float) -> MomentState:
-    """Moment vector for a deterministic start at positions ``x1, x0``.
-
-    ``x1`` is the newer of the two seed positions (the recursion needs two).
-    """
-    x1 = _require_finite("x1", x1)
-    x0 = _require_finite("x0", x0)
-    return MomentState(np.array([x1, x0, x1 * x1, x0 * x0, x1 * x0]))
-
-
-def iterate_moments(system: MomentSystem, z0: MomentState,
-                    steps: int) -> list[MomentState]:
-    """Run the affine update ``steps`` times, returning z_1 ... z_steps.
-
-    Raises :class:`DivergenceError` as soon as any component passes
-    ``DIVERGENCE_LIMIT`` in magnitude; the partial trajectory (including the
-    offending state) rides along on the exception.  Non-convergent parameter
-    sets legitimately diverge, so callers probing them should catch it.
-    """
-    if steps < 0:
-        raise ValueError("steps must be non-negative")
-    m, b = system.m, system.b
-    z = z0.z
-    out: list[MomentState] = []
-    for _ in range(steps):
-        z = m @ z + b
-        state = MomentState(z)
-        out.append(state)
-        if not np.all(np.isfinite(z)) or np.max(np.abs(z)) > DIVERGENCE_LIMIT:
-            raise DivergenceError(
-                f"moment trajectory exceeded {DIVERGENCE_LIMIT:g} after "
-                f"{len(out)} steps", partial=out)
-    return out
 
 
 def iterate_to_fixed_point(system: MomentSystem) -> MomentState:

@@ -27,7 +27,8 @@ means the same thing in every process.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -76,60 +77,43 @@ class ScheduleFeedback:
             raise ValueError("success_rate must lie in [0, 1]")
 
 
-def _knots(t_max: float, cfg: MapsoConfig) -> tuple[float, float, float]:
-    t1 = cfg.t1_frac * t_max
-    t2 = cfg.t2_frac * t_max
-    return t1, t2, (t1 + t2) / 2.0
-
-
-def _check_clock(t: float, t_max: float) -> None:
+def mapso_pattern(t: float, t_max: float,
+                  cfg: MapsoConfig = MapsoConfig()) -> MovementPattern:
+    """The movement-pattern target at one clock tick."""
     if t_max <= 0:
         raise ValueError("t_max must be positive")
     if not (0 <= t <= t_max):
         raise ValueError(f"t must lie in [0, t_max], got t={t}, t_max={t_max}")
+    t1 = cfg.t1_frac * t_max
+    t2 = cfg.t2_frac * t_max
+    tm = (t1 + t2) / 2.0
 
-
-def mapso_vc(t: float, t_max: float, cfg: MapsoConfig = MapsoConfig()) -> float:
-    """Piecewise-linear variance-coefficient target: flat, ramp down, flat."""
-    _check_clock(t, t_max)
-    t1, t2, _ = _knots(t_max, cfg)
+    # Variance coefficient: flat, ramp down, flat.
     if t < t1:
-        return cfg.v_max
-    if t > t2:
-        return cfg.v_min
-    return cfg.v_max + (t - t1) / (t2 - t1) * (cfg.v_min - cfg.v_max)
+        vc = cfg.v_max
+    elif t > t2:
+        vc = cfg.v_min
+    else:
+        vc = cfg.v_max + (t - t1) / (t2 - t1) * (cfg.v_min - cfg.v_max)
 
-
-def mapso_rho1(t: float, t_max: float, cfg: MapsoConfig = MapsoConfig()) -> float:
-    """Continuous triangular autocorrelation target peaking midway between the knots."""
-    _check_clock(t, t_max)
-    t1, t2, tm = _knots(t_max, cfg)
+    # Autocorrelation: a continuous triangle peaking midway between the knots.
     # t2 joins the flat tail, not the ramp: the ramp formula evaluated at its
     # own foot can land one ulp off rho_min.
     if t < t1 or t >= t2:
-        return cfg.rho_min
-    if t <= tm:
-        return cfg.rho_min + (t - t1) / (tm - t1) * (cfg.rho_max - cfg.rho_min)
-    return cfg.rho_max + (t - tm) / (t2 - tm) * (cfg.rho_min - cfg.rho_max)
+        rho1 = cfg.rho_min
+    elif t <= tm:
+        rho1 = cfg.rho_min + (t - t1) / (tm - t1) * (cfg.rho_max - cfg.rho_min)
+    else:
+        rho1 = cfg.rho_max + (t - tm) / (t2 - tm) * (cfg.rho_min - cfg.rho_max)
 
-
-def mapso_focus(t: float, t_max: float, cfg: MapsoConfig = MapsoConfig()) -> float:
-    """Stepped focus target: unbiased midgame, second-attractor bias endgame."""
-    _check_clock(t, t_max)
-    t1, t2, _ = _knots(t_max, cfg)
+    # Focus: unbiased midgame, second-attractor bias endgame.
     if t < t1:
-        return cfg.f_min
-    if t <= t2:
-        return 1.0
-    return cfg.f_max
-
-
-def mapso_pattern(t: float, t_max: float,
-                  cfg: MapsoConfig = MapsoConfig()) -> MovementPattern:
-    """The movement-pattern target at one clock tick."""
-    return MovementPattern(rho1=mapso_rho1(t, t_max, cfg),
-                           vc=mapso_vc(t, t_max, cfg),
-                           focus=mapso_focus(t, t_max, cfg))
+        focus = cfg.f_min
+    elif t <= t2:
+        focus = 1.0
+    else:
+        focus = cfg.f_max
+    return MovementPattern(rho1=rho1, vc=vc, focus=focus)
 
 
 # --- schedule variants -----------------------------------------------------
@@ -153,6 +137,20 @@ class Mapso:
     config: MapsoConfig = field(default_factory=MapsoConfig)
 
 
+def _finite_fields(spec) -> None:
+    """Coerce every field of an inertia spec to a finite float."""
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        try:
+            number = float(value)
+        except (TypeError, ValueError):
+            number = math.nan
+        if not math.isfinite(number):
+            raise ScheduleError(f"{type(spec).__name__}.{f.name} must be a "
+                                f"finite number, got {value!r}")
+        object.__setattr__(spec, f.name, number)
+
+
 @dataclass(frozen=True)
 class LinearInertia:
     """Inertia interpolated linearly over the run; pulls held fixed."""
@@ -162,6 +160,8 @@ class LinearInertia:
     c: float = 1.49618
     alpha: float = 1.0
 
+    __post_init__ = _finite_fields
+
 
 @dataclass(frozen=True)
 class RandomInertia:
@@ -169,6 +169,8 @@ class RandomInertia:
 
     c: float = 1.49618
     alpha: float = 1.0
+
+    __post_init__ = _finite_fields
 
 
 @dataclass(frozen=True)
@@ -179,6 +181,8 @@ class SuccessRateInertia:
     omega_max: float = 1.0
     c: float = 1.49618
     alpha: float = 1.0
+
+    __post_init__ = _finite_fields
 
 
 ScheduleSpec = (Constant | Mapso | LinearInertia | RandomInertia

@@ -31,10 +31,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateParameterError, SampleError
-from .moments import AttractorMoments, CoefficientMoments, DIVERGENCE_LIMIT
+from .moments import AttractorMoments, CoefficientMoments
 from .patterns import AutocorrelationSeq, IpsoParams
 
 _SQRT3 = math.sqrt(3.0)
+
+# A trace whose position passes this magnitude is declared divergent rather
+# than being iterated into float overflow.
+DIVERGENCE_LIMIT = 1e100
 
 
 @dataclass(frozen=True)

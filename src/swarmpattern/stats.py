@@ -8,9 +8,10 @@ approximation with midranks, tie correction and continuity correction.  A
 pooled sample of identical values is maximally uninformative and returns
 p = 1 directly.
 
-Dominance per function: -1, 0 or +1 for "first sample significantly
-better/worse" (lower median at p below the threshold) or "no significant
-difference".  Summing dominance over functions gives the tournament entry
+Each pair of algorithms gets one :class:`DominanceEntry` per function whose
+outcome is +1 or -1 for "first sample significantly better/worse" (lower
+median at p below the threshold), or 0 for "no significant difference".
+Summing the outcomes over functions gives the tournament entry
 ``T[i][j]``; its sign digraph draws an edge i -> j whenever ``T[i][j] > 0``,
 and an algorithm's beat count is its out-degree -- the number of rivals it
 beats overall.
@@ -168,12 +169,9 @@ def wilcoxon_rank_sum(a, b) -> float:
     return min(1.0, 2.0 * _normal_sf(z))
 
 
-def _require_threshold(p_threshold: float) -> None:
-    if not (0.0 < p_threshold < 1.0):
-        raise ValueError("p_threshold must lie in (0, 1)")
-
-
 def _outcome(a, b, p: float, p_threshold: float) -> int:
+    """+1 if the first sample is significantly better (lower median), -1 if
+    worse, 0 when ``p`` is insignificant or the medians coincide."""
     if p >= p_threshold:
         return 0
     med_a = float(np.median(np.asarray(a, dtype=float)))
@@ -185,20 +183,14 @@ def _outcome(a, b, p: float, p_threshold: float) -> int:
     return 0
 
 
-def dominance(a, b, p_threshold: float = 0.05) -> int:
-    """+1 if the first sample is significantly better (lower median), -1 if
-    worse, 0 when the test is insignificant or the medians coincide."""
-    _require_threshold(p_threshold)
-    return _outcome(a, b, wilcoxon_rank_sum(a, b), p_threshold)
-
-
 def tournament(results: ResultSet, p_threshold: float = 0.05) -> TournamentMatrix:
     """Dominance totals for every ordered algorithm pair.
 
     Requires a complete ResultSet: failed (NaN) runs must be resolved before
     statistics, not silently compared.
     """
-    _require_threshold(p_threshold)
+    if not (0.0 < p_threshold < 1.0):
+        raise ValueError("p_threshold must lie in (0, 1)")
     if np.any(np.isnan(results.values)):
         raise ValueError("ResultSet contains failed (NaN) runs; "
                          "finish or repair the experiment before comparing")

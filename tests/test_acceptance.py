@@ -40,9 +40,7 @@ from swarmpattern import (
     ipso_to_moments,
     is_order2_convergent,
     iterate_to_fixed_point,
-    mapso_focus,
-    mapso_rho1,
-    mapso_vc,
+    mapso_pattern,
     rho1,
     run_experiment,
     simulate,
@@ -212,8 +210,8 @@ def test_08_adaptive_schedule_is_feasible_and_faithful(capsys):
         params = coefficients_at(schedule, ScheduleFeedback(t=t, t_max=t_max))
         coeffs = ipso_to_moments(params)
         all_stable = all_stable and is_order2_convergent(coeffs)
-        targets = (mapso_vc(t, t_max, cfg), mapso_rho1(t, t_max, cfg),
-                   mapso_focus(t, t_max, cfg))
+        pattern = mapso_pattern(t, t_max, cfg)
+        targets = (pattern.vc, pattern.rho1, pattern.focus)
         got = (vc(params), rho1(coeffs), focus(coeffs))
         worst = max(worst, *(abs(g - w) / max(1.0, abs(w))
                              for g, w in zip(got, targets)))

@@ -316,6 +316,20 @@ class TestBenchAndCompare:
         assert code == 2
         assert "no manifest.json" in err
 
+    def test_bench_rejects_a_non_finite_plan_before_writing(
+            self, capsys, tmp_path, plan_file):
+        data = json.loads(plan_file.read_text(encoding="utf-8"))
+        data["algorithms"][1]["schedule"]["c"] = float("nan")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data), encoding="utf-8")
+        assert "NaN" in bad.read_text(encoding="utf-8")
+        out_dir = tmp_path / "d"
+        code, _, err = _run(capsys, "bench", "--plan", str(bad),
+                            "--out", str(out_dir))
+        assert code == 2
+        assert "bad fields for schedule kind 'linear_inertia'" in err
+        assert not (out_dir / "manifest.json").exists()
+
     def test_bench_without_plan_file(self, capsys, tmp_path):
         code, _, err = _run(capsys, "bench", "--plan",
                             str(tmp_path / "ghost.json"),

@@ -1,9 +1,9 @@
 """Moment recursion, fixed points, stability predicates and spectral radius.
 
 Closed forms are checked against three independent oracles: exact two-point
-distributions enumerated by brute force, the fixed point of the update
-(solved, and reached by iterating it), and eigenvalue moduli from
-``numpy.linalg``.
+distributions enumerated by brute force (entry by entry against the assembled
+update), the fixed point of the update (solved, and reached by iterating
+``z = M z + b`` in place), and eigenvalue moduli from ``numpy.linalg``.
 """
 from __future__ import annotations
 
@@ -16,20 +16,15 @@ from swarmpattern import (
     AttractorMoments,
     CoefficientMoments,
     DegenerateParameterError,
-    DivergenceError,
     IpsoParams,
-    MomentState,
     MomentSystem,
     StabilityError,
     build_moment_system,
-    derive_expectations,
     expectation_fixed_point,
     gamma,
-    initial_state,
     ipso_to_moments,
     is_order1_convergent,
     is_order2_convergent,
-    iterate_moments,
     iterate_to_fixed_point,
     rho1,
     spectral_radius,
@@ -83,21 +78,36 @@ moment_values = st.floats(-2.0, 2.0)
 spread_values = st.floats(0.0, 1.5)
 
 
+def _entries(system):
+    """The product expectations read back off the moment update."""
+    m, b = system.m, system.b
+    return {
+        "e_l": (m[0, 0], m[4, 2]),
+        "e_l2": (m[2, 2],),
+        "e_omega2": (m[2, 3],),
+        "e_omega_p": (-m[2, 1] / 2.0,),
+        "e_lp": (m[2, 0] / 2.0,),
+        "e_p": (b[0], m[4, 0]),
+        "e_p2": (b[2],),
+    }
+
+
 class TestDeriveExpectations:
     def test_uniform_coefficient_mean(self):
         coeffs = ipso_to_moments(IpsoParams(0.73084, 1.6443, 1.0))
-        derived = derive_expectations(coeffs, UNIT_ATTRACTORS)
-        assert derived.e_l == pytest.approx(1.73084 - 1.6443, abs=1e-12)
+        e_l = build_moment_system(coeffs, UNIT_ATTRACTORS).m[0, 0]
+        assert e_l == pytest.approx(1.73084 - 1.6443, abs=1e-12)
         # e_l is also rho1 scaled back by (mu_omega + 1).
-        assert derived.e_l == pytest.approx(rho1(coeffs) * 1.73084, rel=1e-12)
+        assert e_l == pytest.approx(rho1(coeffs) * 1.73084, rel=1e-12)
 
     def test_deterministic_coefficients_square_exactly(self):
         coeffs = CoefficientMoments(0.5, 0.0, 0.3, 0.0, 0.7, 0.0)
         attractors = AttractorMoments(2.0, 0.0, -1.0, 0.0)
-        derived = derive_expectations(coeffs, attractors)
-        assert derived.e_l2 == pytest.approx(derived.e_l ** 2, rel=1e-12)
-        assert derived.e_p2 == pytest.approx(derived.e_p ** 2, rel=1e-12)
-        assert derived.e_lp == pytest.approx(derived.e_l * derived.e_p, rel=1e-12)
+        system = build_moment_system(coeffs, attractors)
+        e_l, e_p = system.m[0, 0], system.b[0]
+        assert system.m[2, 2] == pytest.approx(e_l ** 2, rel=1e-12)
+        assert system.b[2] == pytest.approx(e_p ** 2, rel=1e-12)
+        assert system.m[2, 0] / 2.0 == pytest.approx(e_l * e_p, rel=1e-12)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -115,14 +125,14 @@ class TestDeriveExpectations:
                                     mu_phi2, sigma_phi2)
         attractors = AttractorMoments(mu_p, sigma_p, mu_g, sigma_g)
         want = _enumerated_expectations(coeffs, attractors)
-        got = derive_expectations(coeffs, attractors)
-        for name in ("e_l", "e_omega2", "e_phi1_2", "e_phi2_2", "e_omega_p",
-                     "e_l2", "e_p", "e_p2", "e_lp"):
-            assert getattr(got, name) == pytest.approx(
-                want[name], rel=1e-9, abs=1e-9), name
+        got = _entries(build_moment_system(coeffs, attractors))
+        for name, values in got.items():
+            for value in values:
+                assert value == pytest.approx(want[name], rel=1e-9, abs=1e-9), name
         # Second moments dominate squared means whatever the draw.
-        assert got.e_omega2 >= mu_omega ** 2 - 1e-12
-        assert got.e_l2 >= got.e_l ** 2 - 1e-9
+        e_l = got["e_l"][0]
+        assert got["e_omega2"][0] >= mu_omega ** 2 - 1e-12
+        assert got["e_l2"][0] >= e_l ** 2 - 1e-9
 
     def test_rejects_negative_spread(self):
         with pytest.raises(ValueError, match="sigma_omega must be non-negative"):
@@ -176,43 +186,23 @@ class TestBuildMomentSystem:
 
 
 class TestIteration:
-    def test_zero_system_stays_at_zero(self):
-        system = MomentSystem(np.zeros((5, 5)), np.zeros(5))
-        states = iterate_moments(system, MomentState(np.zeros(5)), 10)
-        assert len(states) == 10
-        assert all(np.array_equal(s.z, np.zeros(5)) for s in states)
-
-    def test_initial_state_packs_products(self):
-        state = initial_state(3.0, 2.0)
-        assert np.array_equal(state.z, [3.0, 2.0, 9.0, 4.0, 6.0])
-        assert state.mean == 3.0
-        assert state.second_moment == 9.0
-        assert state.variance == 0.0
-
-    def test_negative_step_count_rejected(self):
-        system = MomentSystem(np.zeros((5, 5)), np.zeros(5))
-        with pytest.raises(ValueError, match="steps must be non-negative"):
-            iterate_moments(system, MomentState(np.zeros(5)), -1)
-
     @pytest.mark.parametrize("params", UNSTABLE, ids=lambda p: f"omega={p.omega}")
     def test_unstable_parameters_diverge(self, params):
         coeffs = ipso_to_moments(params)
         assert not is_order2_convergent(coeffs)
         system = build_moment_system(coeffs, AttractorMoments(0.0, 1.0, 2.0, 1.0))
         assert spectral_radius(system) > 1.0
-        with pytest.raises(DivergenceError) as err:
-            iterate_moments(system, initial_state(1.0, 0.5), 1000)
-        # The partial trajectory ends with the offending state.
-        partial = err.value.partial
-        assert len(partial) >= 1
-        assert np.max(np.abs(partial[-1].z)) > 1e100
+        with pytest.raises(StabilityError, match="spectral radius"):
+            iterate_to_fixed_point(system)
 
     def test_fixed_point_matches_closed_forms(self):
         system = build_moment_system(CCPSO, UNIT_ATTRACTORS)
         settled = iterate_to_fixed_point(system)
         # Spectral radius 0.944: 2000 updates from any start reach it.
-        iterated = iterate_moments(system, initial_state(1.0, 0.5), 2000)[-1]
-        assert np.max(np.abs(iterated.z - settled.z)) < 1e-9
+        z = np.array([1.0, 0.5, 1.0, 0.25, 0.5])
+        for _ in range(2000):
+            z = system.m @ z + system.b
+        assert np.max(np.abs(z - settled.z)) < 1e-9
         assert settled.mean == pytest.approx(
             expectation_fixed_point(CCPSO, UNIT_ATTRACTORS), abs=1e-9)
         assert settled.variance == pytest.approx(

@@ -2,6 +2,8 @@
 and the plan serialization round trip."""
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -20,10 +22,7 @@ from swarmpattern import (
     focus,
     ipso_to_moments,
     is_order2_convergent,
-    mapso_focus,
     mapso_pattern,
-    mapso_rho1,
-    mapso_vc,
     rho1,
     vc,
 )
@@ -36,42 +35,46 @@ T2 = CFG.t2_frac * T_MAX
 T_MID = (T1 + T2) / 2.0
 
 
+def _profile(t):
+    return mapso_pattern(t, T_MAX, CFG)
+
+
 class TestMapsoProfiles:
     def test_search_range_knots(self):
-        assert mapso_vc(0, T_MAX, CFG) == 25.0
-        assert mapso_vc(T_MAX, T_MAX, CFG) == 5.0
-        assert mapso_vc(T_MID, T_MAX, CFG) == pytest.approx(15.0)
+        assert _profile(0).vc == 25.0
+        assert _profile(T_MAX).vc == 5.0
+        assert _profile(T_MID).vc == pytest.approx(15.0)
 
     def test_correlation_knots(self):
-        assert mapso_rho1(0, T_MAX, CFG) == 0.1
-        assert mapso_rho1(T_MID, T_MAX, CFG) == pytest.approx(0.8)
-        assert mapso_rho1(T2, T_MAX, CFG) == pytest.approx(0.1)
-        assert mapso_rho1(T_MAX, T_MAX, CFG) == 0.1
+        assert _profile(0).rho1 == 0.1
+        assert _profile(T_MID).rho1 == pytest.approx(0.8)
+        assert _profile(T2).rho1 == pytest.approx(0.1)
+        assert _profile(T_MAX).rho1 == 0.1
 
     def test_focus_knots(self):
-        assert mapso_focus(0, T_MAX, CFG) == 0.25
-        assert mapso_focus(T1, T_MAX, CFG) == 1.0
-        assert mapso_focus(T_MID, T_MAX, CFG) == 1.0
-        assert mapso_focus(T2, T_MAX, CFG) == 1.0
-        assert mapso_focus(T_MAX, T_MAX, CFG) == 25.0
+        assert _profile(0).focus == 0.25
+        assert _profile(T1).focus == 1.0
+        assert _profile(T_MID).focus == 1.0
+        assert _profile(T2).focus == 1.0
+        assert _profile(T_MAX).focus == 25.0
 
     def test_ramps_are_continuous_on_the_clock_grid(self):
-        vc_values = [mapso_vc(t, T_MAX, CFG) for t in range(T_MAX + 1)]
-        rho_values = [mapso_rho1(t, T_MAX, CFG) for t in range(T_MAX + 1)]
+        vc_values = [_profile(t).vc for t in range(T_MAX + 1)]
+        rho_values = [_profile(t).rho1 for t in range(T_MAX + 1)]
         vc_slope = (CFG.v_max - CFG.v_min) / (T2 - T1)
         rho_slope = (CFG.rho_max - CFG.rho_min) / (T_MID - T1)
         assert np.max(np.abs(np.diff(vc_values))) <= vc_slope * 1.01
         assert np.max(np.abs(np.diff(rho_values))) <= rho_slope * 1.01
 
     def test_focus_steps_exactly_twice(self):
-        values = np.array([mapso_focus(t, T_MAX, CFG) for t in range(T_MAX + 1)])
+        values = np.array([_profile(t).focus for t in range(T_MAX + 1)])
         assert np.count_nonzero(np.diff(values)) == 2
 
     def test_clock_guard(self):
         with pytest.raises(ValueError, match=r"t must lie in \[0, t_max\]"):
-            mapso_vc(-1, T_MAX, CFG)
+            _profile(-1)
         with pytest.raises(ValueError, match=r"t must lie in \[0, t_max\]"):
-            mapso_rho1(T_MAX + 1, T_MAX, CFG)
+            _profile(T_MAX + 1)
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="0 < v_min <= v_max"):
@@ -170,6 +173,31 @@ class TestCoefficientsAt:
             Constant((0.5, 1.0, 1.0))
 
 
+INERTIA_REQUIRED = {
+    LinearInertia: {"omega_start": 0.9, "omega_end": 0.4},
+    RandomInertia: {},
+    SuccessRateInertia: {},
+}
+
+
+class TestInertiaSpecFields:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "a"],
+                             ids=["nan", "inf", "text"])
+    @pytest.mark.parametrize("spec_type", list(INERTIA_REQUIRED),
+                             ids=lambda t: t.__name__)
+    def test_every_field_must_be_a_finite_number(self, spec_type, bad):
+        for f in fields(spec_type):
+            kwargs = {**INERTIA_REQUIRED[spec_type], f.name: bad}
+            message = rf"{spec_type.__name__}\.{f.name} must be a finite number"
+            with pytest.raises(ScheduleError, match=message):
+                spec_type(**kwargs)
+
+    def test_fields_are_coerced_to_float(self):
+        spec = LinearInertia(1, 0, c=2, alpha=1)
+        assert all(type(getattr(spec, f.name)) is float for f in fields(spec))
+        assert spec == LinearInertia(1.0, 0.0, c=2.0, alpha=1.0)
+
+
 class TestBaselines:
     def test_stock_set(self):
         stock = baseline_schedules()
@@ -206,6 +234,15 @@ class TestSerialization:
     def test_bad_fields(self):
         with pytest.raises(ValueError, match="bad fields for schedule kind"):
             schedule_from_dict({"kind": "constant", "omega": 0.5})
+
+    @pytest.mark.parametrize("data", [
+        {"kind": "linear_inertia", "omega_start": 0.9, "omega_end": float("inf")},
+        {"kind": "random_inertia", "c": float("nan")},
+        {"kind": "success_rate_inertia", "omega_max": "a"},
+    ], ids=lambda d: d["kind"])
+    def test_non_finite_inertia_fields(self, data):
+        with pytest.raises(ScheduleError, match="bad fields for schedule kind"):
+            schedule_from_dict(data)
 
     def test_unserialisable_spec(self):
         with pytest.raises(ValueError, match="cannot serialise schedule spec"):

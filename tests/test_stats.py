@@ -17,7 +17,6 @@ from swarmpattern import (
     beat_digraph,
     digraph_edges_csv,
     digraph_to_dot,
-    dominance,
     ranking_table,
     tournament,
     tournament_to_csv,
@@ -123,28 +122,34 @@ class TestWilcoxonRankSum:
             wilcoxon_rank_sum([1.0, np.nan], [2.0])
 
 
+def _dominance(a, b, p_threshold=0.05):
+    """The per-function outcome ``tournament`` records for samples a and b."""
+    return stats._outcome(a, b, wilcoxon_rank_sum(a, b), p_threshold)
+
+
 class TestDominance:
     def test_clear_winner_and_loser(self):
-        assert dominance(SIX, SIX + 10.0) == 1
-        assert dominance(SIX + 10.0, SIX) == -1
+        assert _dominance(SIX, SIX + 10.0) == 1
+        assert _dominance(SIX + 10.0, SIX) == -1
 
     def test_insignificant_difference_is_a_draw(self):
         rng = np.random.default_rng(2)
         a = rng.normal(0.0, 1.0, 6)
-        assert dominance(a, a + 0.01) == 0
+        assert _dominance(a, a + 0.01) == 0
 
     def test_significant_but_equal_medians_is_a_draw(self):
         a = [0.0, 0.1, 0.2, 5.0, 5.0, 5.0, 5.0]
         b = [5.0, 5.0, 5.0, 5.0, 9.0, 9.5, 9.9]
         assert wilcoxon_rank_sum(a, b) < 0.05
         assert np.median(a) == np.median(b)
-        assert dominance(a, b) == 0
+        assert _dominance(a, b) == 0
 
     def test_threshold_validation(self):
+        results = _results([[SIX], [SIX + 10.0]])
         with pytest.raises(ValueError, match="p_threshold must lie in"):
-            dominance(SIX, SIX, p_threshold=0.0)
+            tournament(results, p_threshold=0.0)
         with pytest.raises(ValueError, match="p_threshold must lie in"):
-            dominance(SIX, SIX, p_threshold=1.0)
+            tournament(results, p_threshold=1.0)
 
     @given(st.lists(st.integers(0, 5), min_size=2, max_size=20),
            st.lists(st.integers(0, 5), min_size=2, max_size=20))
@@ -152,7 +157,7 @@ class TestDominance:
     def test_antisymmetry_even_under_heavy_ties(self, a, b):
         a = [float(v) for v in a]
         b = [float(v) for v in b]
-        assert dominance(a, b) == -dominance(b, a)
+        assert _dominance(a, b) == -_dominance(b, a)
 
     @given(st.lists(st.integers(0, 8), min_size=3, max_size=15),
            st.lists(st.integers(2, 10), min_size=3, max_size=15))
@@ -160,8 +165,8 @@ class TestDominance:
     def test_tightening_the_threshold_only_removes_wins(self, a, b):
         a = [float(v) for v in a]
         b = [float(v) for v in b]
-        strict = dominance(a, b, p_threshold=0.01)
-        loose = dominance(a, b, p_threshold=0.2)
+        strict = _dominance(a, b, p_threshold=0.01)
+        loose = _dominance(a, b, p_threshold=0.2)
         assert strict == loose or strict == 0
 
 
