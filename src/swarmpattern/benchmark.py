@@ -14,11 +14,12 @@ by :func:`swarmpattern.swarm.run_many`; with ``parallelism > 1`` worker
 processes take whole cells, not single runs.
 
 Results persist incrementally: one CSV per cell with columns
-``run, seed, best_value``, plus a JSON manifest of the plan.  A cell's new
-rows are appended as soon as its runs finish, so an interruption loses at most the pending runs of the cells in flight.  An
-interrupted experiment resumes by rerunning with the same plan and output
-directory; completed runs are detected and skipped, and finished CSVs are
-rewritten run-sorted so a resumed experiment is byte-identical to an
+``run, seed, best_value``, plus a JSON manifest of the plan.  A cell's CSV
+is written once, whole and run-sorted, as soon as its pending runs finish,
+so an interruption loses at most the pending runs of the cells in flight.
+An interrupted experiment resumes by rerunning with the same plan and output
+directory: runs with a row are skipped, while missing, torn and failed
+(NaN) runs are run again, so a resumed experiment is byte-identical to an
 uninterrupted one.
 """
 
@@ -335,10 +336,11 @@ def _read_cell(path: Path) -> dict[int, tuple[int, float]]:
     with open(path, newline="", encoding="utf-8") as fh:
         text = fh.read()
     # Every complete row ends with a line terminator.  A tail without one was
-    # torn by an interrupted write, even when what is left of it still parses.
+    # torn by an interrupted write, even when what is left of it still parses;
+    # a file torn inside its header line holds no rows.
     reader = csv.reader(text[:text.rfind("\n") + 1].splitlines())
     header = next(reader, None)
-    if header != ["run", "seed", "best_value"]:
+    if header not in (None, ["run", "seed", "best_value"]):
         raise ValueError(f"{path} has unexpected header {header!r}")
     for row in reader:
         if len(row) != 3:
@@ -353,13 +355,35 @@ def _read_cell(path: Path) -> dict[int, tuple[int, float]]:
     return rows
 
 
-def _write_cell(path: Path, rows: dict[int, tuple[int, float]]) -> None:
+def _write_cell(path: Path, seeds: np.ndarray, values: np.ndarray) -> None:
+    """Write one whole cell, a row for every run in run order."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["run", "seed", "best_value"])
-        for run_index in sorted(rows):
-            seed, value = rows[run_index]
-            writer.writerow([run_index, seed, repr(value)])
+        for run_index, (seed, value) in enumerate(zip(seeds, values)):
+            writer.writerow([run_index, int(seed), repr(float(value))])
+
+
+def _read_results(plan: ExperimentPlan,
+                  out_path: Path | None) -> tuple[np.ndarray, np.ndarray]:
+    """Values and seeds of every run on disk, indexed (algorithm, function, run).
+
+    A run without a row (every run, when there is no directory) reads as a
+    NaN value and a zero seed.
+    """
+    values = np.full((len(plan.algorithms), len(plan.functions), plan.runs),
+                     np.nan)
+    seeds = np.zeros_like(values, dtype=np.uint64)
+    if out_path is None:
+        return values, seeds
+    for i, (algorithm, _) in enumerate(plan.algorithms):
+        for k, function in enumerate(plan.functions):
+            rows = _read_cell(_cell_path(out_path, algorithm, function.name))
+            for r, (seed, value) in rows.items():
+                if 0 <= r < plan.runs:
+                    values[i, k, r] = value
+                    seeds[i, k, r] = seed
+    return values, seeds
 
 
 def _run_cell(task) -> tuple[int, int, list[tuple[int, float, str]]]:
@@ -383,16 +407,16 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | Path | None = None,
 
     The pending runs of one (algorithm, function) cell step in lockstep, and
     ``parallelism`` worker processes take one cell at a time.  With
-    ``out_dir`` set, each cell's new rows are appended to its CSV as soon
-    as the cell finishes and existing complete runs are skipped, which is
-    what makes interrupted experiments resumable.  Failed runs are recorded
-    as NaN with the error captured in ``ResultSet.failures`` (and
-    ``failures.csv``), never silently dropped.
+    ``out_dir`` set, each cell whose runs were pending is written whole,
+    run-sorted, as soon as they finish, and runs already on disk are
+    skipped, which is what makes interrupted experiments resumable.  Failed
+    runs are recorded as NaN with the error captured in
+    ``ResultSet.failures`` (and ``failures.csv``), never silently dropped;
+    a resume runs them again and so reproduces the same failures.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be positive")
     out_path = Path(out_dir) if out_dir is not None else None
-    existing: dict[tuple[int, int], dict[int, tuple[int, float]]] = {}
     if out_path is not None:
         (out_path / "results").mkdir(parents=True, exist_ok=True)
         manifest_path = out_path / "manifest.json"
@@ -408,54 +432,30 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | Path | None = None,
             with open(manifest_path, "w", encoding="utf-8") as fh:
                 json.dump(manifest, fh, indent=2, sort_keys=True)
                 fh.write("\n")
-        for i, (algorithm, _) in enumerate(plan.algorithms):
-            for k, function in enumerate(plan.functions):
-                path = _cell_path(out_path, algorithm, function.name)
-                rows = existing[(i, k)] = _read_cell(path)
-                if path.exists() and not rows.keys() >= set(range(plan.runs)):
-                    # New rows are appended: start them on a fresh line, not
-                    # glued to a torn tail where "4" + "4,..." reads as run 44.
-                    _write_cell(path, rows)
+    values, seeds = _read_results(plan, out_path)
 
     tasks = []
     for i, (_, schedule) in enumerate(plan.algorithms):
         for k, function in enumerate(plan.functions):
-            done = existing.get((i, k), {})
-            runs = [r for r in range(plan.runs) if r not in done]
+            runs = [r for r in range(plan.runs) if math.isnan(values[i, k, r])]
             if runs:
-                seeds = [derive_seed(plan.base_seed, i, k, r) for r in runs]
-                tasks.append((i, k, runs, seeds, function, schedule,
+                run_seeds = [derive_seed(plan.base_seed, i, k, r) for r in runs]
+                tasks.append((i, k, runs, run_seeds, function, schedule,
                               plan.pop_size, plan.budget_evals))
 
-    values = np.full((len(plan.algorithms), len(plan.functions), plan.runs),
-                     np.nan)
-    seeds = np.zeros_like(values, dtype=np.uint64)
     failures: list[tuple[str, str, int, str]] = []
-    for (i, k), done in existing.items():
-        for r, (seed, value) in done.items():
-            if r < plan.runs:
-                values[i, k, r] = value
-                seeds[i, k, r] = seed
 
     def record(i: int, k: int, outcomes: list[tuple[int, float, str]]) -> None:
-        rows = []
         for r, value, error in outcomes:
-            seed = derive_seed(plan.base_seed, i, k, r)
             values[i, k, r] = value
-            seeds[i, k, r] = seed
+            seeds[i, k, r] = derive_seed(plan.base_seed, i, k, r)
             if error:
                 failures.append((plan.algorithms[i][0], plan.functions[k].name,
                                  r, error))
-            rows.append([r, seed, repr(value)])
         if out_path is not None:
-            path = _cell_path(out_path, plan.algorithms[i][0],
-                              plan.functions[k].name)
-            new_file = not path.exists()
-            with open(path, "a", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                if new_file:
-                    writer.writerow(["run", "seed", "best_value"])
-                writer.writerows(rows)
+            _write_cell(_cell_path(out_path, plan.algorithms[i][0],
+                                   plan.functions[k].name),
+                        seeds[i, k], values[i, k])
 
     if parallelism == 1 or len(tasks) <= 1:
         for task in tasks:
@@ -467,13 +467,6 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | Path | None = None,
                 record(*outcome)
 
     if out_path is not None:
-        # Rewrite each finished cell run-sorted: resumed and parallel
-        # experiments then leave byte-identical files behind.
-        for i, (algorithm, _) in enumerate(plan.algorithms):
-            for k, function in enumerate(plan.functions):
-                rows = {r: (int(seeds[i, k, r]), float(values[i, k, r]))
-                        for r in range(plan.runs)}
-                _write_cell(_cell_path(out_path, algorithm, function.name), rows)
         failure_path = out_path / "failures.csv"
         if failures:
             with open(failure_path, "w", newline="", encoding="utf-8") as fh:
@@ -493,7 +486,11 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | Path | None = None,
 
 
 def load_results(out_dir: str | Path) -> ResultSet:
-    """Rebuild a ResultSet from a finished (or partial) output directory."""
+    """Rebuild a ResultSet from a finished output directory.
+
+    A run without a row, or with a NaN value (a failed run), is reported
+    as missing, with the hint to resume the experiment.
+    """
     out_path = Path(out_dir)
     manifest_path = out_path / "manifest.json"
     if not manifest_path.exists():
@@ -501,25 +498,16 @@ def load_results(out_dir: str | Path) -> ResultSet:
     with open(manifest_path, encoding="utf-8") as fh:
         manifest = json.load(fh)
     plan = plan_from_dict(manifest["plan"])
-    values = np.full((len(plan.algorithms), len(plan.functions), plan.runs),
-                     np.nan)
-    seeds = np.zeros_like(values, dtype=np.uint64)
-    missing = []
-    for i, (algorithm, _) in enumerate(plan.algorithms):
-        for k, function in enumerate(plan.functions):
-            rows = _read_cell(_cell_path(out_path, algorithm, function.name))
-            for r in range(plan.runs):
-                if r in rows:
-                    seed, value = rows[r]
-                    values[i, k, r] = value
-                    seeds[i, k, r] = seed
-                else:
-                    missing.append((algorithm, function.name, r))
-    if missing:
-        preview = ", ".join(f"{a}/{f}#{r}" for a, f, r in missing[:5])
+    values, seeds = _read_results(plan, out_path)
+    missing = np.argwhere(np.isnan(values))
+    if missing.size:
+        preview = ", ".join(
+            f"{plan.algorithms[i][0]}/{plan.functions[k].name}#{r}"
+            for i, k, r in missing[:5])
         raise ValueError(
-            f"{len(missing)} runs missing from {out_path} (e.g. {preview}); "
-            "rerun the experiment with the same plan and output directory to resume")
+            f"{len(missing)} runs missing or failed in {out_path} "
+            f"(e.g. {preview}); rerun the experiment with the same plan and "
+            "output directory to resume")
     return ResultSet(
         algorithms=tuple(n for n, _ in plan.algorithms),
         functions=tuple(f.name for f in plan.functions),

@@ -8,19 +8,14 @@ Draw discipline.  One PCG64 generator (``numpy.random.default_rng``) seeded
 from ``SimConfig.seed`` produces every random number, in this fixed order:
 
 1. the two seed positions ``x0``, ``x1`` (when not pinned in the config),
-2. the full inertia-weight vector (only when coefficient moments with
-   ``sigma_omega > 0`` are given; the uniform family keeps omega constant),
-3. the full phi1 vector, then the full phi2 vector,
-4. the attractor draws, one vector per attractor stream.
+2. the full phi1 vector, then the full phi2 vector,
+3. the attractor draws, one vector per attractor stream.
 
 Two traces with equal configs are therefore bit-identical.
 
-Given ``IpsoParams`` the pulls are uniform on ``[0, c]`` and ``[0, alpha c]``
-(intervals flip orientation when negative).  Given raw
-``CoefficientMoments`` the draws are normal with the stated mean and
-standard deviation; the moment theory is distribution-free, so any shape
-with matching first two moments is equally valid and normal is the neutral
-choice.
+The inertia weight is the constant ``omega`` of ``IpsoParams``; the pulls
+are uniform on ``[0, c]`` and ``[0, alpha c]`` (intervals flip orientation
+when negative).
 """
 
 from __future__ import annotations
@@ -31,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateParameterError, SampleError
-from .moments import AttractorMoments, CoefficientMoments
+from .moments import AttractorMoments
 from .patterns import AutocorrelationSeq, IpsoParams
 
 _SQRT3 = math.sqrt(3.0)
@@ -202,8 +197,7 @@ def _attractor_streams(process: AttractorProcess, nsteps: int,
     return (np.full(nsteps, process.p_value), np.full(nsteps, process.g_value))
 
 
-def simulate(params: IpsoParams | CoefficientMoments,
-             process: AttractorProcess,
+def simulate(params: IpsoParams, process: AttractorProcess,
              config: SimConfig) -> SimTrace:
     """Run the scalar recursion and log positions with their attractor draws.
 
@@ -217,30 +211,20 @@ def simulate(params: IpsoParams | CoefficientMoments,
     x1 = float(config.x1) if config.x1 is not None else float(rng.uniform(lo, hi))
 
     nsteps = config.iterations - 2
-    if isinstance(params, IpsoParams):
-        c, ac = params.c, params.alpha * params.c
-        phi1 = rng.uniform(min(0.0, c), max(0.0, c), nsteps)
-        phi2 = rng.uniform(min(0.0, ac), max(0.0, ac), nsteps)
-        omega = np.full(nsteps, params.omega)
-    else:
-        if params.sigma_omega > 0.0:
-            omega = params.mu_omega + params.sigma_omega * rng.standard_normal(nsteps)
-        else:
-            omega = np.full(nsteps, params.mu_omega)
-        phi1 = params.mu_phi1 + params.sigma_phi1 * rng.standard_normal(nsteps)
-        phi2 = params.mu_phi2 + params.sigma_phi2 * rng.standard_normal(nsteps)
+    c, ac = params.c, params.alpha * params.c
+    phi1 = rng.uniform(min(0.0, c), max(0.0, c), nsteps)
+    phi2 = rng.uniform(min(0.0, ac), max(0.0, ac), nsteps)
     p_stream, g_stream = _attractor_streams(process, nsteps, rng)
 
     xs = np.empty(config.iterations)
     xs[0], xs[1] = x0, x1
     # Python-float loop: the recursion is inherently sequential and scalar.
-    wl, f1l, f2l = omega.tolist(), phi1.tolist(), phi2.tolist()
+    w, f1l, f2l = params.omega, phi1.tolist(), phi2.tolist()
     pl, gl = p_stream.tolist(), g_stream.tolist()
     xprev, xcur = x0, x1
     used = nsteps
     diverged = False
     for j in range(nsteps):
-        w = wl[j]
         f1 = f1l[j]
         f2 = f2l[j]
         xnext = ((1.0 + w - f1 - f2) * xcur - w * xprev

@@ -73,21 +73,11 @@ class BeatDigraph:
 
 def _midranks(pooled: np.ndarray) -> tuple[np.ndarray, float]:
     """Fractional ranks of the pooled sample plus the tie-correction sum."""
-    order = np.argsort(pooled, kind="stable")
-    ranks = np.empty(pooled.size)
-    tie_sum = 0.0
-    i = 0
-    while i < pooled.size:
-        j = i
-        while j + 1 < pooled.size and pooled[order[j + 1]] == pooled[order[i]]:
-            j += 1
-        # Average rank for the tied block [i, j] (1-based ranks).
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        count = j - i + 1
-        if count > 1:
-            tie_sum += count ** 3 - count
-        i = j + 1
-    return ranks, tie_sum
+    _, inverse, counts = np.unique(pooled, return_inverse=True,
+                                   return_counts=True)
+    # A tied block of c values ending at 1-based rank e shares e - (c - 1)/2.
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+    return ranks, float(np.sum(counts ** 3 - counts))
 
 
 @lru_cache(maxsize=256)

@@ -296,8 +296,8 @@ class TestRunExperiment:
         assert _snapshot(tmp_path) == reference
 
     def test_resume_interrupted_after_a_torn_tail(self, tmp_path, monkeypatch):
-        # A resume appends the rerun row after the torn "2"; a second
-        # interruption must not leave the two glued into a row for run 22.
+        # The rerun row must not end up glued to the torn "2" as a row for
+        # run 22, even when a second interruption follows the torn cell.
         plan = _tiny_plan()
         run_experiment(plan, out_dir=tmp_path)
         reference = _snapshot(tmp_path)
@@ -305,7 +305,7 @@ class TestRunExperiment:
         data = cell.read_bytes()
         cell.write_bytes(data[:data.rstrip(b"\r\n").rindex(b"\n") + 1] + b"2")
         # A lost cell later in the plan gives the resume a second cell to
-        # be interrupted in, after the torn cell's rerun row was appended.
+        # be interrupted in, after the torn cell's rerun row was written.
         (tmp_path / "results" / "ldw__ackley.csv").unlink()
 
         class Interrupted(Exception):
@@ -328,6 +328,52 @@ class TestRunExperiment:
         assert [line.split(",")[0] for line in lines] == ["run", "0", "1", "2"]
         run_experiment(plan, out_dir=tmp_path)
         assert _snapshot(tmp_path) == reference
+
+    @pytest.mark.parametrize("torn", [b"", b"run,se"])
+    def test_cell_torn_inside_its_header_is_recomputed(self, tmp_path, torn):
+        # A whole-cell write cut short can leave less than the header line.
+        plan = _tiny_plan()
+        run_experiment(plan, out_dir=tmp_path)
+        reference = _snapshot(tmp_path)
+        (tmp_path / "results" / "ldw__sphere.csv").write_bytes(torn)
+        run_experiment(plan, out_dir=tmp_path)
+        assert _snapshot(tmp_path) == reference
+
+    def test_each_finished_cell_is_written_once(self, tmp_path, monkeypatch):
+        written = []
+        write_cell = benchmark._write_cell
+
+        def counting(path, seeds, values):
+            written.append(path.name)
+            write_cell(path, seeds, values)
+
+        monkeypatch.setattr(benchmark, "_write_cell", counting)
+        plan = _tiny_plan()
+        run_experiment(plan, out_dir=tmp_path)
+        assert sorted(written) == ["icpso__ackley.csv", "icpso__sphere.csv",
+                                   "ldw__ackley.csv", "ldw__sphere.csv"]
+        written.clear()
+        run_experiment(plan, out_dir=tmp_path)
+        assert written == []
+        (tmp_path / "results" / "ldw__ackley.csv").unlink()
+        run_experiment(plan, out_dir=tmp_path)
+        assert written == ["ldw__ackley.csv"]
+
+    def test_rerun_with_failed_runs_keeps_the_failures(self, tmp_path):
+        # A failed run is pending on resume; its shared schedule fails again
+        # the same way, so failures.csv survives the rerun unchanged.
+        plan = ExperimentPlan(
+            algorithms=(("biased", Mapso(MapsoConfig(f_min=1e9, f_max=1e9))),
+                        ("icpso", ICPSO)),
+            functions=(suite_function("sphere", 2),),
+            dimension=2, pop_size=5, runs=3, evals_per_dim=20)
+        first = run_experiment(plan, out_dir=tmp_path)
+        reference = _snapshot(tmp_path)
+        assert "failures.csv" in reference
+        second = run_experiment(plan, out_dir=tmp_path)
+        assert _snapshot(tmp_path) == reference
+        assert len(first.failures) == len(second.failures) == 3
+        assert second.failures == first.failures
 
     def test_foreign_manifest_is_rejected(self, tmp_path):
         run_experiment(_tiny_plan(), out_dir=tmp_path)
