@@ -489,7 +489,9 @@ def load_results(out_dir: str | Path) -> ResultSet:
     """Rebuild a ResultSet from a finished output directory.
 
     A run without a row, or with a NaN value (a failed run), is reported
-    as missing, with the hint to resume the experiment.
+    as missing.  The hint points at ``failures.csv`` when the directory has
+    one, since a rerun fails those runs the same way; otherwise it says to
+    resume the experiment.
     """
     out_path = Path(out_dir)
     manifest_path = out_path / "manifest.json"
@@ -504,10 +506,14 @@ def load_results(out_dir: str | Path) -> ResultSet:
         preview = ", ".join(
             f"{plan.algorithms[i][0]}/{plan.functions[k].name}#{r}"
             for i, k, r in missing[:5])
-        raise ValueError(
-            f"{len(missing)} runs missing or failed in {out_path} "
-            f"(e.g. {preview}); rerun the experiment with the same plan and "
-            "output directory to resume")
+        if (out_path / "failures.csv").exists():
+            hint = ("see failures.csv: those runs failed, and a rerun fails "
+                    "them the same way")
+        else:
+            hint = ("rerun the experiment with the same plan and output "
+                    "directory to resume")
+        raise ValueError(f"{len(missing)} runs missing or failed in {out_path} "
+                         f"(e.g. {preview}); {hint}")
     return ResultSet(
         algorithms=tuple(n for n, _ in plan.algorithms),
         functions=tuple(f.name for f in plan.functions),

@@ -324,7 +324,9 @@ def cmd_bench(args) -> int:
     else:
         plan = default_plan(dimension=args.dimension, runs=args.runs,
                             base_seed=args.base_seed)
-    _print_config(args, plan_file=args.plan, plan=plan_to_dict(plan))
+    _print_config(args, plan_file=args.plan, plan=plan_to_dict(plan),
+                  runs=plan.runs, dimension=plan.dimension,
+                  base_seed=plan.base_seed)
     results = run_experiment(plan, out_dir=args.out,
                              parallelism=args.parallelism)
     done = int(np.sum(~np.isnan(results.values)))

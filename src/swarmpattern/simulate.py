@@ -13,6 +13,15 @@ from ``SimConfig.seed`` produces every random number, in this fixed order:
 
 Two traces with equal configs are therefore bit-identical.
 
+Vectorisation.  Every elementwise quantity is a numpy array built before the
+recursion starts: the pulls, the attractor streams (the settling walk is a
+cumulative sum of its damped steps), and the per-step products
+``1 + omega - phi1 - phi2``, ``phi1 p`` and ``phi2 g``.  Each is formed with
+the same IEEE operations in the same order as the scalar update, so only the
+sequential two-term recurrence runs as a Python loop, and the traces equal
+bit for bit those of the per-element loop that ``tests/test_simulate.py``
+keeps as its oracle.
+
 The inertia weight is the constant ``omega`` of ``IpsoParams``; the pulls
 are uniform on ``[0, c]`` and ``[0, alpha c]`` (intervals flip orientation
 when negative).
@@ -185,14 +194,11 @@ def _attractor_streams(process: AttractorProcess, nsteps: int,
         lo, hi = process.step_range
         r1 = rng.uniform(lo, hi, nsteps)
         r2 = rng.uniform(lo, hi, nsteps)
-        p = np.empty(nsteps)
-        g = np.empty(nsteps)
-        cur_p, cur_g = process.p0, process.g0
-        p[0], g[0] = cur_p, cur_g
-        for j in range(1, nsteps):
-            cur_p += r1[j - 1] / j
-            cur_g += r2[j - 1] / j
-            p[j], g[j] = cur_p, cur_g
+        # p[j] = p[j-1] + r1[j-1] / j as a running sum: cumsum adds in index
+        # order, so it performs the same additions as the sequential walk.
+        steps = np.arange(1, nsteps)
+        p = np.cumsum(np.concatenate(([process.p0], r1[:-1] / steps)))
+        g = np.cumsum(np.concatenate(([process.g0], r2[:-1] / steps)))
         return p, g
     return (np.full(nsteps, process.p_value), np.full(nsteps, process.g_value))
 
@@ -216,30 +222,29 @@ def simulate(params: IpsoParams, process: AttractorProcess,
     phi2 = rng.uniform(min(0.0, ac), max(0.0, ac), nsteps)
     p_stream, g_stream = _attractor_streams(process, nsteps, rng)
 
-    xs = np.empty(config.iterations)
-    xs[0], xs[1] = x0, x1
-    # Python-float loop: the recursion is inherently sequential and scalar.
-    w, f1l, f2l = params.omega, phi1.tolist(), phi2.tolist()
-    pl, gl = p_stream.tolist(), g_stream.tolist()
+    # The arrays repeat the scalar update's operations in its order, which
+    # keeps the trace bit-identical to it; iterating a memoryview yields
+    # Python floats without building lists.
+    w = params.omega
+    lead = (1.0 + w) - phi1
+    lead -= phi2
+    xs = [x0, x1]
     xprev, xcur = x0, x1
-    used = nsteps
     diverged = False
-    for j in range(nsteps):
-        f1 = f1l[j]
-        f2 = f2l[j]
-        xnext = ((1.0 + w - f1 - f2) * xcur - w * xprev
-                 + f1 * pl[j] + f2 * gl[j])
-        xs[2 + j] = xnext
-        if not math.isfinite(xnext) or abs(xnext) > DIVERGENCE_LIMIT:
-            used = j + 1
+    for a, fp, fg in zip(memoryview(lead), memoryview(phi1 * p_stream),
+                         memoryview(phi2 * g_stream)):
+        xnext = a * xcur - w * xprev + fp + fg
+        xs.append(xnext)
+        # The chained bounds test is also False for NaN and +-inf.
+        if not -DIVERGENCE_LIMIT <= xnext <= DIVERGENCE_LIMIT:
             diverged = True
             break
         xprev, xcur = xcur, xnext
 
-    n = 2 + used
+    used = len(xs) - 2
     pad = np.full(2, np.nan)
     return SimTrace(
-        positions=xs[:n],
+        positions=np.array(xs),
         p_values=np.concatenate([pad, p_stream[:used]]),
         g_values=np.concatenate([pad, g_stream[:used]]),
         diverged=diverged,
@@ -277,11 +282,14 @@ def empirical_autocorrelation(trace: SimTrace, burn_in: int,
     rho = np.empty(max_lag + 1)
     rho[0] = 1.0
     for i in range(1, max_lag + 1):
-        a, b = x[:-i], x[i:]
-        sa, sb = float(np.std(a)), float(np.std(b))
+        # One centring per window serves both the covariance and the scales;
+        # sqrt(mean(d * d)) is the arithmetic np.std performs.
+        da = x[:-i] - np.mean(x[:-i])
+        db = x[i:] - np.mean(x[i:])
+        sa, sb = float(np.sqrt(np.mean(da * da))), float(np.sqrt(np.mean(db * db)))
         if sa == 0.0 or sb == 0.0:
             raise SampleError(f"zero variance in the lag-{i} window")
-        rho[i] = float(np.mean((a - np.mean(a)) * (b - np.mean(b))) / (sa * sb))
+        rho[i] = float(np.mean(da * db) / (sa * sb))
     return AutocorrelationSeq(rho)
 
 

@@ -11,6 +11,8 @@ from swarmpattern import (
     ExperimentPlan,
     IpsoParams,
     LinearInertia,
+    Mapso,
+    MapsoConfig,
     __version__,
     cli,
     ipso_to_moments,
@@ -309,6 +311,34 @@ class TestBenchAndCompare:
         assert (out_dir / "edges.csv").read_text().startswith("from,to")
         assert (out_dir / "digraph.dot").read_text().startswith(
             "digraph tournament {")
+
+    def test_bench_config_line_reports_the_plan_values(
+            self, capsys, tmp_path, plan_file):
+        code, _, err = _run(capsys, "bench", "--plan", str(plan_file),
+                            "--out", str(tmp_path / "o"))
+        assert code == 0
+        config = _config_line(err)
+        assert (config["runs"], config["dimension"], config["base_seed"]) == (3, 2, 7)
+        assert config["plan"]["runs"] == 3
+
+    def test_compare_on_failed_runs_points_at_failures_csv(self, capsys, tmp_path):
+        plan = ExperimentPlan(
+            algorithms=(("biased", Mapso(MapsoConfig(f_min=1e9, f_max=1e9))),
+                        ("icpso", Constant(IpsoParams(0.711897, 1.711897, 1.0)))),
+            functions=(suite_function("sphere", 2),),
+            dimension=2, pop_size=5, runs=3, evals_per_dim=20)
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(plan_to_dict(plan)), encoding="utf-8")
+        out_dir = tmp_path / "results"
+        code, out, _ = _run(capsys, "bench", "--plan", str(plan_path),
+                            "--out", str(out_dir))
+        assert code == 0
+        assert "3 runs failed; see failures.csv" in out
+        code, _, err = _run(capsys, "compare", "--results", str(out_dir))
+        assert code == 2
+        assert "3 runs missing or failed" in err
+        assert "see failures.csv: those runs failed, and a rerun fails them the same way" in err
+        assert "to resume" not in err
 
     def test_compare_without_results(self, capsys, tmp_path):
         code, _, err = _run(capsys, "compare", "--results",

@@ -93,6 +93,15 @@ class TestSimulate:
         last = trace.positions[-1]
         assert not np.isfinite(last) or abs(last) > 1e100
 
+    @pytest.mark.parametrize("process", [WIDE_IID, WALK, FixedAttractors(1.0, 2.0)],
+                             ids=["iid", "walk", "fixed"])
+    def test_two_iterations_hold_only_the_seeds(self, process):
+        trace = simulate(SLOW_MIXING, process,
+                         SimConfig(iterations=2, seed=0, x0=1.5, x1=-0.5))
+        assert trace.positions.tolist() == [1.5, -0.5]
+        assert np.all(np.isnan(trace.p_values)) and len(trace.p_values) == 2
+        assert not trace.diverged
+
     def test_config_validation(self):
         with pytest.raises(ValueError, match="iterations must be at least 2"):
             SimConfig(iterations=1, burn_in=0, seed=0)
@@ -114,6 +123,79 @@ class TestSimulate:
     def test_trace_arrays_must_align(self):
         with pytest.raises(ValueError, match="share one length"):
             SimTrace(np.zeros(3), np.zeros(2), np.zeros(3))
+
+
+def _scalar_reference(params, process, config):
+    """The per-element form of ``simulate``: same draws, one step at a time."""
+    rng = np.random.default_rng(config.seed)
+    if isinstance(process, IidUniformAttractors):
+        lo, hi = process.p_range
+    elif isinstance(process, RandomWalkAttractors):
+        lo, hi = process.p0 + process.step_range[0], process.p0 + process.step_range[1]
+    else:
+        lo, hi = process.p_value, process.p_value
+    x0 = float(config.x0) if config.x0 is not None else float(rng.uniform(lo, hi))
+    x1 = float(config.x1) if config.x1 is not None else float(rng.uniform(lo, hi))
+    nsteps = config.iterations - 2
+    c, ac = params.c, params.alpha * params.c
+    phi1 = rng.uniform(min(0.0, c), max(0.0, c), nsteps)
+    phi2 = rng.uniform(min(0.0, ac), max(0.0, ac), nsteps)
+    if isinstance(process, IidUniformAttractors):
+        p = rng.uniform(process.p_range[0], process.p_range[1], nsteps)
+        g = rng.uniform(process.g_range[0], process.g_range[1], nsteps)
+    elif isinstance(process, RandomWalkAttractors):
+        r1 = rng.uniform(*process.step_range, nsteps)
+        r2 = rng.uniform(*process.step_range, nsteps)
+        p, g = np.empty(nsteps), np.empty(nsteps)
+        cur_p, cur_g = process.p0, process.g0
+        p[0], g[0] = cur_p, cur_g
+        for j in range(1, nsteps):
+            cur_p += r1[j - 1] / j
+            cur_g += r2[j - 1] / j
+            p[j], g[j] = cur_p, cur_g
+    else:
+        p, g = np.full(nsteps, process.p_value), np.full(nsteps, process.g_value)
+    xs = np.empty(config.iterations)
+    xs[0], xs[1] = x0, x1
+    w = params.omega
+    used, diverged = nsteps, False
+    for j in range(nsteps):
+        f1, f2 = float(phi1[j]), float(phi2[j])
+        xs[2 + j] = ((1.0 + w - f1 - f2) * xs[1 + j] - w * xs[j]
+                     + f1 * float(p[j]) + f2 * float(g[j]))
+        if not math.isfinite(xs[2 + j]) or abs(xs[2 + j]) > 1e100:
+            used, diverged = j + 1, True
+            break
+    pad = np.full(2, np.nan)
+    return SimTrace(xs[:2 + used], np.concatenate([pad, p[:used]]),
+                    np.concatenate([pad, g[:used]]), diverged)
+
+
+class TestScalarOracle:
+    """``simulate`` equals the per-element loop byte for byte."""
+
+    @pytest.mark.parametrize("params, process, config", [
+        (SLOW_MIXING, WIDE_IID, SimConfig(iterations=20_000, seed=5)),
+        (SLOW_MIXING, WALK, SimConfig(iterations=20_000, seed=6)),
+        (SLOW_MIXING, FixedAttractors(-2.0, 3.0), SimConfig(iterations=20_000, seed=7)),
+        (IpsoParams(0.5, -0.8, 1.3), WIDE_IID, SimConfig(iterations=20_000, seed=8)),
+        (IpsoParams(0.6, 1.2, -0.4), WALK, SimConfig(iterations=20_000, seed=9)),
+        (REFERENCE, WALK, SimConfig(iterations=5000, seed=10, x0=0.25, x1=-7.5)),
+        (IpsoParams(2.0, 0.1, 1.0), WIDE_IID, SimConfig(iterations=5000, seed=0)),
+    ], ids=["iid", "walk", "fixed", "negative-c", "negative-alpha-c", "pinned",
+            "divergent"])
+    def test_matches_the_scalar_loop(self, params, process, config):
+        trace = simulate(params, process, config)
+        expected = _scalar_reference(params, process, config)
+        for name in ("positions", "p_values", "g_values"):
+            assert getattr(trace, name).tobytes() == getattr(expected, name).tobytes(), name
+        assert trace.diverged == expected.diverged
+        if trace.diverged:
+            # Truncated early, ending on the offending value.
+            assert len(trace) < config.iterations
+            assert abs(trace.positions[-1]) > 1e100
+        if config.x0 is not None:
+            assert trace.positions[:2].tolist() == [config.x0, config.x1]
 
 
 class TestProcessMoments:
@@ -177,6 +259,19 @@ class TestEmpiricalAutocorrelation:
         for lag in range(1, 11):
             reference = np.corrcoef(window[:-lag], window[lag:])[0, 1]
             assert estimate[lag] == pytest.approx(reference, abs=1e-10)
+
+    @pytest.mark.parametrize("process", [WIDE_IID, WALK], ids=["iid", "walk"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_the_std_based_estimator_byte_for_byte(self, process, seed):
+        trace = simulate(REFERENCE, process, SimConfig(iterations=20_000, seed=seed))
+        window = trace.positions[500:]
+        reference = [1.0]
+        for lag in range(1, 16):
+            a, b = window[:-lag], window[lag:]
+            reference.append(float(np.mean((a - np.mean(a)) * (b - np.mean(b)))
+                                   / (float(np.std(a)) * float(np.std(b)))))
+        estimate = empirical_autocorrelation(trace, 500, 15)
+        assert estimate.rho.tobytes() == np.array(reference).tobytes()
 
     def test_attractor_process_does_not_move_the_correlations(self):
         # Correlations depend on the coefficients alone; iid and walk runs
