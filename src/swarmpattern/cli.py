@@ -358,6 +358,8 @@ def cmd_compare(args) -> int:
 
 def cmd_schedule_dump(args) -> int:
     _print_config(args)
+    if args.stride < 1:
+        raise _InputError(f"--stride must be at least 1, got {args.stride}")
     spec = _parse_schedule(args.schedule)
     rng = np.random.default_rng(args.seed)
     is_mapso = isinstance(spec, Mapso)

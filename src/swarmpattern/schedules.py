@@ -172,6 +172,11 @@ class RandomInertia:
 
     __post_init__ = _finite_fields
 
+    @staticmethod
+    def inertia(u):
+        """Inertia for a standard uniform draw ``u`` (a float or an array)."""
+        return 0.5 + u / 2.0
+
 
 @dataclass(frozen=True)
 class SuccessRateInertia:
@@ -182,7 +187,15 @@ class SuccessRateInertia:
     c: float = 1.49618
     alpha: float = 1.0
 
-    __post_init__ = _finite_fields
+    def __post_init__(self):
+        _finite_fields(self)
+        if not math.isfinite(self.omega_max - self.omega_min):
+            raise ScheduleError("SuccessRateInertia.omega_max - omega_min "
+                                "must be finite")
+
+    def inertia(self, success_rate):
+        """Inertia for a success rate in [0, 1] (a float or an array)."""
+        return self.omega_min + (self.omega_max - self.omega_min) * success_rate
 
 
 ScheduleSpec = (Constant | Mapso | LinearInertia | RandomInertia
@@ -209,22 +222,12 @@ def coefficients_at(spec: ScheduleSpec, feedback: ScheduleFeedback,
     if isinstance(spec, RandomInertia):
         if rng is None:
             raise ScheduleError("RandomInertia needs the run's random generator")
-        omega = 0.5 + rng.uniform(0.0, 1.0) / 2.0
+        omega = spec.inertia(rng.uniform(0.0, 1.0))
         return IpsoParams(omega=omega, c=spec.c, alpha=spec.alpha)
     if isinstance(spec, SuccessRateInertia):
-        omega = (spec.omega_min
-                 + (spec.omega_max - spec.omega_min) * feedback.success_rate)
+        omega = spec.inertia(feedback.success_rate)
         return IpsoParams(omega=omega, c=spec.c, alpha=spec.alpha)
     raise ScheduleError(f"unknown schedule spec {spec!r}")
-
-
-def is_per_run(spec: ScheduleSpec) -> bool:
-    """Whether the triple depends on one run's generator or success rate.
-
-    Every other kind gives all runs the same triple at a tick, so runs
-    stepped in lockstep share one :func:`coefficients_at` call per tick.
-    """
-    return isinstance(spec, (RandomInertia, SuccessRateInertia))
 
 
 def baseline_schedules() -> dict[str, ScheduleSpec]:

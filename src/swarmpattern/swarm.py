@@ -17,9 +17,12 @@ updated in place, and each tick makes one objective call on all ``R*n``
 positions.  :func:`run` is the case ``R = 1``.
 
 Determinism: every run owns one PCG64 generator, seeded from its own seed,
-and draws from it in a fixed order per iteration -- first the schedule's own
+and reads it in a fixed order per iteration -- first the schedule's own
 draw (if its rule is random), then the phi1 matrix, then the phi2 matrix.
-So a run's result depends on its seed only, never on the runs beside it.
+:func:`run_many` takes those standard uniforms for a block of iterations at
+once, one generator call per run and block, laid out tick after tick in that
+same order, so the block length never changes what a run draws.  A run's
+result depends on its seed only, never on the runs beside it.
 """
 
 from __future__ import annotations
@@ -31,15 +34,20 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .patterns import IpsoParams
 from .schedules import (
+    RandomInertia,
     ScheduleFeedback,
     ScheduleSpec,
+    SuccessRateInertia,
     coefficients_at,
-    is_per_run,
 )
 
 logger = logging.getLogger(__name__)
+
+# Bytes of standard uniforms run_many draws per block: as many ticks as fit,
+# at least one.  Blocks of 16 ticks or more run alike, so the cap only bounds
+# the buffer's memory.
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -181,39 +189,44 @@ def initialize(problem: Problem, pop_size: int,
     return state
 
 
-def step(state: SwarmState, coeffs: Sequence[IpsoParams],
-         rngs: Sequence[np.random.Generator], epsilon0: float = 0.0) -> None:
+def _scale_pulls(pulls: np.ndarray, bounds: np.ndarray) -> None:
+    """Turn standard draws into phi1 and phi2, in place.
+
+    ``pulls[..., 0, :, :]`` holds the phi1 draws and ``pulls[..., 1, :, :]``
+    the phi2 draws; ``bounds[..., 0]`` is c and ``bounds[..., 1]`` is
+    alpha*c.  Generator.uniform(low, high) is low + (high - low) * u for
+    the same u, so U[min(0, b), max(0, b)] is |b| * u + min(0, b), and the
+    shift adds an exact zero when b >= 0.
+    """
+    bounds = bounds[..., None, None]
+    pulls *= np.abs(bounds)
+    pulls += np.minimum(bounds, 0.0)
+
+
+def step(state: SwarmState, omega: np.ndarray, pulls: np.ndarray,
+         epsilon0: float = 0.0) -> None:
     """Advance every run one iteration, in place.
 
-    Run ``r`` moves under ``coeffs[r]`` and draws its phi1 and then its phi2
-    matrix from ``rngs[r]``.  Personal bests require strict improvement by
-    more than ``epsilon0`` and an in-box position; each run's global best is
-    the synchronous minimum of its updated personal bests.
+    Run ``r`` moves with inertia ``omega[r]`` and the drawn pulls
+    ``pulls[r, 0]`` (phi1, towards its personal bests) and ``pulls[r, 1]``
+    (phi2, towards its global best), shapes ``(R,)`` and ``(R, 2, n, d)``.
+    Personal bests require strict improvement by more than ``epsilon0`` and
+    an in-box position; each run's global best is the synchronous minimum
+    of its updated personal bests.
     """
     problem = state.problem
     runs, n, d = state.positions.shape
-    if not (len(coeffs) == len(rngs) == runs):
-        raise ValueError(f"{len(coeffs)} coefficient triples and {len(rngs)} "
-                         f"generators for {runs} runs")
-    table = np.array([(p.omega, p.c, p.alpha * p.c) for p in coeffs])
-    omega, bounds = table[:, 0, None, None], table[:, 1:, None, None]
-    # Run r draws its phi1 and then its phi2 as one block of standard draws u
-    # from its own generator.  Generator.uniform(low, high) is
-    # low + (high - low) * u for the same u, so U[min(0, b), max(0, b)] is
-    # |b| * u + min(0, b), and the shift adds an exact zero when b >= 0.
-    phi = np.empty((runs, 2, n, d))
-    for rng, block in zip(rngs, phi):
-        rng.random(out=block)
-    phi *= np.abs(bounds)
-    phi += np.minimum(bounds, 0.0)
-
+    if np.shape(omega) != (runs,) or np.shape(pulls) != (runs, 2, n, d):
+        raise ValueError(f"inertia of shape {np.shape(omega)} and pulls of "
+                         f"shape {np.shape(pulls)} for {runs} runs of "
+                         f"{n}x{d}; need ({runs},) and ({runs}, 2, {n}, {d})")
     x, v = state.positions, state.velocities
-    v *= omega
+    v *= omega[:, None, None]
     pull = state.pbest_positions - x
-    pull *= phi[:, 0]
+    pull *= pulls[:, 0]
     v += pull
     np.subtract(state.gbest[:, None, :], x, out=pull)
-    pull *= phi[:, 1]
+    pull *= pulls[:, 1]
     v += pull
     x += v
 
@@ -237,33 +250,57 @@ def run_many(problem: Problem, schedule: ScheduleSpec, pop_size: int,
     Each run owns a PCG64 generator seeded from its seed.  The schedule
     clock runs over ``t_max = budget_evals // pop_size`` ticks; stepping
     stops once the budget is spent, so each run's final evaluation count is
-    exactly ``pop_size * (1 + steps)``.  A schedule that reads a run's
-    generator or success rate is asked once per run and tick; any other is
-    asked once per tick for all runs.
+    exactly ``pop_size * (1 + steps)``.
+
+    Everything that does not depend on the positions is made a block of
+    ticks ahead: each run fills its standard uniforms for the block with one
+    generator call (per tick the schedule's draw, if it has one, then phi1,
+    then phi2), and the block's pulls are scaled by its (c, alpha*c) rows.
+    A block holds as many ticks as fit in about 1 MiB of draws, at least
+    one.  A schedule shared by every run is asked once per tick; the
+    inertia of a per-run schedule is one array expression over all runs.
     """
     if pop_size < 1:
         raise ValueError("pop_size must be positive")
     if budget_evals < pop_size:
         raise ValueError("budget_evals must cover at least the initial sweep")
+    if not (math.isfinite(epsilon0) and epsilon0 >= 0.0):
+        raise ValueError(f"epsilon0 must be finite and >= 0, got {epsilon0!r}")
     seeds = list(seeds)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     t_max = budget_evals // pop_size
     steps = -(-budget_evals // pop_size) - 1
     state = initialize(problem, pop_size, rngs)
-    per_run = is_per_run(schedule)
-    best_so_far = np.empty((steps + 1, len(seeds)))
+    runs, n, d = state.positions.shape
+    draws = 1 if isinstance(schedule, RandomInertia) else 0
+    success = isinstance(schedule, SuccessRateInertia)
+    shared = not (draws or success)
+    if not shared:
+        bounds = np.array([schedule.c, schedule.alpha * schedule.c])
+    width = draws + 2 * n * d
+    block = max(1, min(steps, _BLOCK_BYTES // (8 * runs * width)))
+    buffer = np.empty((runs, block, width))
+    best_so_far = np.empty((steps + 1, runs))
     best_so_far[0] = state.gbest_value
-    for t in range(steps):
-        if per_run:
-            coeffs = [coefficients_at(schedule,
-                                      ScheduleFeedback(t, t_max, float(rate)),
-                                      rng)
-                      for rate, rng in zip(state.success_rate, rngs)]
-        else:
-            coeffs = [coefficients_at(schedule,
-                                      ScheduleFeedback(t, t_max))] * len(rngs)
-        step(state, coeffs, rngs, epsilon0=epsilon0)
-        best_so_far[t + 1] = state.gbest_value
+    for start in range(0, steps, block):
+        k = min(block, steps - start)
+        for rng, draw in zip(rngs, buffer):
+            rng.random(out=draw[:k])
+        if shared:
+            triples = [coefficients_at(schedule, ScheduleFeedback(t, t_max))
+                       for t in range(start, start + k)]
+            table = np.array([(p.omega, p.c, p.alpha * p.c) for p in triples])
+            omegas = np.broadcast_to(table[:, :1], (k, runs))
+            bounds = table[:, 1:]
+        elif draws:
+            omegas = schedule.inertia(buffer[:, :k, 0]).T
+        pulls = buffer[:, :k, draws:].reshape(runs, k, 2, n, d)
+        _scale_pulls(pulls, bounds)
+        for j in range(k):
+            omega = (schedule.inertia(state.success_rate) if success
+                     else omegas[j])
+            step(state, omega, pulls[:, j], epsilon0=epsilon0)
+            best_so_far[start + j + 1] = state.gbest_value
     evals = range(pop_size, pop_size * (steps + 2), pop_size)
     return [RunResult(best_value=float(state.gbest_value[r]),
                       best_position=state.gbest[r].copy(),

@@ -247,6 +247,14 @@ class TestOptimize:
         assert code == 2
         assert "unknown test function 'slope'" in err
 
+    def test_negative_epsilon0_is_an_input_error(self, capsys):
+        code, out, err = _run(capsys, "optimize", "--function", "sphere",
+                              "--dimension", "2", "--budget-evals", "100",
+                              "--epsilon0", "-5")
+        assert code == 2
+        assert "epsilon0 must be finite and >= 0, got -5.0" in err
+        assert out == ""
+
 
 class TestScheduleDump:
     def test_mapso_profile_endpoints(self, capsys):
@@ -273,6 +281,14 @@ class TestScheduleDump:
         assert [row[:4] for row in rows] == [
             ["0", "", "", ""], ["5", "", "", ""], ["10", "", "", ""]]
         assert all(float(row[4]) == 0.7 for row in rows)
+
+    @pytest.mark.parametrize("stride", ["0", "-1"])
+    def test_stride_below_one_is_an_input_error(self, capsys, stride):
+        code, out, err = _run(capsys, "schedule-dump", "--t-max", "10",
+                              "--stride", stride)
+        assert code == 2
+        assert f"--stride must be at least 1, got {stride}" in err
+        assert out == ""
 
 
 class TestBenchAndCompare:

@@ -192,6 +192,12 @@ class TestInertiaSpecFields:
             with pytest.raises(ScheduleError, match=message):
                 spec_type(**kwargs)
 
+    def test_success_rate_inertia_span_must_be_finite(self):
+        # Its inertia is computed over every run at once, not through
+        # IpsoParams, so an overflowing span would step on NaN inertia.
+        with pytest.raises(ScheduleError, match="omega_max - omega_min must"):
+            SuccessRateInertia(omega_min=-1e308, omega_max=1e308)
+
     def test_fields_are_coerced_to_float(self):
         spec = LinearInertia(1, 0, c=2, alpha=1)
         assert all(type(getattr(spec, f.name)) is float for f in fields(spec))

@@ -14,8 +14,10 @@ from swarmpattern import (
     Mapso,
     Problem,
     RandomInertia,
+    ScheduleFeedback,
     SuccessRateInertia,
     SwarmState,
+    coefficients_at,
     expectation_fixed_point,
     initialize,
     ipso_to_moments,
@@ -26,6 +28,7 @@ from swarmpattern import (
     suite_function,
     variance_fixed_point,
 )
+from swarmpattern.swarm import _BLOCK_BYTES, _scale_pulls
 
 ICPSO = Constant(IpsoParams(0.711897, 1.711897, 1.0))
 
@@ -42,6 +45,16 @@ def _sphere(dimension, half_width=5.0):
 
 def _rngs(*seeds):
     return [np.random.default_rng(seed) for seed in seeds]
+
+
+def _tick(coeffs, rngs, n, d):
+    """step's inertia and pulls for one tick: run r moves under coeffs[r]
+    and draws its phi1 and then its phi2 from rngs[r], scaled as run_many
+    scales its draws."""
+    omega = np.array([p.omega for p in coeffs])
+    pulls = np.stack([rng.random((2, n, d)) for rng in rngs])
+    _scale_pulls(pulls, np.array([(p.c, p.alpha * p.c) for p in coeffs]))
+    return omega, pulls
 
 
 def _state(problem, positions, velocities, pbest, pbest_values):
@@ -130,7 +143,7 @@ class TestStep:
         positions = np.zeros((3, 2))
         state = _state(problem, positions, np.zeros((3, 2)), positions, [0.0, 0.0, 0.0])
         before = copy.deepcopy(state)
-        step(state, [IpsoParams(0.6, 1.5, 1.0)], _rngs(0))
+        step(state, *_tick([IpsoParams(0.6, 1.5, 1.0)], _rngs(0), 3, 2))
         assert np.array_equal(state.positions[0], positions)
         assert np.array_equal(state.pbest_values, before.pbest_values)
         assert state.t == 1
@@ -143,7 +156,7 @@ class TestStep:
                           lambda X: (np.asarray(X)[..., 0] - 20.0) ** 2)
         state = _state(problem, [[0.5]], [[10.0]], [[0.5]], [problem.objective([0.5])])
         before = copy.deepcopy(state)
-        step(state, [IpsoParams(1.0, 0.0, 1.0)], _rngs(0))
+        step(state, *_tick([IpsoParams(1.0, 0.0, 1.0)], _rngs(0), 1, 1))
         assert state.positions[0, 0, 0] == pytest.approx(10.5)
         assert problem.objective(state.positions[0, 0]) < before.pbest_values[0, 0]
         assert np.array_equal(state.pbest_positions, before.pbest_positions)
@@ -157,7 +170,7 @@ class TestStep:
                        velocities=np.zeros((2, 2)),
                        pbest=[[3.0, 3.0], [1.0, 1.0]],
                        pbest_values=[18.0, 2.0])
-        step(state, [IpsoParams(0.0, 1.49618, 1.0)], _rngs(5))
+        step(state, *_tick([IpsoParams(0.0, 1.49618, 1.0)], _rngs(5), 2, 2))
         assert state.pbest_values[0, 0] < 18.0
         assert not np.array_equal(state.pbest_positions[0, 0], [3.0, 3.0])
         assert state.gbest_value[0] == np.min(state.pbest_values)
@@ -167,9 +180,10 @@ class TestStep:
         problem = Problem(1, np.zeros(1), np.full(1, 10.0), lambda X: X[..., 0])
         strict = _state(problem, [[5.0]], [[-0.001]], [[5.0]], [5.0])
         guarded = copy.deepcopy(strict)
-        step(strict, [IpsoParams(1.0, 0.0, 1.0)], _rngs(0))
+        step(strict, *_tick([IpsoParams(1.0, 0.0, 1.0)], _rngs(0), 1, 1))
         assert strict.pbest_values[0, 0] == pytest.approx(4.999)
-        step(guarded, [IpsoParams(1.0, 0.0, 1.0)], _rngs(0), epsilon0=0.01)
+        step(guarded, *_tick([IpsoParams(1.0, 0.0, 1.0)], _rngs(0), 1, 1),
+             epsilon0=0.01)
         assert guarded.pbest_values[0, 0] == 5.0
 
     def test_flat_objective_never_updates(self):
@@ -178,7 +192,7 @@ class TestStep:
         rngs = _rngs(9)
         initial_pbest = state.pbest_positions.copy()
         for _ in range(20):
-            step(state, [IpsoParams(0.7, 1.4, 1.0)], rngs)
+            step(state, *_tick([IpsoParams(0.7, 1.4, 1.0)], rngs, 6, 3))
             assert state.success_rate[0] == 0.0
         assert np.array_equal(state.pbest_positions, initial_pbest)
         assert state.gbest_value[0] == 0.0
@@ -188,7 +202,7 @@ class TestStep:
                           lambda X: np.full(len(X), np.nan))
         with caplog.at_level("WARNING", logger="swarmpattern.swarm"):
             state = initialize(problem, 4, _rngs(0))
-            step(state, [IpsoParams(0.7, 1.4, 1.0)], _rngs(0))
+            step(state, *_tick([IpsoParams(0.7, 1.4, 1.0)], _rngs(0), 4, 2))
         assert "non-finite" in caplog.text
         assert state.gbest_value[0] == np.inf
         assert np.all(np.isinf(state.pbest_values))
@@ -214,29 +228,35 @@ class TestStep:
             state = initialize(problem, raw.size, _rngs(0, 1, 2))
             assert len(caplog.records) == 1
             assert "9 non-finite value(s) in a sweep of 18" in caplog.text
-            step(state, [IpsoParams(0.7, 1.4, 1.0)] * 3, _rngs(3, 4, 5))
+            step(state, *_tick([IpsoParams(0.7, 1.4, 1.0)] * 3,
+                                _rngs(3, 4, 5), 6, 1))
         assert len(caplog.records) == 2
         assert np.array_equal(state.gbest_value, [1.0, 1.0, 1.0])
 
-    def test_one_triple_and_one_generator_per_run(self):
+    def test_one_inertia_and_one_pull_pair_per_run(self):
         state = initialize(_sphere(2), 4, _rngs(0, 1))
-        with pytest.raises(ValueError, match="1 coefficient triples and 2 "
-                                             "generators for 2 runs"):
-            step(state, [ICPSO.params], _rngs(2, 3))
+        with pytest.raises(ValueError, match=r"for 2 runs of 4x2; need "
+                                             r"\(2,\) and \(2, 2, 4, 2\)"):
+            step(state, *_tick([ICPSO.params], _rngs(2), 4, 2))
+        omega, pulls = _tick([ICPSO.params] * 2, _rngs(2, 3), 4, 2)
+        with pytest.raises(ValueError, match="need"):
+            step(state, omega, pulls[:, :1])
 
     @pytest.mark.parametrize("omega, c, alpha", [
         (0.711897, 1.711897, 1.0), (0.0, 1.49618, 0.3), (-0.4, 0.9, 2.5),
         (0.5, -1.3, 0.5), (0.6, 1.2, -1.5)])
     def test_matches_the_uniform_draw_reference(self, omega, c, alpha):
         # The velocity rule with phi1 ~ U[min(0, c), max(0, c)] and phi2 on
-        # alpha*c, drawn per run with Generator.uniform, phi1 first.
+        # alpha*c, drawn per run with Generator.uniform, phi1 first, against
+        # step fed the standard draws scaled as run_many scales them.
         problem = _sphere(3)
         state = initialize(problem, 6, _rngs(1, 2, 3))
         noise = np.random.default_rng(4).normal(size=(2, 3, 6, 3))
         state.velocities[:] = noise[0]
         state.positions += noise[1]  # off their personal bests
         before = copy.deepcopy(state)
-        step(state, [IpsoParams(omega, c, alpha)] * 3, _rngs(7, 8, 9))
+        step(state, *_tick([IpsoParams(omega, c, alpha)] * 3,
+                           _rngs(7, 8, 9), 6, 3))
         for r, rng in enumerate(_rngs(7, 8, 9)):
             phi1 = rng.uniform(min(0.0, c), max(0.0, c), (6, 3))
             ac = alpha * c
@@ -264,9 +284,10 @@ class TestStep:
         coeffs = [IpsoParams(0.5, 1.2, 1.0), IpsoParams(0.9, 1.7, 0.5)]
         stacked_rngs, alone_rngs = _rngs(20, 21), _rngs(20, 21)
         for _ in range(15):
-            step(stacked, coeffs, stacked_rngs)
+            step(stacked, *_tick(coeffs, stacked_rngs, 5, 3))
             for r in range(2):
-                step(alone[r], coeffs[r:r + 1], alone_rngs[r:r + 1])
+                step(alone[r], *_tick(coeffs[r:r + 1], alone_rngs[r:r + 1],
+                                      5, 3))
         for r in range(2):
             for name in ("positions", "velocities", "pbest_positions",
                          "pbest_values", "gbest", "gbest_value", "success_rate"):
@@ -303,10 +324,15 @@ class TestStagnation:
         problem = Problem(3, -np.ones(3), np.ones(3), lambda X: np.zeros(len(X)))
         state = initialize(problem, 10, _rngs(seed))
         pbest = state.pbest_positions[0].copy()
-        rngs = _rngs(seed)
+        # Every tick's phi1 and phi2 in one draw: the stream a tick-by-tick
+        # draw reads, in the same order.
+        pulls = np.random.default_rng(seed).random((self.TICKS, 1, 2, 10, 3))
+        c = self.COEFFS.c
+        _scale_pulls(pulls, np.array([c, self.COEFFS.alpha * c]))
+        omega = np.array([self.COEFFS.omega])
         trace = np.empty((self.TICKS, 10, 3))
         for t in range(self.TICKS):
-            step(state, [self.COEFFS], rngs)
+            step(state, omega, pulls[t])
             trace[t] = state.positions[0]
         assert np.array_equal(state.pbest_positions[0], pbest)
         gbest = state.gbest[0]
@@ -353,7 +379,7 @@ class TestRun:
         rngs = _rngs(11)
         last = state.gbest_value[0]
         for _ in range(40):
-            step(state, [IpsoParams(0.711897, 1.711897, 1.0)], rngs)
+            step(state, *_tick([ICPSO.params], rngs, 8, 2))
             assert state.gbest_value[0] <= last
             last = state.gbest_value[0]
             assert np.all(state.pbest_positions >= problem.lower)
@@ -389,14 +415,88 @@ class TestRun:
             run(_sphere(2), ICPSO, 10, 9, seed=0)
         with pytest.raises(ValueError, match="at least one generator"):
             run_many(_sphere(2), ICPSO, 10, 100, [])
+        # A negative epsilon0 accepts worse positions as personal bests and
+        # NaN accepts none; neither is a threshold.
+        for epsilon0 in (-1e9, -1e-300, np.nan, np.inf):
+            with pytest.raises(ValueError, match="epsilon0 must be finite"):
+                run(_sphere(3), ICPSO, 10, 2000, seed=0, epsilon0=epsilon0)
 
     def test_sphere_oracle_across_fifty_seeds(self):
         # Desk-scale sanity threshold: the constant-coefficient baseline
         # should land far below 1e-1 on the 10-d sphere nearly always.
+        # Each run of the stack is its lone run() bit for bit.
         fn = suite_function("sphere", 10)
-        problem = fn.problem()
-        successes = sum(
-            run(problem, ICPSO, 20, 50_000, seed).best_value < 1e-1
-            for seed in range(50)
-        )
+        results = run_many(fn.problem(), ICPSO, 20, 50_000, range(50))
+        successes = sum(result.best_value < 1e-1 for result in results)
         assert successes >= 45
+
+
+def _reference_run(problem, schedule, pop_size, budget_evals, seed):
+    """One run by the per-tick loop: the schedule's triple (and draw), then
+    phi1 and phi2 drawn with Generator.uniform, then the velocity rule.
+    Assumes finite objective values and non-negative pull bounds."""
+    rng = np.random.default_rng(seed)
+    n, d = pop_size, problem.dimension
+    t_max = budget_evals // n
+    steps = -(-budget_evals // n) - 1
+    x = rng.uniform(problem.lower, problem.upper, (n, d))
+    v = np.zeros_like(x)
+    pbest, pvalues = x.copy(), problem.objective(x)
+    rate = 0.0
+    best = [pvalues.min()]
+    for t in range(steps):
+        p = coefficients_at(schedule, ScheduleFeedback(t, t_max, rate), rng)
+        phi1 = rng.uniform(0.0, p.c, (n, d))
+        phi2 = rng.uniform(0.0, p.alpha * p.c, (n, d))
+        g = pbest[np.argmin(pvalues)]
+        v = p.omega * v + phi1 * (pbest - x) + phi2 * (g - x)
+        x = x + v
+        values = problem.objective(x)
+        in_box = np.all((x >= problem.lower) & (x <= problem.upper), axis=1)
+        improved = in_box & (values < pvalues)
+        pbest[improved] = x[improved]
+        pvalues[improved] = values[improved]
+        rate = improved.sum() / n
+        best.append(pvalues.min())
+    evals = [n * (1 + t) for t in range(steps + 1)]
+    return (float(pvalues.min()), pbest[np.argmin(pvalues)],
+            tuple(zip(evals, map(float, best))))
+
+
+SCHEDULE_KINDS = {"constant": ICPSO, "mapso": Mapso(),
+                  "linear": LinearInertia(0.9, 0.4), "random": RandomInertia(),
+                  "success": SuccessRateInertia()}
+
+
+class TestBlockDraws:
+    """run_many draws each run's uniforms a block of ticks at a time; every
+    run must still read its stream in the per-tick loop's order."""
+
+    def _assert_matches_reference(self, problem, schedule, pop_size, steps,
+                                  seeds):
+        budget = pop_size * (steps + 1)
+        results = run_many(problem, schedule, pop_size, budget, seeds)
+        for seed, result in zip(seeds, results):
+            value, position, history = _reference_run(problem, schedule,
+                                                      pop_size, budget, seed)
+            assert result.best_value == value, (steps, seed)
+            assert result.best_position.tobytes() == position.tobytes()
+            assert result.history == history, (steps, seed)
+
+    @pytest.mark.parametrize("seeds", [(11,), (5, 6, 7)])
+    @pytest.mark.parametrize("kind", sorted(SCHEDULE_KINDS))
+    def test_every_block_boundary_matches_the_per_tick_loop(self, kind, seeds):
+        n, d = 16, 16
+        schedule = SCHEDULE_KINDS[kind]
+        width = (kind == "random") + 2 * n * d
+        block = _BLOCK_BYTES // (8 * len(seeds) * width)
+        assert block > 2
+        for steps in (0, 1, block - 1, block, block + 1, 3 * block + 5):
+            self._assert_matches_reference(_sphere(d), schedule, n, steps,
+                                           seeds)
+
+    def test_one_tick_blocks_when_a_tick_outgrows_the_buffer(self):
+        n, d, seeds = 40, 1000, (1, 2, 3)
+        assert _BLOCK_BYTES // (8 * len(seeds) * 2 * n * d) == 0
+        for schedule in SCHEDULE_KINDS.values():
+            self._assert_matches_reference(_sphere(d), schedule, n, 3, seeds)
