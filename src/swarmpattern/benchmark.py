@@ -395,8 +395,8 @@ def _run_cell(task) -> tuple[int, int, list[tuple[int, float, str]]]:
         return i, k, [(r, result.best_value, "")
                       for r, result in zip(runs, results)]
     except SwarmPatternError as exc:
-        # Only a schedule shared by every run raises a toolkit error, and it
-        # fails them all at the same tick, as each would fail alone.
+        # Only a schedule whose coefficient table fails its checks raises a
+        # toolkit error, before the first step, so it fails every run alike.
         error = f"{type(exc).__name__}: {exc}"
         return i, k, [(r, math.nan, error) for r in runs]
 

@@ -362,20 +362,20 @@ def cmd_schedule_dump(args) -> int:
         raise _InputError(f"--stride must be at least 1, got {args.stride}")
     spec = _parse_schedule(args.schedule)
     rng = np.random.default_rng(args.seed)
-    is_mapso = isinstance(spec, Mapso)
     lines = ["t,vc,rho1,focus,omega,c,alpha"]
     for t in range(0, args.t_max + 1, args.stride):
-        feedback = ScheduleFeedback(t=t, t_max=args.t_max)
-        params = coefficients_at(spec, feedback, rng)
-        if is_mapso:
+        params = coefficients_at(spec, ScheduleFeedback(t=t, t_max=args.t_max),
+                                 rng)
+        # Blank cells: the pattern of a schedule other than MAPSO, and the
+        # inertia of the success-rate rule, which each run's success sets.
+        cells = [None, None, None, params.omega, params.c, params.alpha]
+        if isinstance(spec, Mapso):
             target = mapso_pattern(t, args.t_max, spec.config)
-            pattern = (_float_csv(target.vc), _float_csv(target.rho1),
-                       _float_csv(target.focus))
-        else:
-            pattern = ("", "", "")
-        lines.append(f"{t},{pattern[0]},{pattern[1]},{pattern[2]},"
-                     f"{_float_csv(params.omega)},{_float_csv(params.c)},"
-                     f"{_float_csv(params.alpha)}")
+            cells[:3] = target.vc, target.rho1, target.focus
+        if isinstance(spec, SuccessRateInertia):
+            cells[3] = None
+        lines.append(",".join([str(t)] + ["" if v is None else _float_csv(v)
+                                          for v in cells]))
     _emit(args.output, "\n".join(lines) + "\n")
     return 0
 

@@ -22,7 +22,8 @@ inertia weight fixed at ``omega`` and draws ``phi1 ~ U[0, c]``,
 Its movement pattern has closed forms in both directions: ``vc`` maps
 ``(omega, c, alpha)`` to the variance coefficient, and
 :func:`solve_coefficients` inverts a full ``MovementPattern`` back to
-parameters, which is what makes pattern scheduling practical.  Whether a
+parameters, which is what makes pattern scheduling practical; each closed
+form is plain arithmetic, written once for floats and arrays.  Whether a
 triple converges is the general order-2 test of :mod:`swarmpattern.moments`
 applied to :func:`ipso_to_moments`; :func:`convergence_report` spells out
 its conditions in the family's own terms.
@@ -126,13 +127,15 @@ def ipso_to_moments(params: IpsoParams) -> CoefficientMoments:
     )
 
 
+def _rho1(mu_omega, mu_phi1, mu_phi2):
+    return (1.0 + mu_omega - mu_phi1 - mu_phi2) / (mu_omega + 1.0)
+
+
 def rho1(coeffs: CoefficientMoments) -> float:
     """Lag-1 autocorrelation of the stationary position series."""
-    mu_w = coeffs.mu_omega
-    if mu_w == -1.0:
+    if coeffs.mu_omega == -1.0:
         raise DegenerateParameterError("rho1 undefined at mu_omega = -1")
-    mu_l = 1.0 + mu_w - coeffs.mu_phi1 - coeffs.mu_phi2
-    return mu_l / (mu_w + 1.0)
+    return _rho1(coeffs.mu_omega, coeffs.mu_phi1, coeffs.mu_phi2)
 
 
 def autocorrelation(coeffs: CoefficientMoments, max_lag: int) -> AutocorrelationSeq:
@@ -174,6 +177,12 @@ def _m1_m2(alpha: float) -> tuple[float, float]:
     return m1, m2
 
 
+def _vc(omega, c, alpha):
+    m1, m2 = _m1_m2(alpha)
+    den = c * (m2 - m1 * omega) + (alpha + 1.0) ** 3 * (6.0 * omega ** 2 - 6.0)
+    return -c * (omega + 1.0) / den
+
+
 def vc(params: IpsoParams) -> float:
     """Variance coefficient of the uniform-coefficient family.
 
@@ -181,19 +190,22 @@ def vc(params: IpsoParams) -> float:
     with ``m1 = (alpha+1)^2 (alpha^2 + 3 alpha + 1)`` and
     ``m2 = (alpha+1)^2 (2 alpha^2 + 3 alpha + 2)``.
     """
-    omega, c, alpha = params.omega, params.c, params.alpha
-    m1, m2 = _m1_m2(alpha)
-    den = c * (m2 - m1 * omega) + (alpha + 1.0) ** 3 * (6.0 * omega ** 2 - 6.0)
-    if den == 0.0:
-        raise DegenerateParameterError("variance coefficient denominator vanishes")
-    return -c * (omega + 1.0) / den
+    try:
+        return _vc(params.omega, params.c, params.alpha)
+    except ZeroDivisionError:
+        raise DegenerateParameterError(
+            "variance coefficient denominator vanishes") from None
+
+
+def _focus(mu_phi1, mu_phi2):
+    return (mu_phi2 / mu_phi1) ** 2
 
 
 def focus(coeffs: CoefficientMoments) -> float:
     """Squared pull ratio ``(mu_phi2 / mu_phi1)^2``."""
     if coeffs.mu_phi1 == 0.0:
         raise DegenerateParameterError("focus undefined when mu_phi1 is zero")
-    return (coeffs.mu_phi2 / coeffs.mu_phi1) ** 2
+    return _focus(coeffs.mu_phi1, coeffs.mu_phi2)
 
 
 def convergence_report(params: IpsoParams) -> dict:
@@ -220,6 +232,23 @@ def convergence_report(params: IpsoParams) -> dict:
 _ROUND_TRIP_RTOL = 1e-9
 
 
+def _solve(rho1, vc, focus, alpha):
+    """(omega, c) realising the pattern at pull ratio ``alpha``, the
+    (rho1, vc, focus) they give back, and whether each is within 1e-9."""
+    m1, m2 = _m1_m2(alpha)
+    omega = ((m1 * vc + m2 * rho1 * vc + rho1 - 1.0)
+             / (m2 * vc + m1 * rho1 * vc - rho1 + 1.0))
+    c = 2.0 * (1.0 - rho1) * (omega + 1.0) / (alpha + 1.0)
+    mu_phi1, mu_phi2 = c / 2.0, alpha * c / 2.0
+    got = (_rho1(omega, mu_phi1, mu_phi2), _vc(omega, c, alpha),
+           _focus(mu_phi1, mu_phi2))
+    # |got - want| <= 1e-9 max(1, |want|), false for NaN.
+    ok = [(abs(g - w) <= _ROUND_TRIP_RTOL)
+          | (abs(g - w) <= _ROUND_TRIP_RTOL * abs(w))
+          for g, w in zip(got, (rho1, vc, focus))]
+    return omega, c, got, ok
+
+
 def solve_coefficients(target: MovementPattern, alpha_sign: int = 1) -> IpsoParams:
     """Parameters of the uniform family realising a movement pattern.
 
@@ -240,24 +269,27 @@ def solve_coefficients(target: MovementPattern, alpha_sign: int = 1) -> IpsoPara
         raise DegenerateParameterError(
             "alpha = -1 leaves the second pull cancelling the first; "
             "no parameters realise this pattern")
-    m1, m2 = _m1_m2(alpha)
-    r, v = target.rho1, target.vc
-    den = m2 * v + m1 * r * v - r + 1.0
-    if den == 0.0:
-        raise DegenerateParameterError("pattern solver denominator vanishes")
-    omega = (m1 * v + m2 * r * v + r - 1.0) / den
-    c = 2.0 * (1.0 - r) * (omega + 1.0) / (alpha + 1.0)
+    try:
+        omega, c, got, ok = _solve(target.rho1, target.vc, target.focus, alpha)
+    except ZeroDivisionError:
+        raise DegenerateParameterError("pattern solver denominator vanishes") from None
     params = IpsoParams(omega=omega, c=c, alpha=alpha)
-
-    coeffs = ipso_to_moments(params)
-    checks = (
-        ("rho1", rho1(coeffs), target.rho1),
-        ("vc", vc(params), target.vc),
-        ("focus", focus(coeffs), target.focus),
-    )
-    for name, got, want in checks:
-        if abs(got - want) > _ROUND_TRIP_RTOL * max(1.0, abs(want)):
+    for name, value, want, fine in zip(("rho1", "vc", "focus"), got,
+                                       (target.rho1, target.vc, target.focus), ok):
+        if not fine:
             raise ConsistencyError(
                 f"pattern solver round-trip failed on {name}: "
-                f"got {got!r}, wanted {want!r}")
+                f"got {value!r}, wanted {want!r}")
     return params
+
+
+def solve_coefficient_arrays(rho1, vc, focus):
+    """:func:`solve_coefficients` with ``alpha_sign = 1`` over arrays of
+    valid targets: the arrays ``omega``, ``c`` and ``alpha``, and a mask of
+    the targets whose solution round-trips.  A float's ``alpha ** 2`` is C
+    ``pow`` and an array's a product, so an element may differ from the
+    scalar solution in its last bit where ``alpha ** 2`` is inexact."""
+    with np.errstate(all="ignore"):
+        alpha = np.sqrt(focus)
+        omega, c, _, ok = _solve(rho1, vc, focus, alpha)
+    return omega, c, alpha, ok[0] & ok[1] & ok[2]

@@ -1,9 +1,10 @@
 """Coefficient schedules: movement-pattern control and baseline inertia rules.
 
-A schedule maps the run clock (and optionally a success-rate feedback
-signal) to the coefficient triple used for the next swarm step.  The
-pattern-adaptive schedule plans the run in movement-pattern space -- wide
-exploration early, a correlated sweep in the middle, tight biased
+A schedule's coefficients over a run clock are one read-only table,
+:func:`coefficient_table`, built and validated whole before a run steps;
+two baselines instead set each run's inertia from its own draw or success
+rate.  The pattern-adaptive schedule plans the run in movement-pattern space
+-- wide exploration early, a correlated sweep in the middle, tight biased
 exploitation late -- and converts each target pattern to coefficients
 through the closed-form pattern solver, so every iteration of the run is
 provably order-2 convergent.
@@ -27,18 +28,22 @@ means the same thing in every process.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ScheduleError
-from .patterns import IpsoParams, MovementPattern, solve_coefficients
+from .errors import ConsistencyError, ScheduleError
+from .patterns import IpsoParams, MovementPattern, solve_coefficient_arrays
+
+_TABLE_CACHE = 32  # (spec, t_max) tables kept; 2 500 ticks take 60 kB
 
 
 @dataclass(frozen=True)
 class MapsoConfig:
-    """Knobs of the pattern-adaptive profile; defaults are the recommended ones."""
+    """Knobs of the pattern-adaptive profile; the defaults are this toolkit's
+    stock setting, not values taken from the paper."""
 
     v_max: float = 25.0
     v_min: float = 5.0
@@ -77,6 +82,30 @@ class ScheduleFeedback:
             raise ValueError("success_rate must lie in [0, 1]")
 
 
+def _mapso_profile(t, t_max, cfg: MapsoConfig):
+    """(rho1, vc, focus) at ticks ``t``: a numpy array, or one numpy float."""
+    t1 = cfg.t1_frac * t_max
+    t2 = cfg.t2_frac * t_max
+    tm = (t1 + t2) / 2.0
+    before, after = t < t1, t > t2
+    with np.errstate(all="ignore"):  # a ramp off its piece may divide by 0
+        # Variance coefficient: flat, ramp down, flat.
+        vc = np.select(
+            [before, after], [cfg.v_max, cfg.v_min],
+            cfg.v_max + (t - t1) / (t2 - t1) * (cfg.v_min - cfg.v_max))
+        # Autocorrelation: a continuous triangle peaking midway between the
+        # knots.  t2 joins the flat tail, not the ramp: the ramp formula
+        # evaluated at its own foot can land one ulp off rho_min.
+        rho1 = np.select(
+            [before | (t >= t2), t <= tm],
+            [cfg.rho_min,
+             cfg.rho_min + (t - t1) / (tm - t1) * (cfg.rho_max - cfg.rho_min)],
+            cfg.rho_max + (t - tm) / (t2 - tm) * (cfg.rho_min - cfg.rho_max))
+    # Focus: unbiased midgame, second-attractor bias endgame.
+    focus = np.select([before, after], [cfg.f_min, cfg.f_max], 1.0)
+    return rho1, vc, focus
+
+
 def mapso_pattern(t: float, t_max: float,
                   cfg: MapsoConfig = MapsoConfig()) -> MovementPattern:
     """The movement-pattern target at one clock tick."""
@@ -84,36 +113,7 @@ def mapso_pattern(t: float, t_max: float,
         raise ValueError("t_max must be positive")
     if not (0 <= t <= t_max):
         raise ValueError(f"t must lie in [0, t_max], got t={t}, t_max={t_max}")
-    t1 = cfg.t1_frac * t_max
-    t2 = cfg.t2_frac * t_max
-    tm = (t1 + t2) / 2.0
-
-    # Variance coefficient: flat, ramp down, flat.
-    if t < t1:
-        vc = cfg.v_max
-    elif t > t2:
-        vc = cfg.v_min
-    else:
-        vc = cfg.v_max + (t - t1) / (t2 - t1) * (cfg.v_min - cfg.v_max)
-
-    # Autocorrelation: a continuous triangle peaking midway between the knots.
-    # t2 joins the flat tail, not the ramp: the ramp formula evaluated at its
-    # own foot can land one ulp off rho_min.
-    if t < t1 or t >= t2:
-        rho1 = cfg.rho_min
-    elif t <= tm:
-        rho1 = cfg.rho_min + (t - t1) / (tm - t1) * (cfg.rho_max - cfg.rho_min)
-    else:
-        rho1 = cfg.rho_max + (t - tm) / (t2 - tm) * (cfg.rho_min - cfg.rho_max)
-
-    # Focus: unbiased midgame, second-attractor bias endgame.
-    if t < t1:
-        focus = cfg.f_min
-    elif t <= t2:
-        focus = 1.0
-    else:
-        focus = cfg.f_max
-    return MovementPattern(rho1=rho1, vc=vc, focus=focus)
+    return MovementPattern(*_mapso_profile(np.float64(t), t_max, cfg))
 
 
 # --- schedule variants -----------------------------------------------------
@@ -202,32 +202,64 @@ ScheduleSpec = (Constant | Mapso | LinearInertia | RandomInertia
                 | SuccessRateInertia)
 
 
+@functools.lru_cache(maxsize=_TABLE_CACHE)
+def coefficient_table(spec: ScheduleSpec, t_max: int) -> np.ndarray:
+    """Read-only ``(t_max + 1, 3)`` rows of ``(omega, c, alpha)``, row ``t``
+    for the step at tick ``t``, the same array for equal ``(spec, t_max)``.
+
+    The per-run kinds leave omega NaN.  A MAPSO row that misses its target
+    pattern (NaN included) raises :class:`ConsistencyError`, any other
+    non-finite entry :class:`ScheduleError`, naming the first bad tick.
+    """
+    ticks = np.arange(t_max + 1)
+    solved = True
+    per_run = isinstance(spec, (RandomInertia, SuccessRateInertia))
+    if per_run:
+        columns = (math.nan, spec.c, spec.alpha)
+    elif isinstance(spec, Constant):
+        columns = (spec.params.omega, spec.params.c, spec.params.alpha)
+    elif isinstance(spec, Mapso):
+        *columns, solved = solve_coefficient_arrays(
+            *_mapso_profile(ticks, t_max, spec.config))
+    elif isinstance(spec, LinearInertia):
+        with np.errstate(all="ignore"):
+            columns = (spec.omega_start + (spec.omega_end - spec.omega_start)
+                       * (ticks / t_max), spec.c, spec.alpha)
+    else:
+        raise ScheduleError(f"unknown schedule spec {spec!r}")
+    table = np.empty((t_max + 1, 3))
+    for j, column in enumerate(columns):
+        table[:, j] = column
+    # A per-run kind's omega column is NaN: each run sets its own.
+    ok = np.isfinite(table[:, per_run:]).all(axis=1) & solved
+    if not ok.all():
+        t = int(np.argmin(ok))
+        error, what = ((ConsistencyError, "pattern solver round-trip failed")
+                       if isinstance(spec, Mapso)
+                       else (ScheduleError, "coefficients must be finite"))
+        raise error(f"{type(spec).__name__} {what} at tick {t} of {t_max}: "
+                    f"(omega, c, alpha) = {tuple(table[t].tolist())}")
+    table.setflags(write=False)
+    return table
+
+
 def coefficients_at(spec: ScheduleSpec, feedback: ScheduleFeedback,
                     rng: np.random.Generator | None = None) -> IpsoParams:
     """Coefficient triple for the step at ``feedback.t``.
 
-    Pure for every variant except :class:`RandomInertia`, which draws from
-    the caller's generator; the calling run owns that generator so replays
-    stay deterministic.
+    Row ``t`` of the schedule's :func:`coefficient_table`, whose NaN
+    inertia :class:`SuccessRateInertia` takes from ``feedback.success_rate``
+    and :class:`RandomInertia` draws from the caller's generator; the calling
+    run owns that generator so replays stay deterministic.
     """
-    if isinstance(spec, Constant):
-        return spec.params
-    if isinstance(spec, Mapso):
-        pattern = mapso_pattern(feedback.t, feedback.t_max, spec.config)
-        return solve_coefficients(pattern, alpha_sign=1)
-    if isinstance(spec, LinearInertia):
-        frac = feedback.t / feedback.t_max
-        omega = spec.omega_start + (spec.omega_end - spec.omega_start) * frac
-        return IpsoParams(omega=omega, c=spec.c, alpha=spec.alpha)
+    omega, c, alpha = coefficient_table(spec, feedback.t_max)[feedback.t]
     if isinstance(spec, RandomInertia):
         if rng is None:
             raise ScheduleError("RandomInertia needs the run's random generator")
         omega = spec.inertia(rng.uniform(0.0, 1.0))
-        return IpsoParams(omega=omega, c=spec.c, alpha=spec.alpha)
-    if isinstance(spec, SuccessRateInertia):
+    elif isinstance(spec, SuccessRateInertia):
         omega = spec.inertia(feedback.success_rate)
-        return IpsoParams(omega=omega, c=spec.c, alpha=spec.alpha)
-    raise ScheduleError(f"unknown schedule spec {spec!r}")
+    return IpsoParams(omega=omega, c=c, alpha=alpha)
 
 
 def baseline_schedules() -> dict[str, ScheduleSpec]:

@@ -14,7 +14,8 @@ best is recomputed synchronously after the whole population has moved.
 Lockstep: :func:`run_many` advances ``R`` independent runs of one problem
 and schedule together.  Their state is stacked along a leading run axis and
 updated in place, and each tick makes one objective call on all ``R*n``
-positions.  :func:`run` is the case ``R = 1``.
+positions and reads its coefficients from a row of the schedule's table.
+:func:`run` is the case ``R = 1``.
 
 Determinism: every run owns one PCG64 generator, seeded from its own seed,
 and reads it in a fixed order per iteration -- first the schedule's own
@@ -30,16 +31,16 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .schedules import (
     RandomInertia,
-    ScheduleFeedback,
     ScheduleSpec,
     SuccessRateInertia,
-    coefficients_at,
+    coefficient_table,
 )
 
 logger = logging.getLogger(__name__)
@@ -89,12 +90,12 @@ class Problem:
 
 @dataclass
 class SwarmState:
-    """Stacked state of ``R`` independent swarms after ``t`` steps.
+    """Stacked state of ``R`` independent swarms.
 
     Positions, velocities and personal bests have shape ``(R, n, d)``,
     personal-best values ``(R, n)``, the global bests ``(R, d)`` and their
     values and success rates ``(R,)``.  :func:`step` updates the arrays in
-    place.  Every run has made ``evals`` evaluations.
+    place.
     """
 
     problem: Problem
@@ -105,8 +106,6 @@ class SwarmState:
     gbest: np.ndarray
     gbest_value: np.ndarray
     success_rate: np.ndarray
-    t: int = 0
-    evals: int = 0
 
     @property
     def runs(self) -> int:
@@ -115,6 +114,11 @@ class SwarmState:
     @property
     def pop_size(self) -> int:
         return int(self.positions.shape[1])
+
+    @cached_property
+    def _run_starts(self) -> np.ndarray:
+        """Index of each run's first particle among all ``R*n``."""
+        return np.arange(0, self.runs * self.pop_size, self.pop_size)
 
 
 @dataclass(frozen=True)
@@ -156,10 +160,10 @@ def _evaluate(problem: Problem, positions: np.ndarray) -> np.ndarray:
 
 
 def _take_gbest(state: SwarmState) -> None:
-    rows = np.arange(state.runs)
     best = state.pbest_values.argmin(axis=1)
-    state.gbest[:] = state.pbest_positions[rows, best]
-    state.gbest_value[:] = state.pbest_values[rows, best]
+    best += state._run_starts
+    state.gbest[:] = state.pbest_positions.reshape(-1, state.gbest.shape[1])[best]
+    state.gbest_value[:] = state.pbest_values.reshape(-1)[best]
 
 
 def initialize(problem: Problem, pop_size: int,
@@ -183,7 +187,6 @@ def initialize(problem: Problem, pop_size: int,
         gbest=np.empty((runs, problem.dimension)),
         gbest_value=np.empty(runs),
         success_rate=np.zeros(runs),
-        evals=pop_size,
     )
     _take_gbest(state)
     return state
@@ -237,8 +240,6 @@ def step(state: SwarmState, omega: np.ndarray, pulls: np.ndarray,
     np.copyto(state.pbest_values, values, where=improved)
     _take_gbest(state)
     state.success_rate[:] = improved.sum(axis=1) / n
-    state.t += 1
-    state.evals += n
 
 
 def run_many(problem: Problem, schedule: ScheduleSpec, pop_size: int,
@@ -252,13 +253,15 @@ def run_many(problem: Problem, schedule: ScheduleSpec, pop_size: int,
     stops once the budget is spent, so each run's final evaluation count is
     exactly ``pop_size * (1 + steps)``.
 
-    Everything that does not depend on the positions is made a block of
-    ticks ahead: each run fills its standard uniforms for the block with one
-    generator call (per tick the schedule's draw, if it has one, then phi1,
-    then phi2), and the block's pulls are scaled by its (c, alpha*c) rows.
-    A block holds as many ticks as fit in about 1 MiB of draws, at least
-    one.  A schedule shared by every run is asked once per tick; the
-    inertia of a per-run schedule is one array expression over all runs.
+    The schedule's coefficient table is built and checked before the
+    initial sweep, so no schedule code runs per tick.  Everything that does
+    not depend on the positions is made a block of ticks ahead: each run
+    fills its standard uniforms for the block with one generator call (per
+    tick the schedule's draw, if it has one, then phi1, then phi2), and the
+    block's pulls are scaled by its (c, alpha*c) rows.  A block holds as
+    many ticks as fit in about 1 MiB of draws, at least one.  The inertia is
+    the table's, or for a per-run schedule one array expression over all
+    runs.
     """
     if pop_size < 1:
         raise ValueError("pop_size must be positive")
@@ -270,13 +273,12 @@ def run_many(problem: Problem, schedule: ScheduleSpec, pop_size: int,
     rngs = [np.random.default_rng(seed) for seed in seeds]
     t_max = budget_evals // pop_size
     steps = -(-budget_evals // pop_size) - 1
+    table = coefficient_table(schedule, t_max)
+    bounds = np.column_stack((table[:, 1], table[:, 2] * table[:, 1]))
     state = initialize(problem, pop_size, rngs)
     runs, n, d = state.positions.shape
     draws = 1 if isinstance(schedule, RandomInertia) else 0
     success = isinstance(schedule, SuccessRateInertia)
-    shared = not (draws or success)
-    if not shared:
-        bounds = np.array([schedule.c, schedule.alpha * schedule.c])
     width = draws + 2 * n * d
     block = max(1, min(steps, _BLOCK_BYTES // (8 * runs * width)))
     buffer = np.empty((runs, block, width))
@@ -286,16 +288,12 @@ def run_many(problem: Problem, schedule: ScheduleSpec, pop_size: int,
         k = min(block, steps - start)
         for rng, draw in zip(rngs, buffer):
             rng.random(out=draw[:k])
-        if shared:
-            triples = [coefficients_at(schedule, ScheduleFeedback(t, t_max))
-                       for t in range(start, start + k)]
-            table = np.array([(p.omega, p.c, p.alpha * p.c) for p in triples])
-            omegas = np.broadcast_to(table[:, :1], (k, runs))
-            bounds = table[:, 1:]
-        elif draws:
+        if draws:
             omegas = schedule.inertia(buffer[:, :k, 0]).T
+        else:
+            omegas = np.broadcast_to(table[start:start + k, :1], (k, runs))
         pulls = buffer[:, :k, draws:].reshape(runs, k, 2, n, d)
-        _scale_pulls(pulls, bounds)
+        _scale_pulls(pulls, bounds[start:start + k])
         for j in range(k):
             omega = (schedule.inertia(state.success_rate) if success
                      else omegas[j])

@@ -397,6 +397,27 @@ class TestRunExperiment:
         assert failures[0] == "algorithm,function,run,error"
         assert len(failures) == 3
 
+    @pytest.mark.parametrize("schedule, error", [
+        (LinearInertia(-1e308, 1e308),
+         "ScheduleError: LinearInertia coefficients must be finite at tick 0"),
+        (Mapso(MapsoConfig(v_min=1e300, v_max=1e308)),
+         "ConsistencyError: Mapso pattern solver round-trip failed at tick 0"),
+    ], ids=["linear", "mapso"])
+    def test_overflowing_schedule_fails_its_own_runs(self, tmp_path, schedule,
+                                                      error):
+        # Both specs pass construction; their coefficients overflow to NaN.
+        plan = ExperimentPlan(
+            algorithms=(("overflow", schedule),),
+            functions=(suite_function("sphere", 2),),
+            dimension=2, pop_size=5, runs=2, evals_per_dim=20)
+        results = run_experiment(plan, out_dir=tmp_path)
+        assert np.all(np.isnan(results.values))
+        assert [f[:3] for f in results.failures] == [
+            ("overflow", "sphere", 0), ("overflow", "sphere", 1)]
+        assert all(f[3].startswith(error) for f in results.failures)
+        failures = (tmp_path / "failures.csv").read_text().splitlines()
+        assert len(failures) == 3 and error in failures[1]
+
     def test_spawned_workers_match_a_serial_run(self, tmp_path, monkeypatch):
         # Spawned workers share no module state with the parent: every spec
         # must mean the same thing after a pickle round trip.

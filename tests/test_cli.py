@@ -282,6 +282,16 @@ class TestScheduleDump:
             ["0", "", "", ""], ["5", "", "", ""], ["10", "", "", ""]]
         assert all(float(row[4]) == 0.7 for row in rows)
 
+    def test_success_rate_inertia_leaves_omega_blank(self, capsys):
+        # Only a run's live success rate sets that inertia; there is no
+        # schedule value to print.
+        code, out, _ = _run(capsys, "schedule-dump", "--schedule", "aiwpso",
+                            "--t-max", "4", "--stride", "2")
+        assert code == 0
+        _, rows = _rows(out)
+        assert rows == [[t, "", "", "", "", "1.49618", "1.0"]
+                        for t in ("0", "2", "4")]
+
     @pytest.mark.parametrize("stride", ["0", "-1"])
     def test_stride_below_one_is_an_input_error(self, capsys, stride):
         code, out, err = _run(capsys, "schedule-dump", "--t-max", "10",
@@ -355,6 +365,19 @@ class TestBenchAndCompare:
         assert "3 runs missing or failed" in err
         assert "see failures.csv: those runs failed, and a rerun fails them the same way" in err
         assert "to resume" not in err
+
+    def test_bench_records_an_overflowing_schedule_as_failed_runs(
+            self, capsys, tmp_path):
+        plan = ExperimentPlan(
+            algorithms=(("overflow", LinearInertia(-1e308, 1e308)),),
+            functions=(suite_function("sphere", 2),),
+            dimension=2, pop_size=5, runs=2, evals_per_dim=20)
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(plan_to_dict(plan)), encoding="utf-8")
+        code, out, _ = _run(capsys, "bench", "--plan", str(plan_path),
+                            "--out", str(tmp_path / "results"))
+        assert code == 0
+        assert "2 runs failed; see failures.csv" in out
 
     def test_compare_without_results(self, capsys, tmp_path):
         code, _, err = _run(capsys, "compare", "--results",

@@ -2,12 +2,14 @@
 and the plan serialization round trip."""
 from __future__ import annotations
 
+import math
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from swarmpattern import (
+    ConsistencyError,
     Constant,
     IpsoParams,
     LinearInertia,
@@ -26,7 +28,12 @@ from swarmpattern import (
     rho1,
     vc,
 )
-from swarmpattern.schedules import schedule_from_dict, schedule_to_dict
+from swarmpattern.schedules import (
+    _mapso_profile,
+    coefficient_table,
+    schedule_from_dict,
+    schedule_to_dict,
+)
 
 T_MAX = 1000
 CFG = MapsoConfig()
@@ -171,6 +178,94 @@ class TestCoefficientsAt:
     def test_constant_needs_ipso_params(self):
         with pytest.raises(ScheduleError, match="Constant needs IpsoParams, got tuple"):
             Constant((0.5, 1.0, 1.0))
+
+
+def _reference_pattern(t, t_max, cfg):
+    """The MAPSO profile as the branchy per-tick code it replaced."""
+    t1 = cfg.t1_frac * t_max
+    t2 = cfg.t2_frac * t_max
+    tm = (t1 + t2) / 2.0
+    if t < t1:
+        vc_t = cfg.v_max
+    elif t > t2:
+        vc_t = cfg.v_min
+    else:
+        vc_t = cfg.v_max + (t - t1) / (t2 - t1) * (cfg.v_min - cfg.v_max)
+    if t < t1 or t >= t2:
+        rho1_t = cfg.rho_min
+    elif t <= tm:
+        rho1_t = cfg.rho_min + (t - t1) / (tm - t1) * (cfg.rho_max - cfg.rho_min)
+    else:
+        rho1_t = cfg.rho_max + (t - tm) / (t2 - tm) * (cfg.rho_min - cfg.rho_max)
+    if t < t1:
+        focus_t = cfg.f_min
+    elif t <= t2:
+        focus_t = 1.0
+    else:
+        focus_t = cfg.f_max
+    return rho1_t, vc_t, focus_t
+
+
+def _reference_solve(r, v, f):
+    """The scalar closed-form solve with a positive alpha, by math.sqrt."""
+    alpha = math.sqrt(f)
+    a1 = (alpha + 1.0) ** 2
+    m1 = a1 * (alpha ** 2 + 3.0 * alpha + 1.0)
+    m2 = a1 * (2.0 * alpha ** 2 + 3.0 * alpha + 2.0)
+    omega = (m1 * v + m2 * r * v + r - 1.0) / (m2 * v + m1 * r * v - r + 1.0)
+    return omega, 2.0 * (1.0 - r) * (omega + 1.0) / (alpha + 1.0), alpha
+
+
+def _reference_row(spec, t, t_max):
+    if isinstance(spec, Constant):
+        return spec.params.omega, spec.params.c, spec.params.alpha
+    if isinstance(spec, LinearInertia):
+        frac = t / t_max
+        omega = spec.omega_start + (spec.omega_end - spec.omega_start) * frac
+        return omega, spec.c, spec.alpha
+    return _reference_solve(*_reference_pattern(t, t_max, spec.config))
+
+
+TABLE_SPECS = {"mapso": Mapso(), "ldw": LinearInertia(0.9, 0.4),
+               "liw": LinearInertia(0.4, 0.9),
+               "constant": Constant(IpsoParams(0.711897, 1.711897, 1.0))}
+
+
+class TestCoefficientTable:
+    @pytest.mark.parametrize("t_max", [1, 2, 15, 29, 2_500, 10_000])
+    @pytest.mark.parametrize("name", sorted(TABLE_SPECS))
+    def test_rows_equal_the_per_tick_reference_bit_for_bit(self, name, t_max):
+        spec = TABLE_SPECS[name]
+        table = coefficient_table(spec, t_max)
+        reference = np.array([_reference_row(spec, t, t_max)
+                              for t in range(t_max + 1)])
+        assert table.shape == (t_max + 1, 3)
+        assert table.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("t_max", [1, 2, 15, 29, 2_500, 10_000])
+    def test_profile_equals_the_per_tick_reference_bit_for_bit(self, t_max):
+        profile = np.array(_mapso_profile(np.arange(t_max + 1), t_max, CFG)).T
+        reference = np.array([_reference_pattern(t, t_max, CFG)
+                              for t in range(t_max + 1)])
+        assert profile.tobytes() == reference.tobytes()
+
+    def test_one_read_only_table_per_spec_and_clock(self):
+        table = coefficient_table(Mapso(), 40)
+        assert coefficient_table(Mapso(MapsoConfig()), 40) is table
+        assert coefficient_table(Mapso(), 41) is not table
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0.5
+
+    def test_per_run_kinds_hold_only_their_pull_ranges(self):
+        table = coefficient_table(SuccessRateInertia(c=1.2, alpha=0.5), 3)
+        assert np.isnan(table[:, 0]).all()
+        assert (table[:, 1:] == [1.2, 0.5]).all()
+
+    def test_first_bad_tick_is_named(self):
+        # Focus 1e9 from t1 on: the solver cannot hold alpha near 31623.
+        spec = Mapso(MapsoConfig(f_max=1e9))
+        with pytest.raises(ConsistencyError, match="failed at tick 9 of 10"):
+            coefficient_table(spec, 10)
 
 
 INERTIA_REQUIRED = {

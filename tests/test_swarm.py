@@ -28,6 +28,8 @@ from swarmpattern import (
     suite_function,
     variance_fixed_point,
 )
+from swarmpattern import patterns, schedules, swarm
+from swarmpattern.schedules import coefficient_table
 from swarmpattern.swarm import _BLOCK_BYTES, _scale_pulls
 
 ICPSO = Constant(IpsoParams(0.711897, 1.711897, 1.0))
@@ -72,8 +74,6 @@ def _state(problem, positions, velocities, pbest, pbest_values):
         gbest=pbest[:, best].copy(),
         gbest_value=pbest_values[:, best].copy(),
         success_rate=np.zeros(1),
-        t=0,
-        evals=positions.shape[1],
     )
 
 
@@ -100,8 +100,6 @@ class TestInitialize:
         state = initialize(problem, 20, _rngs(0))
         assert state.runs == 1
         assert state.pop_size == 20
-        assert state.evals == 20
-        assert state.t == 0
         assert state.positions.shape == (1, 20, 30)
         assert state.pbest_values.shape == (1, 20)
         assert state.gbest.shape == (1, 30)
@@ -146,8 +144,6 @@ class TestStep:
         step(state, *_tick([IpsoParams(0.6, 1.5, 1.0)], _rngs(0), 3, 2))
         assert np.array_equal(state.positions[0], positions)
         assert np.array_equal(state.pbest_values, before.pbest_values)
-        assert state.t == 1
-        assert state.evals == before.evals + 3
 
     def test_out_of_box_improvement_is_rejected(self):
         # Objective improves outside the box; the acceptance rule must hold
@@ -420,6 +416,27 @@ class TestRun:
         for epsilon0 in (-1e9, -1e-300, np.nan, np.inf):
             with pytest.raises(ValueError, match="epsilon0 must be finite"):
                 run(_sphere(3), ICPSO, 10, 2000, seed=0, epsilon0=epsilon0)
+
+    def test_schedule_work_is_one_table_not_per_tick(self, monkeypatch):
+        calls = {"table": 0, "profile": 0, "solve": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(swarm, "coefficient_table",
+                            counted("table", coefficient_table))
+        monkeypatch.setattr(schedules, "_mapso_profile",
+                            counted("profile", schedules._mapso_profile))
+        monkeypatch.setattr(patterns, "_solve",
+                            counted("solve", patterns._solve))
+        coefficient_table.cache_clear()
+        results = run_many(_sphere(2), Mapso(), 4, 4 * 2_001, [0, 1])
+        assert len(results[0].history) == 2_001
+        assert coefficient_table.cache_info().misses == 1
+        assert calls == {"table": 1, "profile": 1, "solve": 1}
 
     def test_sphere_oracle_across_fifty_seeds(self):
         # Desk-scale sanity threshold: the constant-coefficient baseline
