@@ -71,10 +71,8 @@ from .simulate import (
     simulate,
 )
 from .schedules import (
-    Constant,
     LinearInertia,
     Mapso,
-    MapsoConfig,
     RandomInertia,
     ScheduleFeedback,
     ScheduleSpec,

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from .benchmark import (
     run_experiment,
     suite_function,
 )
-from .errors import ScheduleError, SwarmPatternError
+from .errors import SwarmPatternError
 from .moments import (
     AttractorMoments,
     build_moment_system,
@@ -54,7 +55,6 @@ from .patterns import (
     vc,
 )
 from .schedules import (
-    Constant,
     LinearInertia,
     Mapso,
     RandomInertia,
@@ -113,43 +113,38 @@ def _emit_payload(args, payload: dict, lines: list[str]) -> None:
     _emit(args.output, text + "\n")
 
 
+_INLINE = {"constant": IpsoParams, "linear": LinearInertia,
+           "random": RandomInertia, "success": SuccessRateInertia}
+
+
 def _parse_schedule(text: str):
-    """Schedule mini-language: a stock name or ``constant:omega,c,alpha`` /
-    ``linear:ws,we[,c[,alpha]]`` / ``random[:c[,alpha]]`` /
-    ``success[:wmin,wmax[,c[,alpha]]]``."""
+    """Schedule mini-language: a stock name, or ``HEAD[:v,...]`` with a head
+    of :data:`_INLINE` whose spec's fields the values fill in order, the
+    defaulted ones optional, e.g. ``linear:omega_start,omega_end[,c[,alpha]]``."""
     stock = baseline_schedules()
     head, _, tail = text.partition(":")
-    args = []
-    if tail:
-        try:
-            args = [float(v) for v in tail.split(",")]
-        except ValueError:
-            raise _InputError(f"non-numeric schedule arguments in {text!r}") from None
+    if head in stock and not tail:
+        return stock[head]
+    if head not in _INLINE:
+        known = ", ".join(sorted(stock))
+        raise _InputError(f"unknown schedule {text!r}; known: {known}")
     try:
-        if head in stock and not tail:
-            return stock[head]
-        if head == "constant":
-            if len(args) != 3:
-                raise _InputError("constant schedule needs omega,c,alpha")
-            return Constant(IpsoParams(*args))
-        if head == "linear":
-            if len(args) not in (2, 3, 4):
-                raise _InputError("linear schedule needs ws,we[,c[,alpha]]")
-            return LinearInertia(*args)
-        if head == "random":
-            if len(args) > 2:
-                raise _InputError("random schedule takes at most c,alpha")
-            return RandomInertia(*args)
-        if head == "success":
-            if len(args) not in (0, 2, 3, 4):
-                raise _InputError("success schedule needs [wmin,wmax[,c[,alpha]]]")
-            return SuccessRateInertia(*args)
+        args = [float(v) for v in tail.split(",")] if tail else []
+    except ValueError:
+        raise _InputError(f"non-numeric schedule arguments in {text!r}") from None
+    spec_fields = fields(_INLINE[head])
+    required = sum(f.default is MISSING for f in spec_fields)
+    if not required <= len(args) <= len(spec_fields):
+        names = [f.name for f in spec_fields]
+        spelling = ",".join(names[:required])
+        for name in names[required:]:
+            spelling += f"[,{name}" if spelling else f"[{name}"
+        spelling += "]" * (len(names) - required)
+        raise _InputError(f"{head} schedule needs {spelling}")
+    try:
+        return _INLINE[head](*args)
     except ValueError as exc:
-        if isinstance(exc, _InputError):
-            raise
         raise _InputError(f"bad schedule {text!r}: {exc}") from exc
-    known = ", ".join(sorted(stock))
-    raise _InputError(f"unknown schedule {text!r}; known: {known}")
 
 
 def _parse_process(args):
@@ -370,7 +365,7 @@ def cmd_schedule_dump(args) -> int:
         # inertia of the success-rate rule, which each run's success sets.
         cells = [None, None, None, params.omega, params.c, params.alpha]
         if isinstance(spec, Mapso):
-            target = mapso_pattern(t, args.t_max, spec.config)
+            target = mapso_pattern(t, args.t_max, spec)
             cells[:3] = target.vc, target.rho1, target.focus
         if isinstance(spec, SuccessRateInertia):
             cells[3] = None
@@ -486,13 +481,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except SwarmPatternError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # _InputError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

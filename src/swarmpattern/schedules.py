@@ -22,15 +22,16 @@ The profile over normalised time (knots at ``t1 = t_max/5`` and
 
 Baselines for comparison runs: linearly decreasing or increasing inertia,
 uniformly random inertia, success-rate-adaptive inertia, and any constant
-triple.  Every schedule is a frozen dataclass, so a spec pickles by value and
-means the same thing in every process.
+triple, which is :class:`IpsoParams` itself.  Each kind is one flat frozen
+dataclass, so a spec pickles by value, means the same thing in every
+process, and is stored in a plan as its ``_KINDS`` name plus its fields.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -38,31 +39,6 @@ from .errors import ConsistencyError, ScheduleError
 from .patterns import IpsoParams, MovementPattern, solve_coefficient_arrays
 
 _TABLE_CACHE = 32  # (spec, t_max) tables kept; 2 500 ticks take 60 kB
-
-
-@dataclass(frozen=True)
-class MapsoConfig:
-    """Knobs of the pattern-adaptive profile; the defaults are this toolkit's
-    stock setting, not values taken from the paper."""
-
-    v_max: float = 25.0
-    v_min: float = 5.0
-    rho_max: float = 0.8
-    rho_min: float = 0.1
-    f_max: float = 25.0
-    f_min: float = 0.25
-    t1_frac: float = 0.2
-    t2_frac: float = 0.8
-
-    def __post_init__(self):
-        if not (0.0 < self.v_min <= self.v_max):
-            raise ValueError("need 0 < v_min <= v_max")
-        if not (-1.0 < self.rho_min <= self.rho_max < 1.0):
-            raise ValueError("need -1 < rho_min <= rho_max < 1")
-        if not (0.0 < self.f_min <= self.f_max):
-            raise ValueError("need 0 < f_min <= f_max")
-        if not (0.0 <= self.t1_frac < self.t2_frac <= 1.0):
-            raise ValueError("need 0 <= t1_frac < t2_frac <= 1")
 
 
 @dataclass(frozen=True)
@@ -82,7 +58,49 @@ class ScheduleFeedback:
             raise ValueError("success_rate must lie in [0, 1]")
 
 
-def _mapso_profile(t, t_max, cfg: MapsoConfig):
+# --- schedule variants -----------------------------------------------------
+
+def _finite_fields(spec) -> None:
+    """Coerce every field of a schedule spec to a finite float."""
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        try:
+            number = float(value)
+        except (TypeError, ValueError):
+            number = math.nan
+        if not math.isfinite(number):
+            raise ScheduleError(f"{type(spec).__name__}.{f.name} must be a "
+                                f"finite number, got {value!r}")
+        object.__setattr__(spec, f.name, number)
+
+
+@dataclass(frozen=True)
+class Mapso:
+    """Pattern-adaptive schedule: solve the profile's pattern at each tick;
+    the knob defaults are this toolkit's stock setting, not the paper's."""
+
+    v_max: float = 25.0
+    v_min: float = 5.0
+    rho_max: float = 0.8
+    rho_min: float = 0.1
+    f_max: float = 25.0
+    f_min: float = 0.25
+    t1_frac: float = 0.2
+    t2_frac: float = 0.8
+
+    def __post_init__(self):
+        _finite_fields(self)
+        if not (0.0 < self.v_min <= self.v_max):
+            raise ScheduleError("need 0 < v_min <= v_max")
+        if not (-1.0 < self.rho_min <= self.rho_max < 1.0):
+            raise ScheduleError("need -1 < rho_min <= rho_max < 1")
+        if not (0.0 < self.f_min <= self.f_max):
+            raise ScheduleError("need 0 < f_min <= f_max")
+        if not (0.0 <= self.t1_frac < self.t2_frac <= 1.0):
+            raise ScheduleError("need 0 <= t1_frac < t2_frac <= 1")
+
+
+def _mapso_profile(t, t_max, cfg: Mapso):
     """(rho1, vc, focus) at ticks ``t``: a numpy array, or one numpy float."""
     t1 = cfg.t1_frac * t_max
     t2 = cfg.t2_frac * t_max
@@ -107,48 +125,13 @@ def _mapso_profile(t, t_max, cfg: MapsoConfig):
 
 
 def mapso_pattern(t: float, t_max: float,
-                  cfg: MapsoConfig = MapsoConfig()) -> MovementPattern:
+                  cfg: Mapso = Mapso()) -> MovementPattern:
     """The movement-pattern target at one clock tick."""
     if t_max <= 0:
         raise ValueError("t_max must be positive")
     if not (0 <= t <= t_max):
         raise ValueError(f"t must lie in [0, t_max], got t={t}, t_max={t_max}")
     return MovementPattern(*_mapso_profile(np.float64(t), t_max, cfg))
-
-
-# --- schedule variants -----------------------------------------------------
-
-@dataclass(frozen=True)
-class Constant:
-    """The same coefficient triple every iteration."""
-
-    params: IpsoParams
-
-    def __post_init__(self):
-        if not isinstance(self.params, IpsoParams):
-            raise ScheduleError(
-                f"Constant needs IpsoParams, got {type(self.params).__name__}")
-
-
-@dataclass(frozen=True)
-class Mapso:
-    """Pattern-adaptive schedule: solve the profile's pattern at each tick."""
-
-    config: MapsoConfig = field(default_factory=MapsoConfig)
-
-
-def _finite_fields(spec) -> None:
-    """Coerce every field of an inertia spec to a finite float."""
-    for f in fields(spec):
-        value = getattr(spec, f.name)
-        try:
-            number = float(value)
-        except (TypeError, ValueError):
-            number = math.nan
-        if not math.isfinite(number):
-            raise ScheduleError(f"{type(spec).__name__}.{f.name} must be a "
-                                f"finite number, got {value!r}")
-        object.__setattr__(spec, f.name, number)
 
 
 @dataclass(frozen=True)
@@ -198,7 +181,7 @@ class SuccessRateInertia:
         return self.omega_min + (self.omega_max - self.omega_min) * success_rate
 
 
-ScheduleSpec = (Constant | Mapso | LinearInertia | RandomInertia
+ScheduleSpec = (IpsoParams | Mapso | LinearInertia | RandomInertia
                 | SuccessRateInertia)
 
 
@@ -216,11 +199,11 @@ def coefficient_table(spec: ScheduleSpec, t_max: int) -> np.ndarray:
     per_run = isinstance(spec, (RandomInertia, SuccessRateInertia))
     if per_run:
         columns = (math.nan, spec.c, spec.alpha)
-    elif isinstance(spec, Constant):
-        columns = (spec.params.omega, spec.params.c, spec.params.alpha)
+    elif isinstance(spec, IpsoParams):
+        columns = (spec.omega, spec.c, spec.alpha)
     elif isinstance(spec, Mapso):
         *columns, solved = solve_coefficient_arrays(
-            *_mapso_profile(ticks, t_max, spec.config))
+            *_mapso_profile(ticks, t_max, spec))
     elif isinstance(spec, LinearInertia):
         with np.errstate(all="ignore"):
             columns = (spec.omega_start + (spec.omega_end - spec.omega_start)
@@ -266,7 +249,7 @@ def baseline_schedules() -> dict[str, ScheduleSpec]:
     """The stock comparison set: pattern-adaptive plus five classics."""
     return {
         "mapso": Mapso(),
-        "icpso": Constant(IpsoParams(omega=0.711897, c=1.711897, alpha=1.0)),
+        "icpso": IpsoParams(omega=0.711897, c=1.711897, alpha=1.0),
         "ldwpso": LinearInertia(omega_start=0.9, omega_end=0.4),
         "liwpso": LinearInertia(omega_start=0.4, omega_end=0.9),
         "rwpso": RandomInertia(),
@@ -276,27 +259,19 @@ def baseline_schedules() -> dict[str, ScheduleSpec]:
 
 # --- JSON round-trip for experiment plans ----------------------------------
 
+# The one list of JSON kind names; a plan's schedule entry is its kind plus
+# the spec's fields.
+_KINDS = {"constant": IpsoParams, "mapso": Mapso,
+          "linear_inertia": LinearInertia, "random_inertia": RandomInertia,
+          "success_rate_inertia": SuccessRateInertia}
+_KIND_OF = {cls: kind for kind, cls in _KINDS.items()}
+
+
 def schedule_to_dict(spec: ScheduleSpec) -> dict:
-    if isinstance(spec, Constant):
-        p = spec.params
-        return {"kind": "constant", "omega": p.omega, "c": p.c, "alpha": p.alpha}
-    if isinstance(spec, Mapso):
-        cfg = spec.config
-        return {"kind": "mapso",
-                "v_max": cfg.v_max, "v_min": cfg.v_min,
-                "rho_max": cfg.rho_max, "rho_min": cfg.rho_min,
-                "f_max": cfg.f_max, "f_min": cfg.f_min,
-                "t1_frac": cfg.t1_frac, "t2_frac": cfg.t2_frac}
-    if isinstance(spec, LinearInertia):
-        return {"kind": "linear_inertia", "omega_start": spec.omega_start,
-                "omega_end": spec.omega_end, "c": spec.c, "alpha": spec.alpha}
-    if isinstance(spec, RandomInertia):
-        return {"kind": "random_inertia", "c": spec.c, "alpha": spec.alpha}
-    if isinstance(spec, SuccessRateInertia):
-        return {"kind": "success_rate_inertia",
-                "omega_min": spec.omega_min, "omega_max": spec.omega_max,
-                "c": spec.c, "alpha": spec.alpha}
-    raise ScheduleError(f"cannot serialise schedule spec {spec!r}")
+    kind = _KIND_OF.get(type(spec))
+    if kind is None:
+        raise ScheduleError(f"cannot serialise schedule spec {spec!r}")
+    return {"kind": kind, **asdict(spec)}
 
 
 def schedule_from_dict(data: dict) -> ScheduleSpec:
@@ -304,18 +279,10 @@ def schedule_from_dict(data: dict) -> ScheduleSpec:
         kind = data["kind"]
     except (KeyError, TypeError):
         raise ScheduleError("schedule dict needs a 'kind' entry") from None
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ScheduleError(f"unknown schedule kind {kind!r}")
     rest = {k: v for k, v in data.items() if k != "kind"}
     try:
-        if kind == "constant":
-            return Constant(IpsoParams(**rest))
-        if kind == "mapso":
-            return Mapso(MapsoConfig(**rest))
-        if kind == "linear_inertia":
-            return LinearInertia(**rest)
-        if kind == "random_inertia":
-            return RandomInertia(**rest)
-        if kind == "success_rate_inertia":
-            return SuccessRateInertia(**rest)
+        return _KINDS[kind](**rest)
     except (TypeError, ValueError) as exc:
         raise ScheduleError(f"bad fields for schedule kind {kind!r}: {exc}") from exc
-    raise ScheduleError(f"unknown schedule kind {kind!r}")

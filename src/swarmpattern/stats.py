@@ -3,7 +3,7 @@
 Two result samples are compared with the two-sided Mann-Whitney/Wilcoxon
 rank-sum test.  Small samples (fewer than 20 on either side, no ties in the
 pooled data) use the exact permutation distribution of the U statistic,
-counted by the classic lattice recursion; everything else uses the normal
+counted by the Gaussian-binomial recurrence; everything else uses the normal
 approximation with midranks, tie correction and continuity correction.  A
 pooled sample of identical values is maximally uninformative and returns
 p = 1 directly.
@@ -82,31 +82,18 @@ def _midranks(pooled: np.ndarray) -> tuple[np.ndarray, float]:
 
 @lru_cache(maxsize=256)
 def _exact_u_counts(n1: int, n2: int) -> tuple[int, ...]:
-    """Number of rank assignments giving each U value, exact integers.
-
-    Lattice recursion: counts(n1, n2, u) = counts(n1-1, n2, u-n2)
-    + counts(n1, n2-1, u).  Python integers keep it exact for any size.
-    """
+    """Number of rank assignments giving each U value, exact integers: the
+    Gaussian binomial ``prod_{i=1..m} (1 - q^(n+i)) / (1 - q^i)``, m <= n the
+    sample sizes, built a factor at a time and cut past its degree ``m n``."""
     max_u = n1 * n2
-    prev = [[0] * (max_u + 1) for _ in range(n2 + 1)]
-    prev[0][0] = 1  # zero elements from the first sample
-    for n in range(1, n2 + 1):
-        prev[n][0] = 1
-    current = prev
-    for m in range(1, n1 + 1):
-        nxt = [[0] * (max_u + 1) for _ in range(n2 + 1)]
-        nxt[0][0] = 1
-        for n in range(1, n2 + 1):
-            row = nxt[n]
-            shifted = current[n]
-            below = nxt[n - 1]
-            for u in range(max_u + 1):
-                total = below[u]
-                if u >= n:
-                    total += shifted[u - n]
-                row[u] = total
-        current = nxt
-    return tuple(current[n2])
+    counts = [1] + [0] * max_u
+    for i in range(1, min(n1, n2) + 1):
+        k = max(n1, n2) + i
+        for u in range(max_u, k - 1, -1):  # times (1 - q^k)
+            counts[u] -= counts[u - k]
+        for u in range(i, max_u + 1):  # over (1 - q^i)
+            counts[u] += counts[u - i]
+    return tuple(counts)
 
 
 def _exact_two_sided_p(u: float, n1: int, n2: int) -> float:

@@ -19,7 +19,6 @@ from swarmpattern import (
     IidUniformAttractors,
     IpsoParams,
     Mapso,
-    MapsoConfig,
     MovementPattern,
     RandomWalkAttractors,
     ScheduleFeedback,
@@ -201,8 +200,7 @@ def test_07_focus_law(capsys):
 
 def test_08_adaptive_schedule_is_feasible_and_faithful(capsys):
     t_max = 10_000
-    cfg = MapsoConfig()
-    schedule = Mapso(cfg)
+    schedule = Mapso()
     worst = 0.0
     all_stable = True
     vc_seen, rho_seen, focus_seen = [], [], []
@@ -210,7 +208,7 @@ def test_08_adaptive_schedule_is_feasible_and_faithful(capsys):
         params = coefficients_at(schedule, ScheduleFeedback(t=t, t_max=t_max))
         coeffs = ipso_to_moments(params)
         all_stable = all_stable and is_order2_convergent(coeffs)
-        pattern = mapso_pattern(t, t_max, cfg)
+        pattern = mapso_pattern(t, t_max, schedule)
         targets = (pattern.vc, pattern.rho1, pattern.focus)
         got = (vc(params), rho1(coeffs), focus(coeffs))
         worst = max(worst, *(abs(g - w) / max(1.0, abs(w))

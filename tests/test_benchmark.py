@@ -10,12 +10,10 @@ import numpy as np
 import pytest
 
 from swarmpattern import (
-    Constant,
     ExperimentPlan,
     IpsoParams,
     LinearInertia,
     Mapso,
-    MapsoConfig,
     ResultSet,
     baseline_schedules,
     classic_suite,
@@ -32,7 +30,7 @@ from swarmpattern import (
 )
 from swarmpattern import benchmark
 
-ICPSO = Constant(IpsoParams(0.711897, 1.711897, 1.0))
+ICPSO = IpsoParams(0.711897, 1.711897, 1.0)
 
 
 def _tiny_plan(base_seed=7):
@@ -171,10 +169,34 @@ class TestDeriveSeed:
         assert all(0 <= s < 2 ** 64 for s in seeds)
 
 
+# The stock algorithms as a plan file stores them, key order included.
+# Resume compares a stored plan with the one it is asked to run, so this
+# format must not drift.
+STOCK_ALGORITHMS_ON_DISK = [
+    {"name": "mapso", "schedule": {
+        "kind": "mapso", "v_max": 25.0, "v_min": 5.0, "rho_max": 0.8,
+        "rho_min": 0.1, "f_max": 25.0, "f_min": 0.25, "t1_frac": 0.2,
+        "t2_frac": 0.8}},
+    {"name": "icpso", "schedule": {
+        "kind": "constant", "omega": 0.711897, "c": 1.711897, "alpha": 1.0}},
+    {"name": "ldwpso", "schedule": {
+        "kind": "linear_inertia", "omega_start": 0.9, "omega_end": 0.4,
+        "c": 1.49618, "alpha": 1.0}},
+    {"name": "liwpso", "schedule": {
+        "kind": "linear_inertia", "omega_start": 0.4, "omega_end": 0.9,
+        "c": 1.49618, "alpha": 1.0}},
+    {"name": "rwpso", "schedule": {
+        "kind": "random_inertia", "c": 1.49618, "alpha": 1.0}},
+    {"name": "aiwpso", "schedule": {
+        "kind": "success_rate_inertia", "omega_min": 0.0, "omega_max": 1.0,
+        "c": 1.49618, "alpha": 1.0}},
+]
+
+
 class TestPlanSerialization:
     def test_round_trip_preserves_every_field(self):
         plan = ExperimentPlan(
-            algorithms=(("icpso", ICPSO), ("wide", Mapso(MapsoConfig(v_max=30.0)))),
+            algorithms=(("icpso", ICPSO), ("wide", Mapso(v_max=30.0))),
             functions=(suite_function("shifted_sphere", 3),),
             dimension=3, pop_size=7, runs=4, evals_per_dim=100, base_seed=99)
         back = plan_from_dict(plan_to_dict(plan))
@@ -184,6 +206,15 @@ class TestPlanSerialization:
                               plan.functions[0].objective.keywords["shift"])
         assert (back.dimension, back.pop_size, back.runs,
                 back.evals_per_dim, back.base_seed) == (3, 7, 4, 100, 99)
+
+    def test_stock_algorithms_keep_their_on_disk_format(self):
+        written = plan_to_dict(default_plan())
+        assert (json.dumps(written["algorithms"])
+                == json.dumps(STOCK_ALGORITHMS_ON_DISK))
+        stored = {**written, "algorithms": STOCK_ALGORITHMS_ON_DISK}
+        again = plan_to_dict(plan_from_dict(json.loads(json.dumps(stored))))
+        assert (json.dumps(again["algorithms"])
+                == json.dumps(STOCK_ALGORITHMS_ON_DISK))
 
     def test_load_plan_from_file(self, tmp_path):
         path = tmp_path / "plan.json"
@@ -363,7 +394,7 @@ class TestRunExperiment:
         # A failed run is pending on resume; its shared schedule fails again
         # the same way, so failures.csv survives the rerun unchanged.
         plan = ExperimentPlan(
-            algorithms=(("biased", Mapso(MapsoConfig(f_min=1e9, f_max=1e9))),
+            algorithms=(("biased", Mapso(f_min=1e9, f_max=1e9)),
                         ("icpso", ICPSO)),
             functions=(suite_function("sphere", 2),),
             dimension=2, pop_size=5, runs=3, evals_per_dim=20)
@@ -383,7 +414,7 @@ class TestRunExperiment:
     def test_failed_runs_become_nan_not_crashes(self, tmp_path):
         plan = ExperimentPlan(
             algorithms=(("icpso", ICPSO),
-                        ("biased", Mapso(MapsoConfig(f_min=1e9, f_max=1e9)))),
+                        ("biased", Mapso(f_min=1e9, f_max=1e9))),
             functions=(suite_function("sphere", 2),),
             dimension=2, pop_size=5, runs=2, evals_per_dim=20)
         results = run_experiment(plan, out_dir=tmp_path)
@@ -400,7 +431,7 @@ class TestRunExperiment:
     @pytest.mark.parametrize("schedule, error", [
         (LinearInertia(-1e308, 1e308),
          "ScheduleError: LinearInertia coefficients must be finite at tick 0"),
-        (Mapso(MapsoConfig(v_min=1e300, v_max=1e308)),
+        (Mapso(v_min=1e300, v_max=1e308),
          "ConsistencyError: Mapso pattern solver round-trip failed at tick 0"),
     ], ids=["linear", "mapso"])
     def test_overflowing_schedule_fails_its_own_runs(self, tmp_path, schedule,

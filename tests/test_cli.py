@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 
 from swarmpattern import (
-    Constant,
     ExperimentPlan,
     IpsoParams,
     LinearInertia,
     Mapso,
-    MapsoConfig,
+    SuccessRateInertia,
     __version__,
     cli,
     ipso_to_moments,
@@ -237,10 +236,26 @@ class TestOptimize:
                 "aiwpso, icpso, ldwpso, liwpso, mapso, rwpso") in err
 
     def test_malformed_schedule_expression(self, capsys):
-        code, _, err = _run(capsys, "optimize", "--function", "sphere",
-                            "--schedule", "constant:0.7,1.4")
-        assert code == 2
-        assert "constant schedule needs omega,c,alpha" in err
+        # The spelling in each message is read from the spec's fields.
+        for text, message in [
+                ("constant:0.7,1.4", "constant schedule needs omega,c,alpha"),
+                ("linear:0.9",
+                 "linear schedule needs omega_start,omega_end[,c[,alpha]]"),
+                ("random:1,1,1", "random schedule needs [c[,alpha]]"),
+                ("success:0,1,1,1,1",
+                 "success schedule needs [omega_min[,omega_max[,c[,alpha]]]]")]:
+            code, _, err = _run(capsys, "optimize", "--function", "sphere",
+                                "--schedule", text)
+            assert code == 2
+            assert message in err
+
+    def test_inline_arguments_fill_the_spec_fields_in_order(self):
+        assert cli._parse_schedule("success:0.2") == SuccessRateInertia(
+            omega_min=0.2)
+        assert cli._parse_schedule("linear:0.9,0.4,2") == LinearInertia(
+            0.9, 0.4, c=2.0)
+        assert cli._parse_schedule("constant:0.7,1.4,1") == IpsoParams(
+            0.7, 1.4, 1.0)
 
     def test_unknown_function(self, capsys):
         code, _, err = _run(capsys, "optimize", "--function", "slope")
@@ -305,7 +320,7 @@ class TestBenchAndCompare:
     @pytest.fixture()
     def plan_file(self, tmp_path):
         plan = ExperimentPlan(
-            algorithms=(("icpso", Constant(IpsoParams(0.711897, 1.711897, 1.0))),
+            algorithms=(("icpso", IpsoParams(0.711897, 1.711897, 1.0)),
                         ("ldw", LinearInertia(0.9, 0.4))),
             functions=(suite_function("sphere", 2), suite_function("ackley", 2)),
             dimension=2, pop_size=10, runs=3, evals_per_dim=50, base_seed=7)
@@ -349,8 +364,8 @@ class TestBenchAndCompare:
 
     def test_compare_on_failed_runs_points_at_failures_csv(self, capsys, tmp_path):
         plan = ExperimentPlan(
-            algorithms=(("biased", Mapso(MapsoConfig(f_min=1e9, f_max=1e9))),
-                        ("icpso", Constant(IpsoParams(0.711897, 1.711897, 1.0)))),
+            algorithms=(("biased", Mapso(f_min=1e9, f_max=1e9)),
+                        ("icpso", IpsoParams(0.711897, 1.711897, 1.0))),
             functions=(suite_function("sphere", 2),),
             dimension=2, pop_size=5, runs=3, evals_per_dim=20)
         plan_path = tmp_path / "plan.json"
@@ -388,16 +403,20 @@ class TestBenchAndCompare:
     def test_bench_rejects_a_non_finite_plan_before_writing(
             self, capsys, tmp_path, plan_file):
         data = json.loads(plan_file.read_text(encoding="utf-8"))
-        data["algorithms"][1]["schedule"]["c"] = float("nan")
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(data), encoding="utf-8")
-        assert "NaN" in bad.read_text(encoding="utf-8")
-        out_dir = tmp_path / "d"
-        code, _, err = _run(capsys, "bench", "--plan", str(bad),
-                            "--out", str(out_dir))
-        assert code == 2
-        assert "bad fields for schedule kind 'linear_inertia'" in err
-        assert not (out_dir / "manifest.json").exists()
+        linear = data["algorithms"][1]["schedule"]
+        for kind, schedule, spelling in [
+                ("linear_inertia", {**linear, "c": float("nan")}, "NaN"),
+                ("mapso", {"kind": "mapso", "v_max": float("inf")}, "Infinity")]:
+            data["algorithms"][1]["schedule"] = schedule
+            bad = tmp_path / f"bad_{kind}.json"
+            bad.write_text(json.dumps(data), encoding="utf-8")
+            assert spelling in bad.read_text(encoding="utf-8")
+            out_dir = tmp_path / f"d_{kind}"
+            code, _, err = _run(capsys, "bench", "--plan", str(bad),
+                                "--out", str(out_dir))
+            assert code == 2
+            assert f"bad fields for schedule kind '{kind}'" in err
+            assert not (out_dir / "manifest.json").exists()
 
     def test_bench_without_plan_file(self, capsys, tmp_path):
         code, _, err = _run(capsys, "bench", "--plan",

@@ -3,6 +3,7 @@ and the plan serialization round trip."""
 from __future__ import annotations
 
 import math
+import typing
 from dataclasses import fields
 
 import numpy as np
@@ -10,16 +11,16 @@ import pytest
 
 from swarmpattern import (
     ConsistencyError,
-    Constant,
     IpsoParams,
     LinearInertia,
     Mapso,
-    MapsoConfig,
     RandomInertia,
     ScheduleError,
     ScheduleFeedback,
+    ScheduleSpec,
     SuccessRateInertia,
     baseline_schedules,
+    cli,
     coefficients_at,
     focus,
     ipso_to_moments,
@@ -29,6 +30,7 @@ from swarmpattern import (
     vc,
 )
 from swarmpattern.schedules import (
+    _KINDS,
     _mapso_profile,
     coefficient_table,
     schedule_from_dict,
@@ -36,7 +38,7 @@ from swarmpattern.schedules import (
 )
 
 T_MAX = 1000
-CFG = MapsoConfig()
+CFG = Mapso()
 T1 = CFG.t1_frac * T_MAX
 T2 = CFG.t2_frac * T_MAX
 T_MID = (T1 + T2) / 2.0
@@ -84,14 +86,14 @@ class TestMapsoProfiles:
             _profile(T_MAX + 1)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="0 < v_min <= v_max"):
-            MapsoConfig(v_max=5.0, v_min=25.0)
-        with pytest.raises(ValueError, match="-1 < rho_min <= rho_max < 1"):
-            MapsoConfig(rho_max=1.0)
-        with pytest.raises(ValueError, match="0 < f_min <= f_max"):
-            MapsoConfig(f_min=0.0)
-        with pytest.raises(ValueError, match="0 <= t1_frac < t2_frac <= 1"):
-            MapsoConfig(t1_frac=0.9, t2_frac=0.2)
+        with pytest.raises(ScheduleError, match="0 < v_min <= v_max"):
+            Mapso(v_max=5.0, v_min=25.0)
+        with pytest.raises(ScheduleError, match="-1 < rho_min <= rho_max < 1"):
+            Mapso(rho_max=1.0)
+        with pytest.raises(ScheduleError, match="0 < f_min <= f_max"):
+            Mapso(f_min=0.0)
+        with pytest.raises(ScheduleError, match="0 <= t1_frac < t2_frac <= 1"):
+            Mapso(t1_frac=0.9, t2_frac=0.2)
 
     def test_feedback_validation(self):
         with pytest.raises(ValueError, match="t_max must be positive"):
@@ -105,7 +107,7 @@ class TestMapsoProfiles:
 class TestCoefficientsAt:
     def test_constant_passes_through(self):
         params = IpsoParams(0.711897, 1.711897, 1.0)
-        out = coefficients_at(Constant(params), ScheduleFeedback(t=3, t_max=10))
+        out = coefficients_at(params, ScheduleFeedback(t=3, t_max=10))
         assert out == params
 
     def test_pattern_schedule_start(self):
@@ -175,10 +177,6 @@ class TestCoefficientsAt:
         with pytest.raises(ScheduleError, match="unknown schedule spec"):
             coefficients_at(object(), ScheduleFeedback(t=0, t_max=10))
 
-    def test_constant_needs_ipso_params(self):
-        with pytest.raises(ScheduleError, match="Constant needs IpsoParams, got tuple"):
-            Constant((0.5, 1.0, 1.0))
-
 
 def _reference_pattern(t, t_max, cfg):
     """The MAPSO profile as the branchy per-tick code it replaced."""
@@ -217,18 +215,18 @@ def _reference_solve(r, v, f):
 
 
 def _reference_row(spec, t, t_max):
-    if isinstance(spec, Constant):
-        return spec.params.omega, spec.params.c, spec.params.alpha
+    if isinstance(spec, IpsoParams):
+        return spec.omega, spec.c, spec.alpha
     if isinstance(spec, LinearInertia):
         frac = t / t_max
         omega = spec.omega_start + (spec.omega_end - spec.omega_start) * frac
         return omega, spec.c, spec.alpha
-    return _reference_solve(*_reference_pattern(t, t_max, spec.config))
+    return _reference_solve(*_reference_pattern(t, t_max, spec))
 
 
 TABLE_SPECS = {"mapso": Mapso(), "ldw": LinearInertia(0.9, 0.4),
                "liw": LinearInertia(0.4, 0.9),
-               "constant": Constant(IpsoParams(0.711897, 1.711897, 1.0))}
+               "constant": IpsoParams(0.711897, 1.711897, 1.0)}
 
 
 class TestCoefficientTable:
@@ -251,7 +249,7 @@ class TestCoefficientTable:
 
     def test_one_read_only_table_per_spec_and_clock(self):
         table = coefficient_table(Mapso(), 40)
-        assert coefficient_table(Mapso(MapsoConfig()), 40) is table
+        assert coefficient_table(Mapso(v_max=25), 40) is table
         assert coefficient_table(Mapso(), 41) is not table
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 0.5
@@ -263,7 +261,7 @@ class TestCoefficientTable:
 
     def test_first_bad_tick_is_named(self):
         # Focus 1e9 from t1 on: the solver cannot hold alpha near 31623.
-        spec = Mapso(MapsoConfig(f_max=1e9))
+        spec = Mapso(f_max=1e9)
         with pytest.raises(ConsistencyError, match="failed at tick 9 of 10"):
             coefficient_table(spec, 10)
 
@@ -272,6 +270,7 @@ INERTIA_REQUIRED = {
     LinearInertia: {"omega_start": 0.9, "omega_end": 0.4},
     RandomInertia: {},
     SuccessRateInertia: {},
+    Mapso: {},
 }
 
 
@@ -297,28 +296,37 @@ class TestInertiaSpecFields:
         spec = LinearInertia(1, 0, c=2, alpha=1)
         assert all(type(getattr(spec, f.name)) is float for f in fields(spec))
         assert spec == LinearInertia(1.0, 0.0, c=2.0, alpha=1.0)
+        mapso = Mapso(v_max=30, f_max=30)
+        assert all(type(getattr(mapso, f.name)) is float for f in fields(mapso))
+        assert mapso == Mapso(v_max=30.0, f_max=30.0)
 
 
 class TestBaselines:
     def test_stock_set(self):
         stock = baseline_schedules()
         assert list(stock) == ["mapso", "icpso", "ldwpso", "liwpso", "rwpso", "aiwpso"]
-        assert stock["icpso"] == Constant(IpsoParams(0.711897, 1.711897, 1.0))
+        assert stock["icpso"] == IpsoParams(0.711897, 1.711897, 1.0)
         assert stock["ldwpso"] == LinearInertia(omega_start=0.9, omega_end=0.4)
         assert stock["liwpso"] == LinearInertia(omega_start=0.4, omega_end=0.9)
 
 
 class TestSerialization:
     @pytest.mark.parametrize("spec", [
-        Constant(IpsoParams(0.5, 1.2, 1.0)),
+        IpsoParams(0.5, 1.2, 1.0),
         Mapso(),
-        Mapso(MapsoConfig(v_max=30.0, rho_max=0.7)),
+        Mapso(v_max=30.0, rho_max=0.7),
         LinearInertia(0.9, 0.4),
         RandomInertia(c=2.0),
         SuccessRateInertia(omega_min=0.1, omega_max=0.7),
     ], ids=lambda s: type(s).__name__)
     def test_round_trip(self, spec):
         assert schedule_from_dict(schedule_to_dict(spec)) == spec
+
+    def test_kinds_table_is_the_one_list_of_spec_types(self):
+        # A kind added to the union, the plan format or the CLI alone fails.
+        assert set(_KINDS.values()) == set(typing.get_args(ScheduleSpec))
+        assert len(_KINDS) == len(typing.get_args(ScheduleSpec))
+        assert set(cli._INLINE.values()) <= set(_KINDS.values())
 
     def test_missing_kind(self):
         with pytest.raises(ValueError, match="needs a 'kind' entry"):

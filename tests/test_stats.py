@@ -86,11 +86,12 @@ class TestWilcoxonRankSum:
 
     def test_exact_path_matches_scipy(self):
         rng = np.random.default_rng(3)
-        a = rng.normal(0.0, 1.0, 8)
-        b = rng.normal(0.5, 1.0, 6)
-        reference = scipy.stats.mannwhitneyu(
-            a, b, alternative="two-sided", method="exact").pvalue
-        assert wilcoxon_rank_sum(a, b) == pytest.approx(reference, abs=1e-12)
+        for n1, n2 in ((8, 6), (19, 200)):
+            a = rng.normal(0.0, 1.0, n1)
+            b = rng.normal(0.5, 1.0, n2)
+            reference = scipy.stats.mannwhitneyu(
+                a, b, alternative="two-sided", method="exact").pvalue
+            assert wilcoxon_rank_sum(a, b) == pytest.approx(reference, abs=1e-12)
 
     def test_tied_path_matches_scipy_corrected_normal(self):
         rng = np.random.default_rng(8)

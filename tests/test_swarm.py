@@ -8,7 +8,6 @@ import pytest
 
 from swarmpattern import (
     AttractorMoments,
-    Constant,
     IpsoParams,
     LinearInertia,
     Mapso,
@@ -32,7 +31,7 @@ from swarmpattern import patterns, schedules, swarm
 from swarmpattern.schedules import coefficient_table
 from swarmpattern.swarm import _BLOCK_BYTES, _scale_pulls
 
-ICPSO = Constant(IpsoParams(0.711897, 1.711897, 1.0))
+ICPSO = IpsoParams(0.711897, 1.711897, 1.0)
 
 
 def _sphere(dimension, half_width=5.0):
@@ -233,8 +232,8 @@ class TestStep:
         state = initialize(_sphere(2), 4, _rngs(0, 1))
         with pytest.raises(ValueError, match=r"for 2 runs of 4x2; need "
                                              r"\(2,\) and \(2, 2, 4, 2\)"):
-            step(state, *_tick([ICPSO.params], _rngs(2), 4, 2))
-        omega, pulls = _tick([ICPSO.params] * 2, _rngs(2, 3), 4, 2)
+            step(state, *_tick([ICPSO], _rngs(2), 4, 2))
+        omega, pulls = _tick([ICPSO] * 2, _rngs(2, 3), 4, 2)
         with pytest.raises(ValueError, match="need"):
             step(state, omega, pulls[:, :1])
 
@@ -375,7 +374,7 @@ class TestRun:
         rngs = _rngs(11)
         last = state.gbest_value[0]
         for _ in range(40):
-            step(state, *_tick([ICPSO.params], rngs, 8, 2))
+            step(state, *_tick([ICPSO], rngs, 8, 2))
             assert state.gbest_value[0] <= last
             last = state.gbest_value[0]
             assert np.all(state.pbest_positions >= problem.lower)
