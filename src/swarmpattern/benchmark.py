@@ -297,6 +297,8 @@ def plan_to_dict(plan: ExperimentPlan) -> dict:
 
 
 def plan_from_dict(data: dict) -> ExperimentPlan:
+    if not isinstance(data, dict):
+        raise ValueError("malformed experiment plan: not a JSON object")
     version = data.get("format_version")
     if version != PLAN_FORMAT_VERSION:
         raise ValueError(f"unsupported plan format_version {version!r} "
@@ -304,18 +306,16 @@ def plan_from_dict(data: dict) -> ExperimentPlan:
     try:
         algorithms = tuple((a["name"], schedule_from_dict(a["schedule"]))
                            for a in data["algorithms"])
-        dimension = int(data["dimension"])
-        functions = tuple(suite_function(name, dimension)
+        counts = {key: data[key] for key in ("dimension", "pop_size", "runs",
+                                             "evals_per_dim", "base_seed")}
+        # JSON integers only: a float, bool or string is never truncated.
+        for key, value in counts.items():
+            if type(value) is not int:
+                raise TypeError(f"{key} must be a JSON integer, got {value!r}")
+        functions = tuple(suite_function(name, counts["dimension"])
                           for name in data["functions"])
-        return ExperimentPlan(
-            algorithms=algorithms,
-            functions=functions,
-            dimension=dimension,
-            pop_size=int(data["pop_size"]),
-            runs=int(data["runs"]),
-            evals_per_dim=int(data["evals_per_dim"]),
-            base_seed=int(data["base_seed"]),
-        )
+        return ExperimentPlan(algorithms=algorithms, functions=functions,
+                              **counts)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed experiment plan: {exc}") from exc
 
@@ -323,6 +323,18 @@ def plan_from_dict(data: dict) -> ExperimentPlan:
 def load_plan(path: str | Path) -> ExperimentPlan:
     with open(path, encoding="utf-8") as fh:
         return plan_from_dict(json.load(fh))
+
+
+def _manifest_plan(path: Path) -> dict:
+    """The plan dict of a ``manifest.json``; a ValueError unless the file is
+    a JSON object holding a ``plan`` object."""
+    with open(path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    plan = manifest.get("plan") if isinstance(manifest, dict) else None
+    if not isinstance(plan, dict):
+        raise ValueError(f"{path} is not a manifest: need a JSON object "
+                         "with a 'plan' object")
+    return plan
 
 
 def _cell_path(out_dir: Path, algorithm: str, function: str) -> Path:
@@ -422,9 +434,7 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | Path | None = None,
         manifest_path = out_path / "manifest.json"
         manifest = {"plan": plan_to_dict(plan), "toolkit_version": __version__}
         if manifest_path.exists():
-            with open(manifest_path, encoding="utf-8") as fh:
-                on_disk = json.load(fh)
-            if on_disk.get("plan") != manifest["plan"]:
+            if _manifest_plan(manifest_path) != manifest["plan"]:
                 raise ValueError(
                     f"{manifest_path} was written for a different plan; "
                     "use a fresh output directory")
@@ -497,9 +507,7 @@ def load_results(out_dir: str | Path) -> ResultSet:
     manifest_path = out_path / "manifest.json"
     if not manifest_path.exists():
         raise FileNotFoundError(f"no manifest.json under {out_path}")
-    with open(manifest_path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    plan = plan_from_dict(manifest["plan"])
+    plan = plan_from_dict(_manifest_plan(manifest_path))
     values, seeds = _read_results(plan, out_path)
     missing = np.argwhere(np.isnan(values))
     if missing.size:

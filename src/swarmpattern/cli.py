@@ -353,6 +353,8 @@ def cmd_compare(args) -> int:
 
 def cmd_schedule_dump(args) -> int:
     _print_config(args)
+    if args.t_max < 1:
+        raise _InputError(f"--t-max must be at least 1, got {args.t_max}")
     if args.stride < 1:
         raise _InputError(f"--stride must be at least 1, got {args.stride}")
     spec = _parse_schedule(args.schedule)

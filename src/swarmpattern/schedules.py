@@ -1,10 +1,13 @@
 """Coefficient schedules: movement-pattern control and baseline inertia rules.
 
 A schedule's coefficients over a run clock are one read-only table,
-:func:`coefficient_table`, built and validated whole before a run steps;
-two baselines instead set each run's inertia from its own draw or success
-rate.  The pattern-adaptive schedule plans the run in movement-pattern space
--- wide exploration early, a correlated sweep in the middle, tight biased
+:func:`coefficient_table`, built and validated whole before a run steps.
+Every kind's inertia is one affine rule over its row: a base value plus
+weights on the run's own standard uniform draw and on its success rate,
+both zero for the kinds that follow the clock alone.
+
+The pattern-adaptive schedule plans the run in movement-pattern space -- wide
+exploration early, a correlated sweep in the middle, tight biased
 exploitation late -- and converts each target pattern to coefficients
 through the closed-form pattern solver, so every iteration of the run is
 provably order-2 convergent.
@@ -38,7 +41,7 @@ import numpy as np
 from .errors import ConsistencyError, ScheduleError
 from .patterns import IpsoParams, MovementPattern, solve_coefficient_arrays
 
-_TABLE_CACHE = 32  # (spec, t_max) tables kept; 2 500 ticks take 60 kB
+_TABLE_CACHE = 32  # (spec, t_max) tables kept; 2 500 ticks take 100 kB
 
 
 @dataclass(frozen=True)
@@ -148,37 +151,26 @@ class LinearInertia:
 
 @dataclass(frozen=True)
 class RandomInertia:
-    """Inertia redrawn uniformly from [0.5, 1) each iteration."""
+    """Inertia redrawn uniformly from [0.5, 1) each iteration: ``0.5 + u/2``
+    for a standard uniform ``u`` (Eberhart & Shi 2001)."""
 
     c: float = 1.49618
     alpha: float = 1.0
 
     __post_init__ = _finite_fields
 
-    @staticmethod
-    def inertia(u):
-        """Inertia for a standard uniform draw ``u`` (a float or an array)."""
-        return 0.5 + u / 2.0
-
 
 @dataclass(frozen=True)
 class SuccessRateInertia:
-    """Inertia tracking the swarm's recent success rate linearly."""
+    """Inertia tracking the swarm's last success rate ``Ps`` linearly:
+    ``omega_min + (omega_max - omega_min) * Ps`` (Nickabadi et al. 2011)."""
 
     omega_min: float = 0.0
     omega_max: float = 1.0
     c: float = 1.49618
     alpha: float = 1.0
 
-    def __post_init__(self):
-        _finite_fields(self)
-        if not math.isfinite(self.omega_max - self.omega_min):
-            raise ScheduleError("SuccessRateInertia.omega_max - omega_min "
-                                "must be finite")
-
-    def inertia(self, success_rate):
-        """Inertia for a success rate in [0, 1] (a float or an array)."""
-        return self.omega_min + (self.omega_max - self.omega_min) * success_rate
+    __post_init__ = _finite_fields
 
 
 ScheduleSpec = (IpsoParams | Mapso | LinearInertia | RandomInertia
@@ -187,41 +179,47 @@ ScheduleSpec = (IpsoParams | Mapso | LinearInertia | RandomInertia
 
 @functools.lru_cache(maxsize=_TABLE_CACHE)
 def coefficient_table(spec: ScheduleSpec, t_max: int) -> np.ndarray:
-    """Read-only ``(t_max + 1, 3)`` rows of ``(omega, c, alpha)``, row ``t``
-    for the step at tick ``t``, the same array for equal ``(spec, t_max)``.
+    """Read-only ``(t_max + 1, 5)`` rows of ``(omega, c, alpha,
+    omega_per_draw, omega_per_success)``, row ``t`` for the step at tick
+    ``t``, the same array for equal ``(spec, t_max)``.
 
-    The per-run kinds leave omega NaN.  A MAPSO row that misses its target
-    pattern (NaN included) raises :class:`ConsistencyError`, any other
-    non-finite entry :class:`ScheduleError`, naming the first bad tick.
+    A run's inertia is ``omega + omega_per_draw * u + omega_per_success * s``
+    for its own standard uniform ``u`` and success rate ``s``.  A MAPSO row
+    that misses its target pattern (NaN included) raises
+    :class:`ConsistencyError`, any other non-finite entry
+    :class:`ScheduleError`, naming the first bad tick.
     """
     ticks = np.arange(t_max + 1)
     solved = True
-    per_run = isinstance(spec, (RandomInertia, SuccessRateInertia))
-    if per_run:
-        columns = (math.nan, spec.c, spec.alpha)
+    if isinstance(spec, RandomInertia):
+        columns = (0.5, spec.c, spec.alpha, 0.5, 0.0)
+    elif isinstance(spec, SuccessRateInertia):
+        columns = (spec.omega_min, spec.c, spec.alpha, 0.0,
+                   spec.omega_max - spec.omega_min)
     elif isinstance(spec, IpsoParams):
-        columns = (spec.omega, spec.c, spec.alpha)
+        columns = (spec.omega, spec.c, spec.alpha, 0.0, 0.0)
     elif isinstance(spec, Mapso):
         *columns, solved = solve_coefficient_arrays(
             *_mapso_profile(ticks, t_max, spec))
+        columns += (0.0, 0.0)
     elif isinstance(spec, LinearInertia):
         with np.errstate(all="ignore"):
             columns = (spec.omega_start + (spec.omega_end - spec.omega_start)
-                       * (ticks / t_max), spec.c, spec.alpha)
+                       * (ticks / t_max), spec.c, spec.alpha, 0.0, 0.0)
     else:
         raise ScheduleError(f"unknown schedule spec {spec!r}")
-    table = np.empty((t_max + 1, 3))
+    table = np.empty((t_max + 1, 5))
     for j, column in enumerate(columns):
         table[:, j] = column
-    # A per-run kind's omega column is NaN: each run sets its own.
-    ok = np.isfinite(table[:, per_run:]).all(axis=1) & solved
+    ok = np.isfinite(table).all(axis=1) & solved
     if not ok.all():
         t = int(np.argmin(ok))
         error, what = ((ConsistencyError, "pattern solver round-trip failed")
                        if isinstance(spec, Mapso)
                        else (ScheduleError, "coefficients must be finite"))
         raise error(f"{type(spec).__name__} {what} at tick {t} of {t_max}: "
-                    f"(omega, c, alpha) = {tuple(table[t].tolist())}")
+                    "(omega, c, alpha, omega_per_draw, omega_per_success) = "
+                    f"{tuple(table[t].tolist())}")
     table.setflags(write=False)
     return table
 
@@ -230,18 +228,20 @@ def coefficients_at(spec: ScheduleSpec, feedback: ScheduleFeedback,
                     rng: np.random.Generator | None = None) -> IpsoParams:
     """Coefficient triple for the step at ``feedback.t``.
 
-    Row ``t`` of the schedule's :func:`coefficient_table`, whose NaN
-    inertia :class:`SuccessRateInertia` takes from ``feedback.success_rate``
-    and :class:`RandomInertia` draws from the caller's generator; the calling
-    run owns that generator so replays stay deterministic.
+    Row ``t`` of the schedule's :func:`coefficient_table`, its inertia rule
+    applied to ``feedback.success_rate`` and, only where the rule draws, to
+    one standard uniform from the caller's generator; the calling run owns
+    that generator so replays stay deterministic.
     """
-    omega, c, alpha = coefficient_table(spec, feedback.t_max)[feedback.t]
-    if isinstance(spec, RandomInertia):
+    omega, c, alpha, per_draw, per_success = coefficient_table(
+        spec, feedback.t_max)[feedback.t]
+    if per_draw:
         if rng is None:
-            raise ScheduleError("RandomInertia needs the run's random generator")
-        omega = spec.inertia(rng.uniform(0.0, 1.0))
-    elif isinstance(spec, SuccessRateInertia):
-        omega = spec.inertia(feedback.success_rate)
+            raise ScheduleError(f"{type(spec).__name__} needs the run's "
+                                "random generator")
+        omega += per_draw * rng.uniform(0.0, 1.0)
+    if per_success:
+        omega += per_success * feedback.success_rate
     return IpsoParams(omega=omega, c=c, alpha=alpha)
 
 

@@ -18,8 +18,8 @@ positions and reads its coefficients from a row of the schedule's table.
 :func:`run` is the case ``R = 1``.
 
 Determinism: every run owns one PCG64 generator, seeded from its own seed,
-and reads it in a fixed order per iteration -- first the schedule's own
-draw (if its rule is random), then the phi1 matrix, then the phi2 matrix.
+and reads it in a fixed order per iteration -- first the inertia's draw
+(if its rule weights one), then the phi1 matrix, then the phi2 matrix.
 :func:`run_many` takes those standard uniforms for a block of iterations at
 once, one generator call per run and block, laid out tick after tick in that
 same order, so the block length never changes what a run draws.  A run's
@@ -36,12 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .schedules import (
-    RandomInertia,
-    ScheduleSpec,
-    SuccessRateInertia,
-    coefficient_table,
-)
+from .schedules import ScheduleSpec, coefficient_table
 
 logger = logging.getLogger(__name__)
 
@@ -257,11 +252,12 @@ def run_many(problem: Problem, schedule: ScheduleSpec, pop_size: int,
     initial sweep, so no schedule code runs per tick.  Everything that does
     not depend on the positions is made a block of ticks ahead: each run
     fills its standard uniforms for the block with one generator call (per
-    tick the schedule's draw, if it has one, then phi1, then phi2), and the
-    block's pulls are scaled by its (c, alpha*c) rows.  A block holds as
-    many ticks as fit in about 1 MiB of draws, at least one.  The inertia is
-    the table's, or for a per-run schedule one array expression over all
-    runs.
+    tick the inertia's draw, if the schedule has one, then phi1, then phi2),
+    and the block's pulls are scaled by its (c, alpha*c) rows.  A block
+    holds as many ticks as fit in about 1 MiB of draws, at least one.  The
+    table's affine inertia rule gives the block's inertia of every run in
+    one array expression; a schedule that reads the success rate adds its
+    term per tick.
     """
     if pop_size < 1:
         raise ValueError("pop_size must be positive")
@@ -273,12 +269,13 @@ def run_many(problem: Problem, schedule: ScheduleSpec, pop_size: int,
     rngs = [np.random.default_rng(seed) for seed in seeds]
     t_max = budget_evals // pop_size
     steps = -(-budget_evals // pop_size) - 1
-    table = coefficient_table(schedule, t_max)
-    bounds = np.column_stack((table[:, 1], table[:, 2] * table[:, 1]))
+    omega, c, alpha, per_draw, per_success = coefficient_table(
+        schedule, t_max).T
+    bounds = np.column_stack((c, alpha * c))
     state = initialize(problem, pop_size, rngs)
     runs, n, d = state.positions.shape
-    draws = 1 if isinstance(schedule, RandomInertia) else 0
-    success = isinstance(schedule, SuccessRateInertia)
+    draws = int(per_draw.any())
+    success = per_success.any()
     width = draws + 2 * n * d
     block = max(1, min(steps, _BLOCK_BYTES // (8 * runs * width)))
     buffer = np.empty((runs, block, width))
@@ -288,17 +285,18 @@ def run_many(problem: Problem, schedule: ScheduleSpec, pop_size: int,
         k = min(block, steps - start)
         for rng, draw in zip(rngs, buffer):
             rng.random(out=draw[:k])
+        rows = slice(start, start + k)
+        omegas = np.broadcast_to(omega[rows, None], (k, runs))
         if draws:
-            omegas = schedule.inertia(buffer[:, :k, 0]).T
-        else:
-            omegas = np.broadcast_to(table[start:start + k, :1], (k, runs))
+            omegas = omegas + per_draw[rows, None] * buffer[:, :k, 0].T
         pulls = buffer[:, :k, draws:].reshape(runs, k, 2, n, d)
-        _scale_pulls(pulls, bounds[start:start + k])
-        for j in range(k):
-            omega = (schedule.inertia(state.success_rate) if success
-                     else omegas[j])
-            step(state, omega, pulls[:, j], epsilon0=epsilon0)
-            best_so_far[start + j + 1] = state.gbest_value
+        _scale_pulls(pulls, bounds[rows])
+        for j, t in enumerate(range(start, start + k)):
+            inertia = omegas[j]
+            if success:
+                inertia = inertia + per_success[t] * state.success_rate
+            step(state, inertia, pulls[:, j], epsilon0=epsilon0)
+            best_so_far[t + 1] = state.gbest_value
     evals = range(pop_size, pop_size * (steps + 2), pop_size)
     return [RunResult(best_value=float(state.gbest_value[r]),
                       best_position=state.gbest[r].copy(),

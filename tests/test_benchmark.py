@@ -15,6 +15,7 @@ from swarmpattern import (
     LinearInertia,
     Mapso,
     ResultSet,
+    SuccessRateInertia,
     baseline_schedules,
     classic_suite,
     default_plan,
@@ -227,6 +228,20 @@ class TestPlanSerialization:
         with pytest.raises(ValueError, match="unsupported plan format_version 2"):
             plan_from_dict(data)
 
+    @pytest.mark.parametrize("key, value", [
+        ("runs", 5.9), ("pop_size", 20.5), ("dimension", True),
+        ("evals_per_dim", "300"), ("base_seed", 0.0), ("runs", None)])
+    def test_counts_must_be_json_integers(self, key, value):
+        # int() would truncate 5.9 to 5 runs and read true as d=1.
+        data = {**plan_to_dict(_tiny_plan()), key: value}
+        with pytest.raises(ValueError, match=f"malformed experiment plan: "
+                                             f"{key} must be a JSON integer"):
+            plan_from_dict(data)
+
+    def test_plan_must_be_a_json_object(self):
+        with pytest.raises(ValueError, match="not a JSON object"):
+            plan_from_dict([])
+
     def test_missing_field_is_reported_as_malformed(self):
         data = plan_to_dict(_tiny_plan())
         del data["pop_size"]
@@ -431,12 +446,15 @@ class TestRunExperiment:
     @pytest.mark.parametrize("schedule, error", [
         (LinearInertia(-1e308, 1e308),
          "ScheduleError: LinearInertia coefficients must be finite at tick 0"),
+        (SuccessRateInertia(omega_min=-1e308, omega_max=1e308),
+         "ScheduleError: SuccessRateInertia coefficients must be finite at "
+         "tick 0"),
         (Mapso(v_min=1e300, v_max=1e308),
          "ConsistencyError: Mapso pattern solver round-trip failed at tick 0"),
-    ], ids=["linear", "mapso"])
+    ], ids=["linear", "success", "mapso"])
     def test_overflowing_schedule_fails_its_own_runs(self, tmp_path, schedule,
                                                       error):
-        # Both specs pass construction; their coefficients overflow to NaN.
+        # Each spec passes construction; its coefficients overflow.
         plan = ExperimentPlan(
             algorithms=(("overflow", schedule),),
             functions=(suite_function("sphere", 2),),

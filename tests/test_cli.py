@@ -235,6 +235,18 @@ class TestOptimize:
         assert ("unknown schedule 'nope'; known: "
                 "aiwpso, icpso, ldwpso, liwpso, mapso, rwpso") in err
 
+    @pytest.mark.parametrize("text, kind", [
+        ("linear:-1e308,1e308", "LinearInertia"),
+        ("success:-1e308,1e308", "SuccessRateInertia"),
+    ], ids=["linear", "success"])
+    def test_overflowing_schedule_is_a_numerical_error(self, capsys, text,
+                                                       kind):
+        code, _, err = _run(capsys, "optimize", "--function", "sphere",
+                            "--dimension", "2", "--schedule", text,
+                            "--pop-size", "10", "--budget-evals", "100")
+        assert code == 3
+        assert f"{kind} coefficients must be finite at tick 0" in err
+
     def test_malformed_schedule_expression(self, capsys):
         # The spelling in each message is read from the spec's fields.
         for text, message in [
@@ -315,6 +327,13 @@ class TestScheduleDump:
         assert f"--stride must be at least 1, got {stride}" in err
         assert out == ""
 
+    @pytest.mark.parametrize("t_max", ["0", "-5"])
+    def test_t_max_below_one_is_an_input_error(self, capsys, t_max):
+        code, out, err = _run(capsys, "schedule-dump", "--t-max", t_max)
+        assert code == 2
+        assert f"--t-max must be at least 1, got {t_max}" in err
+        assert out == ""
+
 
 class TestBenchAndCompare:
     @pytest.fixture()
@@ -381,10 +400,14 @@ class TestBenchAndCompare:
         assert "see failures.csv: those runs failed, and a rerun fails them the same way" in err
         assert "to resume" not in err
 
+    @pytest.mark.parametrize("schedule", [
+        LinearInertia(-1e308, 1e308),
+        SuccessRateInertia(omega_min=-1e308, omega_max=1e308),
+    ], ids=["linear", "success"])
     def test_bench_records_an_overflowing_schedule_as_failed_runs(
-            self, capsys, tmp_path):
+            self, capsys, tmp_path, schedule):
         plan = ExperimentPlan(
-            algorithms=(("overflow", LinearInertia(-1e308, 1e308)),),
+            algorithms=(("overflow", schedule),),
             functions=(suite_function("sphere", 2),),
             dimension=2, pop_size=5, runs=2, evals_per_dim=20)
         plan_path = tmp_path / "plan.json"
@@ -399,6 +422,33 @@ class TestBenchAndCompare:
                             str(tmp_path / "missing"))
         assert code == 2
         assert "no manifest.json" in err
+
+    @pytest.mark.parametrize("manifest", ["{}", "[]", '{"plan": 3}'],
+                             ids=["no-plan", "list", "plan-not-object"])
+    def test_malformed_manifest_is_an_input_error(self, capsys, tmp_path,
+                                                  plan_file, manifest):
+        out_dir = tmp_path / "results"
+        out_dir.mkdir()
+        (out_dir / "manifest.json").write_text(manifest, encoding="utf-8")
+        for argv in (("compare", "--results", str(out_dir)),
+                     ("bench", "--plan", str(plan_file), "--out", str(out_dir))):
+            code, _, err = _run(capsys, *argv)
+            assert code == 2, argv
+            assert "is not a manifest: need a JSON object with a 'plan' object" in err
+
+    @pytest.mark.parametrize("key, value", [("runs", 5.9), ("dimension", True)])
+    def test_bench_rejects_a_non_integer_count_before_writing(
+            self, capsys, tmp_path, plan_file, key, value):
+        data = {**json.loads(plan_file.read_text(encoding="utf-8")),
+                key: value}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data), encoding="utf-8")
+        out_dir = tmp_path / "results"
+        code, _, err = _run(capsys, "bench", "--plan", str(bad),
+                            "--out", str(out_dir))
+        assert code == 2
+        assert f"{key} must be a JSON integer, got {value!r}" in err
+        assert not (out_dir / "manifest.json").exists()
 
     def test_bench_rejects_a_non_finite_plan_before_writing(
             self, capsys, tmp_path, plan_file):

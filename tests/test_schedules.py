@@ -163,6 +163,14 @@ class TestCoefficientsAt:
         assert seq_a == seq_b
         assert all(0.5 <= w < 1.0 for w in seq_a)
 
+    def test_only_a_drawing_rule_reads_the_generator(self):
+        feedback = ScheduleFeedback(t=3, t_max=10, success_rate=0.5)
+        for name, spec in baseline_schedules().items():
+            rng = np.random.default_rng(7)
+            coefficients_at(spec, feedback, rng=rng)
+            drew = rng.random() != np.random.default_rng(7).random()
+            assert drew == (name == "rwpso"), name
+
     def test_success_rate_inertia_tracks_the_signal(self):
         spec = SuccessRateInertia()
         cold = coefficients_at(spec, ScheduleFeedback(t=0, t_max=10, success_rate=0.0))
@@ -229,6 +237,19 @@ TABLE_SPECS = {"mapso": Mapso(), "ldw": LinearInertia(0.9, 0.4),
                "constant": IpsoParams(0.711897, 1.711897, 1.0)}
 
 
+# (omega, c, alpha, omega_per_draw, omega_per_success) at ticks 0, 5 and 10
+# of a 10-tick clock: only the feedback kinds weight a draw or a success rate.
+STOCK_ROWS = {
+    "icpso": [(0.711897, 1.711897, 1.0, 0.0, 0.0)] * 3,
+    "ldwpso": [(0.9, 1.49618, 1.0, 0.0, 0.0), (0.65, 1.49618, 1.0, 0.0, 0.0),
+               (0.4, 1.49618, 1.0, 0.0, 0.0)],
+    "liwpso": [(0.4, 1.49618, 1.0, 0.0, 0.0), (0.65, 1.49618, 1.0, 0.0, 0.0),
+               (0.9, 1.49618, 1.0, 0.0, 0.0)],
+    "rwpso": [(0.5, 1.49618, 1.0, 0.5, 0.0)] * 3,
+    "aiwpso": [(0.0, 1.49618, 1.0, 0.0, 1.0)] * 3,
+}
+
+
 class TestCoefficientTable:
     @pytest.mark.parametrize("t_max", [1, 2, 15, 29, 2_500, 10_000])
     @pytest.mark.parametrize("name", sorted(TABLE_SPECS))
@@ -237,8 +258,9 @@ class TestCoefficientTable:
         table = coefficient_table(spec, t_max)
         reference = np.array([_reference_row(spec, t, t_max)
                               for t in range(t_max + 1)])
-        assert table.shape == (t_max + 1, 3)
-        assert table.tobytes() == reference.tobytes()
+        assert table.shape == (t_max + 1, 5)
+        assert table[:, :3].tobytes() == reference.tobytes()
+        assert (table[:, 3:] == 0.0).all()
 
     @pytest.mark.parametrize("t_max", [1, 2, 15, 29, 2_500, 10_000])
     def test_profile_equals_the_per_tick_reference_bit_for_bit(self, t_max):
@@ -254,10 +276,17 @@ class TestCoefficientTable:
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 0.5
 
-    def test_per_run_kinds_hold_only_their_pull_ranges(self):
-        table = coefficient_table(SuccessRateInertia(c=1.2, alpha=0.5), 3)
-        assert np.isnan(table[:, 0]).all()
-        assert (table[:, 1:] == [1.2, 0.5]).all()
+    @pytest.mark.parametrize("name", sorted(baseline_schedules()))
+    def test_every_stock_kind_pins_its_five_columns(self, name):
+        spec = baseline_schedules()[name]
+        if name == "mapso":
+            expected = [(*_reference_row(spec, t, 10), 0.0, 0.0)
+                        for t in (0, 5, 10)]
+        else:
+            expected = STOCK_ROWS[name]
+        table = coefficient_table(spec, 10)
+        assert table[[0, 5, 10]] == pytest.approx(np.array(expected),
+                                                  rel=1e-15, abs=0.0)
 
     def test_first_bad_tick_is_named(self):
         # Focus 1e9 from t1 on: the solver cannot hold alpha near 31623.
@@ -285,12 +314,6 @@ class TestInertiaSpecFields:
             message = rf"{spec_type.__name__}\.{f.name} must be a finite number"
             with pytest.raises(ScheduleError, match=message):
                 spec_type(**kwargs)
-
-    def test_success_rate_inertia_span_must_be_finite(self):
-        # Its inertia is computed over every run at once, not through
-        # IpsoParams, so an overflowing span would step on NaN inertia.
-        with pytest.raises(ScheduleError, match="omega_max - omega_min must"):
-            SuccessRateInertia(omega_min=-1e308, omega_max=1e308)
 
     def test_fields_are_coerced_to_float(self):
         spec = LinearInertia(1, 0, c=2, alpha=1)
