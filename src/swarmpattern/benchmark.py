@@ -9,14 +9,14 @@ Run seeds mix ``(base_seed, algorithm index, function index, run index)``
 through a splitmix64-style finaliser, giving headline-number reproducibility
 independent of execution order or parallelism.
 
-The pending runs of one (algorithm, function) cell are stepped in lockstep
-by :func:`swarmpattern.swarm.run_many`; with ``parallelism > 1`` worker
-processes take whole cells, not single runs.
+The pending runs of one function, across every algorithm, step in one
+lockstep stack by :func:`swarmpattern.swarm.run_many`; with
+``parallelism > 1`` worker processes take whole functions, not single runs.
 
-Results persist incrementally: one CSV per cell with columns
-``run, seed, best_value``, plus a JSON manifest of the plan.  A cell's CSV
-is written once, whole and run-sorted, as soon as its pending runs finish,
-so an interruption loses at most the pending runs of the cells in flight.
+Results persist incrementally: a JSON manifest of the plan and one CSV per
+(algorithm, function) cell, columns ``run, seed, best_value``, written once,
+whole and run-sorted, when its function's stack finishes, so an interruption
+loses at most the pending runs of the function in flight.
 An interrupted experiment resumes by rerunning with the same plan and output
 directory: runs with a row are skipped, while missing, torn and failed
 (NaN) runs are run again, so a resumed experiment is byte-identical to an
@@ -42,6 +42,7 @@ from .errors import SwarmPatternError
 from .schedules import (
     ScheduleSpec,
     baseline_schedules,
+    coefficient_table,
     schedule_from_dict,
     schedule_to_dict,
 )
@@ -181,10 +182,11 @@ class ExperimentPlan:
     base_seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "algorithms", tuple(
-            (str(n), s) for n, s in self.algorithms))
+        object.__setattr__(self, "algorithms", tuple(self.algorithms))
         object.__setattr__(self, "functions", tuple(self.functions))
         names = [n for n, _ in self.algorithms]
+        for bad in (n for n in names if not isinstance(n, str)):
+            raise TypeError(f"algorithm name {bad!r} is not a string")
         if len(set(names)) != len(names):
             raise ValueError("algorithm names must be unique")
         fnames = [f.name for f in self.functions]
@@ -398,33 +400,36 @@ def _read_results(plan: ExperimentPlan,
     return values, seeds
 
 
-def _run_cell(task) -> tuple[int, int, list[tuple[int, float, str]]]:
-    """Every pending run of one cell, stepped in lockstep."""
-    i, k, runs, seeds, function, schedule, pop_size, budget = task
-    try:
-        results = run_many(function.problem(), schedule, pop_size, budget,
-                           seeds)
-        return i, k, [(r, result.best_value, "")
-                      for r, result in zip(runs, results)]
-    except SwarmPatternError as exc:
-        # Only a schedule whose coefficient table fails its checks raises a
-        # toolkit error, before the first step, so it fails every run alike.
-        error = f"{type(exc).__name__}: {exc}"
-        return i, k, [(r, math.nan, error) for r in runs]
+def _run_function(task) -> tuple[int, list[tuple[int, int, float, str]]]:
+    """All pending runs of one function in one stack; a schedule whose
+    coefficient table fails its checks fails only its own runs, as NaN."""
+    k, function, pending, pop_size, budget = task
+    failed = {}
+    for spec in dict.fromkeys(run[3] for run in pending):
+        try:
+            coefficient_table(spec, budget // pop_size)
+        except SwarmPatternError as exc:
+            failed[spec] = f"{type(exc).__name__}: {exc}"
+    stack = [run for run in pending if run[3] not in failed]
+    results = (run_many(function.problem(), [run[3] for run in stack],
+                        pop_size, budget, [run[2] for run in stack])
+               if stack else [])
+    best = {run[:2]: result.best_value for run, result in zip(stack, results)}
+    return k, [(i, r, best.get((i, r), math.nan), failed.get(spec, ""))
+               for i, r, _, spec in pending]
 
 
 def run_experiment(plan: ExperimentPlan, out_dir: str | Path | None = None,
                    parallelism: int = 1) -> ResultSet:
     """Execute (or finish) every run of the plan.
 
-    The pending runs of one (algorithm, function) cell step in lockstep, and
-    ``parallelism`` worker processes take one cell at a time.  With
-    ``out_dir`` set, each cell whose runs were pending is written whole,
-    run-sorted, as soon as they finish, and runs already on disk are
-    skipped, which is what makes interrupted experiments resumable.  Failed
-    runs are recorded as NaN with the error captured in
-    ``ResultSet.failures`` (and ``failures.csv``), never silently dropped;
-    a resume runs them again and so reproduces the same failures.
+    The pending runs of one function, across every algorithm, step in one
+    lockstep stack, and ``parallelism`` worker processes take one function
+    at a time.  With ``out_dir`` set, each cell whose runs were pending is
+    written whole, run-sorted, when its function finishes, and runs already
+    on disk are skipped, which makes interrupted experiments resumable.  A
+    failed run is kept as NaN, its error in ``ResultSet.failures`` and
+    ``failures.csv`` in plan order, and a resume fails it again.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be positive")
@@ -445,37 +450,39 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | Path | None = None,
     values, seeds = _read_results(plan, out_path)
 
     tasks = []
-    for i, (_, schedule) in enumerate(plan.algorithms):
-        for k, function in enumerate(plan.functions):
-            runs = [r for r in range(plan.runs) if math.isnan(values[i, k, r])]
-            if runs:
-                run_seeds = [derive_seed(plan.base_seed, i, k, r) for r in runs]
-                tasks.append((i, k, runs, run_seeds, function, schedule,
-                              plan.pop_size, plan.budget_evals))
+    for k, function in enumerate(plan.functions):
+        pending = [(i, r, derive_seed(plan.base_seed, i, k, r), schedule)
+                   for i, (_, schedule) in enumerate(plan.algorithms)
+                   for r in range(plan.runs) if math.isnan(values[i, k, r])]
+        if pending:
+            tasks.append((k, function, pending, plan.pop_size,
+                          plan.budget_evals))
 
-    failures: list[tuple[str, str, int, str]] = []
+    failed: list[tuple[int, int, int, str]] = []
 
-    def record(i: int, k: int, outcomes: list[tuple[int, float, str]]) -> None:
-        for r, value, error in outcomes:
+    def record(k: int, outcomes: list[tuple[int, int, float, str]]) -> None:
+        for i, r, value, error in outcomes:
             values[i, k, r] = value
             seeds[i, k, r] = derive_seed(plan.base_seed, i, k, r)
             if error:
-                failures.append((plan.algorithms[i][0], plan.functions[k].name,
-                                 r, error))
+                failed.append((i, k, r, error))
         if out_path is not None:
-            _write_cell(_cell_path(out_path, plan.algorithms[i][0],
-                                   plan.functions[k].name),
-                        seeds[i, k], values[i, k])
+            for i in sorted({i for i, *_ in outcomes}):
+                _write_cell(_cell_path(out_path, plan.algorithms[i][0],
+                                       plan.functions[k].name),
+                            seeds[i, k], values[i, k])
 
     if parallelism == 1 or len(tasks) <= 1:
         for task in tasks:
-            record(*_run_cell(task))
+            record(*_run_function(task))
     else:
         workers = min(parallelism, os.cpu_count() or 1, len(tasks))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for outcome in pool.map(_run_cell, tasks, chunksize=1):
+            for outcome in pool.map(_run_function, tasks, chunksize=1):
                 record(*outcome)
 
+    failures = [(plan.algorithms[i][0], plan.functions[k].name, r, error)
+                for i, k, r, error in sorted(failed)]
     if out_path is not None:
         failure_path = out_path / "failures.csv"
         if failures:

@@ -61,6 +61,7 @@ from .schedules import (
     ScheduleFeedback,
     SuccessRateInertia,
     baseline_schedules,
+    coefficient_table,
     coefficients_at,
     mapso_pattern,
 )
@@ -358,19 +359,19 @@ def cmd_schedule_dump(args) -> int:
     if args.stride < 1:
         raise _InputError(f"--stride must be at least 1, got {args.stride}")
     spec = _parse_schedule(args.schedule)
+    per_success = coefficient_table(spec, args.t_max)[:, 4]
     rng = np.random.default_rng(args.seed)
     lines = ["t,vc,rho1,focus,omega,c,alpha"]
     for t in range(0, args.t_max + 1, args.stride):
         params = coefficients_at(spec, ScheduleFeedback(t=t, t_max=args.t_max),
                                  rng)
-        # Blank cells: the pattern of a schedule other than MAPSO, and the
-        # inertia of the success-rate rule, which each run's success sets.
-        cells = [None, None, None, params.omega, params.c, params.alpha]
+        # Blank cells: the pattern of a schedule other than MAPSO, and an
+        # inertia that weights each run's own success rate.
+        cells = [None, None, None, None if per_success[t] else params.omega,
+                 params.c, params.alpha]
         if isinstance(spec, Mapso):
             target = mapso_pattern(t, args.t_max, spec)
             cells[:3] = target.vc, target.rho1, target.focus
-        if isinstance(spec, SuccessRateInertia):
-            cells[3] = None
         lines.append(",".join([str(t)] + ["" if v is None else _float_csv(v)
                                           for v in cells]))
     _emit(args.output, "\n".join(lines) + "\n")

@@ -12,10 +12,10 @@ are never clamped, so particles may roam outside and return.  The global
 best is recomputed synchronously after the whole population has moved.
 
 Lockstep: :func:`run_many` advances ``R`` independent runs of one problem
-and schedule together.  Their state is stacked along a leading run axis and
-updated in place, and each tick makes one objective call on all ``R*n``
-positions and reads its coefficients from a row of the schedule's table.
-:func:`run` is the case ``R = 1``.
+together, each under its own schedule.  Their state is stacked along a
+leading run axis and updated in place, and each tick makes one objective
+call on all ``R*n`` positions and reads each run's coefficients from a row
+of its schedule's table.  :func:`run` is the case ``R = 1``.
 
 Determinism: every run owns one PCG64 generator, seeded from its own seed,
 and reads it in a fixed order per iteration -- first the inertia's draw
@@ -40,10 +40,11 @@ from .schedules import ScheduleSpec, coefficient_table
 
 logger = logging.getLogger(__name__)
 
-# Bytes of standard uniforms run_many draws per block: as many ticks as fit,
-# at least one.  Blocks of 16 ticks or more run alike, so the cap only bounds
-# the buffer's memory.
+# Bytes of standard uniforms run_many draws per block: as many ticks as fit
+# in _BLOCK_BYTES for the stack, or in _RUN_BYTES per run if that holds more,
+# so each generator call of a large stack still spans many ticks.
 _BLOCK_BYTES = 1 << 20
+_RUN_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -237,27 +238,26 @@ def step(state: SwarmState, omega: np.ndarray, pulls: np.ndarray,
     state.success_rate[:] = improved.sum(axis=1) / n
 
 
-def run_many(problem: Problem, schedule: ScheduleSpec, pop_size: int,
-             budget_evals: int, seeds: Sequence[int],
+def run_many(problem: Problem, schedules: Sequence[ScheduleSpec],
+             pop_size: int, budget_evals: int, seeds: Sequence[int],
              epsilon0: float = 0.0) -> list[RunResult]:
-    """One run per seed, all stepped in lockstep; run ``r`` alone under
-    ``seeds[r]`` gives the same result bit for bit.
+    """One run per seed, run ``r`` under ``schedules[r]``, all stepped in
+    lockstep; run ``r`` alone gives the same result bit for bit.
 
     Each run owns a PCG64 generator seeded from its seed.  The schedule
     clock runs over ``t_max = budget_evals // pop_size`` ticks; stepping
     stops once the budget is spent, so each run's final evaluation count is
     exactly ``pop_size * (1 + steps)``.
 
-    The schedule's coefficient table is built and checked before the
-    initial sweep, so no schedule code runs per tick.  Everything that does
-    not depend on the positions is made a block of ticks ahead: each run
-    fills its standard uniforms for the block with one generator call (per
-    tick the inertia's draw, if the schedule has one, then phi1, then phi2),
-    and the block's pulls are scaled by its (c, alpha*c) rows.  A block
-    holds as many ticks as fit in about 1 MiB of draws, at least one.  The
-    table's affine inertia rule gives the block's inertia of every run in
-    one array expression; a schedule that reads the success rate adds its
-    term per tick.
+    Each distinct schedule's coefficient table is built and checked before
+    the initial sweep, so no schedule code runs per tick.  Everything that
+    does not depend on the positions is made a block of ticks ahead (see
+    ``_BLOCK_BYTES``): each run fills its standard uniforms for the block
+    with one generator call (per tick the inertia's draw, if its rule
+    weights one, then phi1, then phi2), and the pulls are scaled by the
+    runs' (c, alpha*c).  A run's inertia is its table's base value; the draw
+    term is added for a block, the success-rate term per tick, each only to
+    the runs whose rule weights it.
     """
     if pop_size < 1:
         raise ValueError("pop_size must be positive")
@@ -265,38 +265,50 @@ def run_many(problem: Problem, schedule: ScheduleSpec, pop_size: int,
         raise ValueError("budget_evals must cover at least the initial sweep")
     if not (math.isfinite(epsilon0) and epsilon0 >= 0.0):
         raise ValueError(f"epsilon0 must be finite and >= 0, got {epsilon0!r}")
-    seeds = list(seeds)
+    seeds, schedules = list(seeds), list(schedules)
+    if len(schedules) != len(seeds):
+        raise ValueError(f"need one schedule per seed, got {len(schedules)} "
+                         f"for {len(seeds)} seeds")
     rngs = [np.random.default_rng(seed) for seed in seeds]
     t_max = budget_evals // pop_size
     steps = -(-budget_evals // pop_size) - 1
-    omega, c, alpha, per_draw, per_success = coefficient_table(
-        schedule, t_max).T
-    bounds = np.column_stack((c, alpha * c))
+    specs = list(dict.fromkeys(schedules))
+    tables = [coefficient_table(spec, t_max) for spec in specs]
     state = initialize(problem, pop_size, rngs)
     runs, n, d = state.positions.shape
-    draws = int(per_draw.any())
-    success = per_success.any()
-    width = draws + 2 * n * d
-    block = max(1, min(steps, _BLOCK_BYTES // (8 * runs * width)))
-    buffer = np.empty((runs, block, width))
+    group = [specs.index(spec) for spec in schedules]
+    table = np.stack(tables, axis=-1)  # (t_max + 1, 5, distinct schedules)
+    draws, success = table[:, 3:].any(axis=0)[:, group]
+    reads_success = success.any()
+    width = 2 * n * d
+    block = max(1, min(steps, max(_BLOCK_BYTES // runs, _RUN_BYTES)
+                       // (8 * (width + int(draws.any())))))
+    # Run r's pulls fill row r of (runs, block, width).  A drawing run's
+    # fill runs k draws past its row; it closes up before the next run fills.
+    buffer = np.empty(runs * block * width + block)
+    pulls = buffer[:-block].reshape(runs, block, 2, n, d)
     best_so_far = np.empty((steps + 1, runs))
     best_so_far[0] = state.gbest_value
     for start in range(0, steps, block):
         k = min(block, steps - start)
-        for rng, draw in zip(rngs, buffer):
-            rng.random(out=draw[:k])
-        rows = slice(start, start + k)
-        omegas = np.broadcast_to(omega[rows, None], (k, runs))
-        if draws:
-            omegas = omegas + per_draw[rows, None] * buffer[:, :k, 0].T
-        pulls = buffer[:, :k, draws:].reshape(runs, k, 2, n, d)
-        _scale_pulls(pulls, bounds[rows])
-        for j, t in enumerate(range(start, start + k)):
-            inertia = omegas[j]
-            if success:
-                inertia = inertia + per_success[t] * state.success_rate
+        omega, c, alpha, per_draw, per_success = np.moveaxis(
+            table[start:start + k, :, group], 1, 0)
+        for r, rng in enumerate(rngs):
+            ticks = buffer[r * block * width:][:k * (width + draws[r])]
+            rng.random(out=ticks)
+            if draws[r]:  # take the inertia draws, then close up the pulls
+                omega[:, r] += per_draw[:, r] * ticks[::width + 1]
+                for j in range(k):  # each copy moves data down, in place
+                    ticks[j * width:(j + 1) * width] = ticks[
+                        j * (width + 1) + 1:(j + 1) * (width + 1)]
+        _scale_pulls(pulls[:, :k], np.stack((c.T, (alpha * c).T), axis=-1))
+        for j in range(k):
+            inertia = omega[j]
+            if reads_success:
+                inertia = np.where(success, inertia + per_success[j]
+                                   * state.success_rate, inertia)
             step(state, inertia, pulls[:, j], epsilon0=epsilon0)
-            best_so_far[t + 1] = state.gbest_value
+            best_so_far[start + j + 1] = state.gbest_value
     evals = range(pop_size, pop_size * (steps + 2), pop_size)
     return [RunResult(best_value=float(state.gbest_value[r]),
                       best_position=state.gbest[r].copy(),
@@ -309,5 +321,5 @@ def run(problem: Problem, schedule: ScheduleSpec, pop_size: int,
         budget_evals: int, seed: int, epsilon0: float = 0.0) -> RunResult:
     """Full optimisation run under an evaluation budget: :func:`run_many`
     with one seed."""
-    return run_many(problem, schedule, pop_size, budget_evals, [seed],
+    return run_many(problem, [schedule], pop_size, budget_evals, [seed],
                     epsilon0=epsilon0)[0]

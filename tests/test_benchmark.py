@@ -1,6 +1,7 @@
 """Benchmark suite and the resumable experiment runner."""
 from __future__ import annotations
 
+import csv
 import functools
 import json
 import multiprocessing
@@ -14,6 +15,7 @@ from swarmpattern import (
     IpsoParams,
     LinearInertia,
     Mapso,
+    RandomInertia,
     ResultSet,
     SuccessRateInertia,
     baseline_schedules,
@@ -238,6 +240,19 @@ class TestPlanSerialization:
                                              f"{key} must be a JSON integer"):
             plan_from_dict(data)
 
+    @pytest.mark.parametrize("name", [5, True, None])
+    def test_algorithm_names_must_be_strings(self, name):
+        # str() would run an algorithm called "5" or "True".
+        data = plan_to_dict(_tiny_plan())
+        data["algorithms"][0]["name"] = name
+        with pytest.raises(ValueError, match="malformed experiment plan: "
+                           f"algorithm name {name!r} is not a string"):
+            plan_from_dict(data)
+        with pytest.raises(TypeError, match="is not a string"):
+            ExperimentPlan(algorithms=((name, ICPSO),),
+                           functions=(suite_function("sphere", 2),),
+                           dimension=2)
+
     def test_plan_must_be_a_json_object(self):
         with pytest.raises(ValueError, match="not a JSON object"):
             plan_from_dict([])
@@ -274,8 +289,8 @@ class TestRunExperiment:
             for k, function in enumerate(plan.functions):
                 seeds = [derive_seed(plan.base_seed, i, k, r)
                          for r in range(plan.runs)]
-                lockstep = run_many(function.problem(), schedule, plan.pop_size,
-                                    plan.budget_evals, seeds)
+                lockstep = run_many(function.problem(), [schedule] * plan.runs,
+                                    plan.pop_size, plan.budget_evals, seeds)
                 for r, seed in enumerate(seeds):
                     direct = run(function.problem(), schedule, plan.pop_size,
                                  plan.budget_evals, seed)
@@ -350,8 +365,8 @@ class TestRunExperiment:
         cell = tmp_path / "results" / "icpso__sphere.csv"
         data = cell.read_bytes()
         cell.write_bytes(data[:data.rstrip(b"\r\n").rindex(b"\n") + 1] + b"2")
-        # A lost cell later in the plan gives the resume a second cell to
-        # be interrupted in, after the torn cell's rerun row was written.
+        # A lost cell of a later function gives the resume a second stack
+        # to be interrupted in, after the torn cell's rerun row was written.
         (tmp_path / "results" / "ldw__ackley.csv").unlink()
 
         class Interrupted(Exception):
@@ -359,14 +374,14 @@ class TestRunExperiment:
 
         calls = []
 
-        def one_cell(task):
+        def one_function(task):
             calls.append(1)
             if len(calls) > 1:
                 raise Interrupted
-            return run_cell(task)
+            return run_function(task)
 
-        run_cell = benchmark._run_cell
-        monkeypatch.setattr(benchmark, "_run_cell", one_cell)
+        run_function = benchmark._run_function
+        monkeypatch.setattr(benchmark, "_run_function", one_function)
         with pytest.raises(Interrupted):
             run_experiment(plan, out_dir=tmp_path)
         monkeypatch.undo()
@@ -466,6 +481,79 @@ class TestRunExperiment:
         assert all(f[3].startswith(error) for f in results.failures)
         failures = (tmp_path / "failures.csv").read_text().splitlines()
         assert len(failures) == 3 and error in failures[1]
+
+    def test_bad_schedules_fail_alone_beside_stock_runs(self, tmp_path):
+        # Two schedules whose tables fail, on two functions: each fails its
+        # own runs, failures keep plan order, and the runs stacked beside
+        # them still equal lone run() calls.
+        plan = ExperimentPlan(
+            algorithms=(("biased", Mapso(f_min=1e9, f_max=1e9)),
+                        ("icpso", ICPSO),
+                        ("overflow", LinearInertia(-1e308, 1e308)),
+                        ("rwpso", RandomInertia())),
+            functions=(suite_function("sphere", 2),
+                       suite_function("ackley", 2)),
+            dimension=2, pop_size=5, runs=2, evals_per_dim=20, base_seed=3)
+        results = run_experiment(plan, out_dir=tmp_path)
+        assert [f[:3] for f in results.failures] == [
+            (algorithm, function, r) for algorithm in ("biased", "overflow")
+            for function in ("sphere", "ackley") for r in range(2)]
+        assert all(f[3].startswith("ConsistencyError: ")
+                   for f in results.failures[:4])
+        assert all(f[3].startswith("ScheduleError: ")
+                   for f in results.failures[4:])
+        with open(tmp_path / "failures.csv", newline="",
+                  encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [["algorithm", "function", "run", "error"]] + [
+            [a, f, str(r), e] for a, f, r, e in results.failures]
+        assert np.all(np.isnan(results.values[[0, 2]]))
+        for i in (1, 3):
+            schedule = plan.algorithms[i][1]
+            for k, function in enumerate(plan.functions):
+                for r in range(plan.runs):
+                    direct = run(function.problem(), schedule, plan.pop_size,
+                                 plan.budget_evals,
+                                 derive_seed(plan.base_seed, i, k, r))
+                    assert results.values[i, k, r] == direct.best_value
+
+    def test_one_stack_per_function_with_pending_runs(self, tmp_path,
+                                                       monkeypatch):
+        calls = []
+
+        def counting(problem, schedules, *args, **kwargs):
+            calls.append((problem.name, len(schedules)))
+            return run_many(problem, schedules, *args, **kwargs)
+
+        monkeypatch.setattr(benchmark, "run_many", counting)
+        plan = _tiny_plan()
+        run_experiment(plan, out_dir=tmp_path)
+        assert calls == [("sphere", 6), ("ackley", 6)]
+        calls.clear()
+        run_experiment(plan, out_dir=tmp_path)
+        assert calls == []
+        # Run 2 of one ackley cell and the whole other one are pending.
+        (tmp_path / "results" / "ldw__ackley.csv").unlink()
+        cell = tmp_path / "results" / "icpso__ackley.csv"
+        cell.write_text("".join(cell.read_text().splitlines(True)[:3]),
+                        encoding="utf-8")
+        run_experiment(plan, out_dir=tmp_path)
+        assert calls == [("ackley", 4)]
+
+    def test_parallel_workers_write_the_serial_directory(self, tmp_path):
+        plan = ExperimentPlan(
+            algorithms=(*baseline_schedules().items(),
+                        ("overflow", LinearInertia(-1e308, 1e308))),
+            functions=(suite_function("sphere", 2),
+                       suite_function("ackley", 2),
+                       suite_function("shifted_rastrigin", 2)),
+            dimension=2, pop_size=5, runs=2, evals_per_dim=20)
+        serial = run_experiment(plan, out_dir=tmp_path / "serial")
+        pooled = run_experiment(plan, out_dir=tmp_path / "pooled",
+                                parallelism=2)
+        assert len(serial.failures) == 6
+        assert pooled.failures == serial.failures
+        assert _snapshot(tmp_path / "pooled") == _snapshot(tmp_path / "serial")
 
     def test_spawned_workers_match_a_serial_run(self, tmp_path, monkeypatch):
         # Spawned workers share no module state with the parent: every spec

@@ -450,6 +450,21 @@ class TestBenchAndCompare:
         assert f"{key} must be a JSON integer, got {value!r}" in err
         assert not (out_dir / "manifest.json").exists()
 
+    @pytest.mark.parametrize("name", [5, True, None])
+    def test_bench_rejects_a_non_string_algorithm_name(
+            self, capsys, tmp_path, plan_file, name):
+        data = json.loads(plan_file.read_text(encoding="utf-8"))
+        data["algorithms"][0]["name"] = name
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data), encoding="utf-8")
+        out_dir = tmp_path / "results"
+        code, _, err = _run(capsys, "bench", "--plan", str(bad),
+                            "--out", str(out_dir))
+        assert code == 2
+        assert "malformed experiment plan" in err
+        assert f"algorithm name {name!r} is not a string" in err
+        assert not (out_dir / "manifest.json").exists()
+
     def test_bench_rejects_a_non_finite_plan_before_writing(
             self, capsys, tmp_path, plan_file):
         data = json.loads(plan_file.read_text(encoding="utf-8"))

@@ -16,6 +16,7 @@ from swarmpattern import (
     ScheduleFeedback,
     SuccessRateInertia,
     SwarmState,
+    baseline_schedules,
     coefficients_at,
     expectation_fixed_point,
     initialize,
@@ -29,7 +30,7 @@ from swarmpattern import (
 )
 from swarmpattern import patterns, schedules, swarm
 from swarmpattern.schedules import coefficient_table
-from swarmpattern.swarm import _BLOCK_BYTES, _scale_pulls
+from swarmpattern.swarm import _BLOCK_BYTES, _RUN_BYTES, _scale_pulls
 
 ICPSO = IpsoParams(0.711897, 1.711897, 1.0)
 
@@ -409,7 +410,10 @@ class TestRun:
         with pytest.raises(ValueError, match="cover at least the initial sweep"):
             run(_sphere(2), ICPSO, 10, 9, seed=0)
         with pytest.raises(ValueError, match="at least one generator"):
-            run_many(_sphere(2), ICPSO, 10, 100, [])
+            run_many(_sphere(2), [], 10, 100, [])
+        with pytest.raises(ValueError, match="one schedule per seed, got 1 "
+                           "for 2 seeds"):
+            run_many(_sphere(2), [ICPSO], 10, 100, [0, 1])
         # A negative epsilon0 accepts worse positions as personal bests and
         # NaN accepts none; neither is a threshold.
         for epsilon0 in (-1e9, -1e-300, np.nan, np.inf):
@@ -432,7 +436,7 @@ class TestRun:
         monkeypatch.setattr(patterns, "_solve",
                             counted("solve", patterns._solve))
         coefficient_table.cache_clear()
-        results = run_many(_sphere(2), Mapso(), 4, 4 * 2_001, [0, 1])
+        results = run_many(_sphere(2), [Mapso()] * 2, 4, 4 * 2_001, [0, 1])
         assert len(results[0].history) == 2_001
         assert coefficient_table.cache_info().misses == 1
         assert calls == {"table": 1, "profile": 1, "solve": 1}
@@ -442,7 +446,7 @@ class TestRun:
         # should land far below 1e-1 on the 10-d sphere nearly always.
         # Each run of the stack is its lone run() bit for bit.
         fn = suite_function("sphere", 10)
-        results = run_many(fn.problem(), ICPSO, 20, 50_000, range(50))
+        results = run_many(fn.problem(), [ICPSO] * 50, 20, 50_000, range(50))
         successes = sum(result.best_value < 1e-1 for result in results)
         assert successes >= 45
 
@@ -491,7 +495,8 @@ class TestBlockDraws:
     def _assert_matches_reference(self, problem, schedule, pop_size, steps,
                                   seeds):
         budget = pop_size * (steps + 1)
-        results = run_many(problem, schedule, pop_size, budget, seeds)
+        results = run_many(problem, [schedule] * len(seeds), pop_size, budget,
+                           seeds)
         for seed, result in zip(seeds, results):
             value, position, history = _reference_run(problem, schedule,
                                                       pop_size, budget, seed)
@@ -516,3 +521,40 @@ class TestBlockDraws:
         assert _BLOCK_BYTES // (8 * len(seeds) * 2 * n * d) == 0
         for schedule in SCHEDULE_KINDS.values():
             self._assert_matches_reference(_sphere(d), schedule, n, 3, seeds)
+
+
+class TestMixedStack:
+    """Runs under different schedules step in one stack; each must still be
+    its own run() bit for bit, down to the inertia it is handed."""
+
+    def test_every_run_equals_its_own_run(self, monkeypatch):
+        # A -0.0 inertia keeps its sign only if the terms its rule weights
+        # by zero are left out, not added as 0.0 (-0.0 + 0.0 is 0.0).
+        stock = list(baseline_schedules().values())
+        schedules = [*stock, IpsoParams(omega=-0.0, c=1.2, alpha=1.0)] * 3
+        seeds = range(40, 40 + len(schedules))
+        problem = suite_function("shifted_rastrigin", 3).problem()
+        n, steps = 20, 200
+        # Past 16 runs each run's share of the block, not the stack's, sets
+        # its length; the run crosses blocks either way.
+        assert _BLOCK_BYTES // len(seeds) < _RUN_BYTES
+        assert 1 < _RUN_BYTES // (8 * (1 + 2 * n * 3)) < steps
+        inertia = []
+
+        def recording(state, omega, pulls, epsilon0=0.0):
+            inertia.append(omega.copy())
+            step(state, omega, pulls, epsilon0=epsilon0)
+
+        monkeypatch.setattr(swarm, "step", recording)
+        results = run_many(problem, schedules, n, n * (steps + 1), seeds)
+        stacked = np.array(inertia)
+        assert np.signbit(stacked[:, len(stock)]).all()
+        for r, (schedule, seed) in enumerate(zip(schedules, seeds)):
+            inertia.clear()
+            alone = run(problem, schedule, n, n * (steps + 1), seed)
+            assert results[r].seed == seed
+            assert results[r].best_value == alone.best_value, schedule
+            assert (results[r].best_position.tobytes()
+                    == alone.best_position.tobytes())
+            assert results[r].history == alone.history
+            assert stacked[:, r].tobytes() == np.concatenate(inertia).tobytes()
