@@ -404,18 +404,18 @@ def _run_function(task) -> tuple[int, list[tuple[int, int, float, str]]]:
     """All pending runs of one function in one stack; a schedule whose
     coefficient table fails its checks fails only its own runs, as NaN."""
     k, function, pending, pop_size, budget = task
-    failed = {}
-    for spec in dict.fromkeys(run[3] for run in pending):
+    failed = {}  # by repr(spec), which tells a -0.0 field from 0.0
+    for key, spec in {repr(run[3]): run[3] for run in pending}.items():
         try:
             coefficient_table(spec, budget // pop_size)
         except SwarmPatternError as exc:
-            failed[spec] = f"{type(exc).__name__}: {exc}"
-    stack = [run for run in pending if run[3] not in failed]
+            failed[key] = f"{type(exc).__name__}: {exc}"
+    stack = [run for run in pending if repr(run[3]) not in failed]
     results = (run_many(function.problem(), [run[3] for run in stack],
                         pop_size, budget, [run[2] for run in stack])
                if stack else [])
     best = {run[:2]: result.best_value for run, result in zip(stack, results)}
-    return k, [(i, r, best.get((i, r), math.nan), failed.get(spec, ""))
+    return k, [(i, r, best.get((i, r), math.nan), failed.get(repr(spec), ""))
                for i, r, _, spec in pending]
 
 

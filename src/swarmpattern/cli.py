@@ -58,12 +58,10 @@ from .schedules import (
     LinearInertia,
     Mapso,
     RandomInertia,
-    ScheduleFeedback,
     SuccessRateInertia,
+    _mapso_profile,
     baseline_schedules,
     coefficient_table,
-    coefficients_at,
-    mapso_pattern,
 )
 from .simulate import (
     FixedAttractors,
@@ -359,21 +357,21 @@ def cmd_schedule_dump(args) -> int:
     if args.stride < 1:
         raise _InputError(f"--stride must be at least 1, got {args.stride}")
     spec = _parse_schedule(args.schedule)
-    per_success = coefficient_table(spec, args.t_max)[:, 4]
-    rng = np.random.default_rng(args.seed)
-    lines = ["t,vc,rho1,focus,omega,c,alpha"]
-    for t in range(0, args.t_max + 1, args.stride):
-        params = coefficients_at(spec, ScheduleFeedback(t=t, t_max=args.t_max),
-                                 rng)
-        # Blank cells: the pattern of a schedule other than MAPSO, and an
-        # inertia that weights each run's own success rate.
-        cells = [None, None, None, None if per_success[t] else params.omega,
-                 params.c, params.alpha]
-        if isinstance(spec, Mapso):
-            target = mapso_pattern(t, args.t_max, spec)
-            cells[:3] = target.vc, target.rho1, target.focus
-        lines.append(",".join([str(t)] + ["" if v is None else _float_csv(v)
-                                          for v in cells]))
+    ticks = np.arange(0, args.t_max + 1, args.stride)
+    omega, c, alpha, per_draw, per_success = coefficient_table(
+        spec, args.t_max)[ticks].T
+    draws = per_draw != 0.0  # only these ticks draw, so -0.0 keeps its sign
+    omega[draws] += per_draw[draws] * np.random.default_rng(args.seed).random(
+        np.count_nonzero(draws))
+    # Blank cells: the pattern of a schedule other than MAPSO, and an
+    # inertia that weights each run's own success rate.
+    blank = [None] * ticks.size
+    rho1, vc, focus = (_mapso_profile(ticks, args.t_max, spec)
+                       if isinstance(spec, Mapso) else (blank, blank, blank))
+    omega = [None if s else w for s, w in zip(per_success, omega)]
+    lines = ["t,vc,rho1,focus,omega,c,alpha"] + [
+        ",".join([str(t), *("" if v is None else _float_csv(v) for v in cells)])
+        for t, *cells in zip(ticks, vc, rho1, focus, omega, c, alpha)]
     _emit(args.output, "\n".join(lines) + "\n")
     return 0
 

@@ -178,17 +178,8 @@ ScheduleSpec = (IpsoParams | Mapso | LinearInertia | RandomInertia
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE)
-def coefficient_table(spec: ScheduleSpec, t_max: int) -> np.ndarray:
-    """Read-only ``(t_max + 1, 5)`` rows of ``(omega, c, alpha,
-    omega_per_draw, omega_per_success)``, row ``t`` for the step at tick
-    ``t``, the same array for equal ``(spec, t_max)``.
-
-    A run's inertia is ``omega + omega_per_draw * u + omega_per_success * s``
-    for its own standard uniform ``u`` and success rate ``s``.  A MAPSO row
-    that misses its target pattern (NaN included) raises
-    :class:`ConsistencyError`, any other non-finite entry
-    :class:`ScheduleError`, naming the first bad tick.
-    """
+def _table(key: str, spec: ScheduleSpec, t_max: int) -> np.ndarray:
+    # key is repr(spec): the cache compares specs by ==, and -0.0 == 0.0.
     ticks = np.arange(t_max + 1)
     solved = True
     if isinstance(spec, RandomInertia):
@@ -222,6 +213,24 @@ def coefficient_table(spec: ScheduleSpec, t_max: int) -> np.ndarray:
                     f"{tuple(table[t].tolist())}")
     table.setflags(write=False)
     return table
+
+
+def coefficient_table(spec: ScheduleSpec, t_max: int) -> np.ndarray:
+    """Read-only ``(t_max + 1, 5)`` rows of ``(omega, c, alpha,
+    omega_per_draw, omega_per_success)``, row ``t`` for the step at tick
+    ``t``, the same array for ``(spec, t_max)`` of equal ``repr``.
+
+    A run's inertia is ``omega + omega_per_draw * u + omega_per_success * s``
+    for its own standard uniform ``u`` and success rate ``s``.  A MAPSO row
+    that misses its target pattern (NaN included) raises
+    :class:`ConsistencyError`, any other non-finite entry
+    :class:`ScheduleError`, naming the first bad tick.
+    """
+    return _table(repr(spec), spec, t_max)
+
+
+coefficient_table.cache_info = _table.cache_info
+coefficient_table.cache_clear = _table.cache_clear
 
 
 def coefficients_at(spec: ScheduleSpec, feedback: ScheduleFeedback,

@@ -22,8 +22,8 @@ and reads it in a fixed order per iteration -- first the inertia's draw
 (if its rule weights one), then the phi1 matrix, then the phi2 matrix.
 :func:`run_many` takes those standard uniforms for a block of iterations at
 once, one generator call per run and block, laid out tick after tick in that
-same order, so the block length never changes what a run draws.  A run's
-result depends on its seed only, never on the runs beside it.
+same order, so the block length (``_RUN_BYTES`` of one run's draws) never
+changes what a run draws.  A run's result depends on its seed only.
 """
 
 from __future__ import annotations
@@ -40,10 +40,7 @@ from .schedules import ScheduleSpec, coefficient_table
 
 logger = logging.getLogger(__name__)
 
-# Bytes of standard uniforms run_many draws per block: as many ticks as fit
-# in _BLOCK_BYTES for the stack, or in _RUN_BYTES per run if that holds more,
-# so each generator call of a large stack still spans many ticks.
-_BLOCK_BYTES = 1 << 20
+# Bytes of standard uniforms one run draws per block of run_many.
 _RUN_BYTES = 1 << 16
 
 
@@ -249,15 +246,15 @@ def run_many(problem: Problem, schedules: Sequence[ScheduleSpec],
     stops once the budget is spent, so each run's final evaluation count is
     exactly ``pop_size * (1 + steps)``.
 
-    Each distinct schedule's coefficient table is built and checked before
-    the initial sweep, so no schedule code runs per tick.  Everything that
-    does not depend on the positions is made a block of ticks ahead (see
-    ``_BLOCK_BYTES``): each run fills its standard uniforms for the block
-    with one generator call (per tick the inertia's draw, if its rule
-    weights one, then phi1, then phi2), and the pulls are scaled by the
-    runs' (c, alpha*c).  A run's inertia is its table's base value; the draw
-    term is added for a block, the success-rate term per tick, each only to
-    the runs whose rule weights it.
+    The table of each distinct schedule (by ``repr``, so -0.0 is not 0.0)
+    is built and checked before the initial sweep.  Everything that does not
+    depend on the positions is made a block of ticks ahead, as many as fit
+    in ``_RUN_BYTES`` of one run's draws: each run fills its standard
+    uniforms for the block with one generator call (per tick the inertia's
+    draw, if its rule weights one, then phi1, then phi2), and the pulls are
+    scaled by the runs' (c, alpha*c).  A run's inertia is its table's base
+    value; the draw term is added for a block, the success-rate term per
+    tick, each only to the runs whose rule weights it.
     """
     if pop_size < 1:
         raise ValueError("pop_size must be positive")
@@ -272,21 +269,17 @@ def run_many(problem: Problem, schedules: Sequence[ScheduleSpec],
     rngs = [np.random.default_rng(seed) for seed in seeds]
     t_max = budget_evals // pop_size
     steps = -(-budget_evals // pop_size) - 1
-    specs = list(dict.fromkeys(schedules))
-    tables = [coefficient_table(spec, t_max) for spec in specs]
+    distinct = {repr(spec): spec for spec in schedules}  # -0.0 is not 0.0
+    tables = [coefficient_table(spec, t_max) for spec in distinct.values()]
     state = initialize(problem, pop_size, rngs)
     runs, n, d = state.positions.shape
-    group = [specs.index(spec) for spec in schedules]
+    group = [list(distinct).index(repr(spec)) for spec in schedules]
     table = np.stack(tables, axis=-1)  # (t_max + 1, 5, distinct schedules)
     draws, success = table[:, 3:].any(axis=0)[:, group]
     reads_success = success.any()
     width = 2 * n * d
-    block = max(1, min(steps, max(_BLOCK_BYTES // runs, _RUN_BYTES)
-                       // (8 * (width + int(draws.any())))))
-    # Run r's pulls fill row r of (runs, block, width).  A drawing run's
-    # fill runs k draws past its row; it closes up before the next run fills.
-    buffer = np.empty(runs * block * width + block)
-    pulls = buffer[:-block].reshape(runs, block, 2, n, d)
+    block = max(1, min(steps, _RUN_BYTES // (8 * (width + 1))))
+    pulls = np.empty((runs, block, 2, n, d))
     best_so_far = np.empty((steps + 1, runs))
     best_so_far[0] = state.gbest_value
     for start in range(0, steps, block):
@@ -294,13 +287,12 @@ def run_many(problem: Problem, schedules: Sequence[ScheduleSpec],
         omega, c, alpha, per_draw, per_success = np.moveaxis(
             table[start:start + k, :, group], 1, 0)
         for r, rng in enumerate(rngs):
-            ticks = buffer[r * block * width:][:k * (width + draws[r])]
-            rng.random(out=ticks)
-            if draws[r]:  # take the inertia draws, then close up the pulls
-                omega[:, r] += per_draw[:, r] * ticks[::width + 1]
-                for j in range(k):  # each copy moves data down, in place
-                    ticks[j * width:(j + 1) * width] = ticks[
-                        j * (width + 1) + 1:(j + 1) * (width + 1)]
+            if draws[r]:  # per tick the inertia's draw, then the pulls
+                drawn = rng.random((k, width + 1))
+                omega[:, r] += per_draw[:, r] * drawn[:, 0]
+                pulls[r, :k] = drawn[:, 1:].reshape(k, 2, n, d)
+            else:
+                rng.random(out=pulls[r, :k])
         _scale_pulls(pulls[:, :k], np.stack((c.T, (alpha * c).T), axis=-1))
         for j in range(k):
             inertia = omega[j]

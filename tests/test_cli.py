@@ -11,14 +11,19 @@ from swarmpattern import (
     IpsoParams,
     LinearInertia,
     Mapso,
+    ScheduleFeedback,
     SuccessRateInertia,
     __version__,
+    baseline_schedules,
     cli,
+    coefficients_at,
     ipso_to_moments,
     is_order2_convergent,
+    mapso_pattern,
     plan_to_dict,
     suite_function,
 )
+from swarmpattern.schedules import coefficient_table
 
 
 def _run(capsys, *argv):
@@ -283,6 +288,24 @@ class TestOptimize:
         assert out == ""
 
 
+def _reference_dump(spec, t_max, stride, seed):
+    """schedule-dump's CSV by the per-tick loop: one coefficients_at call
+    (and draw) and one mapso_pattern call per printed tick."""
+    per_success = coefficient_table(spec, t_max)[:, 4]
+    rng = np.random.default_rng(seed)
+    lines = ["t,vc,rho1,focus,omega,c,alpha"]
+    for t in range(0, t_max + 1, stride):
+        params = coefficients_at(spec, ScheduleFeedback(t=t, t_max=t_max), rng)
+        cells = [None, None, None, None if per_success[t] else params.omega,
+                 params.c, params.alpha]
+        if isinstance(spec, Mapso):
+            target = mapso_pattern(t, t_max, spec)
+            cells[:3] = target.vc, target.rho1, target.focus
+        lines.append(",".join([str(t)] + ["" if v is None else repr(float(v))
+                                          for v in cells]))
+    return "\n".join(lines) + "\n"
+
+
 class TestScheduleDump:
     def test_mapso_profile_endpoints(self, capsys):
         code, out, _ = _run(capsys, "schedule-dump", "--schedule", "mapso",
@@ -318,6 +341,22 @@ class TestScheduleDump:
         _, rows = _rows(out)
         assert rows == [[t, "", "", "", "", "1.49618", "1.0"]
                         for t in ("0", "2", "4")]
+
+    @pytest.mark.parametrize("flags", [
+        (), ("--t-max", "997", "--stride", "7", "--seed", "3"),
+        ("--t-max", "1", "--stride", "5")])
+    @pytest.mark.parametrize("schedule", [
+        *sorted(baseline_schedules()), "constant:-0.0,1.2,1.0", "linear:1,-1",
+        "random:2,0.5", "success:0.1,0.9"])
+    def test_output_equals_the_per_tick_loop_byte_for_byte(self, capsys,
+                                                           schedule, flags):
+        code, out, err = _run(capsys, "schedule-dump", "--schedule", schedule,
+                              *flags)
+        assert code == 0
+        config = _config_line(err)
+        assert out == _reference_dump(cli._parse_schedule(schedule),
+                                      config["t_max"], config["stride"],
+                                      config["seed"])
 
     @pytest.mark.parametrize("stride", ["0", "-1"])
     def test_stride_below_one_is_an_input_error(self, capsys, stride):

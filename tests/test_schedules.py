@@ -276,6 +276,13 @@ class TestCoefficientTable:
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 0.5
 
+    def test_a_signed_zero_field_gets_its_own_table(self):
+        # -0.0 == 0.0, so equal specs by == may still differ in their rows.
+        plus = coefficient_table(IpsoParams(0.0, 1.2, 1.0), 5)
+        minus = coefficient_table(IpsoParams(-0.0, 1.2, 1.0), 5)
+        assert minus is not plus
+        assert np.signbit(minus[:, 0]).all() and not np.signbit(plus).any()
+
     @pytest.mark.parametrize("name", sorted(baseline_schedules()))
     def test_every_stock_kind_pins_its_five_columns(self, name):
         spec = baseline_schedules()[name]

@@ -30,7 +30,7 @@ from swarmpattern import (
 )
 from swarmpattern import patterns, schedules, swarm
 from swarmpattern.schedules import coefficient_table
-from swarmpattern.swarm import _BLOCK_BYTES, _RUN_BYTES, _scale_pulls
+from swarmpattern.swarm import _RUN_BYTES, _scale_pulls
 
 ICPSO = IpsoParams(0.711897, 1.711897, 1.0)
 
@@ -509,16 +509,15 @@ class TestBlockDraws:
     def test_every_block_boundary_matches_the_per_tick_loop(self, kind, seeds):
         n, d = 16, 16
         schedule = SCHEDULE_KINDS[kind]
-        width = (kind == "random") + 2 * n * d
-        block = _BLOCK_BYTES // (8 * len(seeds) * width)
+        block = _RUN_BYTES // (8 * (1 + 2 * n * d))
         assert block > 2
         for steps in (0, 1, block - 1, block, block + 1, 3 * block + 5):
             self._assert_matches_reference(_sphere(d), schedule, n, steps,
                                            seeds)
 
-    def test_one_tick_blocks_when_a_tick_outgrows_the_buffer(self):
+    def test_one_tick_blocks_when_a_tick_outgrows_the_run_budget(self):
         n, d, seeds = 40, 1000, (1, 2, 3)
-        assert _BLOCK_BYTES // (8 * len(seeds) * 2 * n * d) == 0
+        assert _RUN_BYTES // (8 * (1 + 2 * n * d)) == 0
         for schedule in SCHEDULE_KINDS.values():
             self._assert_matches_reference(_sphere(d), schedule, n, 3, seeds)
 
@@ -535,9 +534,8 @@ class TestMixedStack:
         seeds = range(40, 40 + len(schedules))
         problem = suite_function("shifted_rastrigin", 3).problem()
         n, steps = 20, 200
-        # Past 16 runs each run's share of the block, not the stack's, sets
-        # its length; the run crosses blocks either way.
-        assert _BLOCK_BYTES // len(seeds) < _RUN_BYTES
+        # One run's draws per tick set the block length, however many runs
+        # the stack holds; the run crosses blocks.
         assert 1 < _RUN_BYTES // (8 * (1 + 2 * n * 3)) < steps
         inertia = []
 
@@ -558,3 +556,61 @@ class TestMixedStack:
                     == alone.best_position.tobytes())
             assert results[r].history == alone.history
             assert stacked[:, r].tobytes() == np.concatenate(inertia).tobytes()
+
+    def test_signed_zero_inertia_is_its_own_schedule(self, monkeypatch):
+        # Equal as dataclasses, since -0.0 == 0.0, but not the same run.
+        inertia = []
+
+        def recording(state, omega, pulls, epsilon0=0.0):
+            inertia.append(omega.copy())
+            step(state, omega, pulls, epsilon0=epsilon0)
+
+        monkeypatch.setattr(swarm, "step", recording)
+        run_many(_sphere(2), [IpsoParams(0.0, 1.2, 1.0),
+                              IpsoParams(-0.0, 1.2, 1.0)], 4, 40, [1, 2])
+        signs = np.signbit(np.array(inertia))
+        assert len(inertia) == 9
+        assert not signs[:, 0].any() and signs[:, 1].all()
+
+
+class TestBlockLength:
+    """The per-run byte budget sets how many ticks a block holds; no block
+    length may change any run's result or the inertia it is handed."""
+
+    def _stack(self, monkeypatch, problem, schedules, n, steps, block=None):
+        """Each run's results and received inertia, with the budget set so
+        that blocks hold ``block`` ticks (the default budget if None)."""
+        width = 1 + 2 * n * problem.dimension
+        budget = _RUN_BYTES if block is None else 8 * width * block
+        expected = max(1, min(steps, budget // (8 * width)))
+        inertia = []
+
+        def recording(state, omega, pulls, epsilon0=0.0):
+            assert pulls.base.shape[1] == expected  # the block's tick count
+            inertia.append(omega.copy())
+            step(state, omega, pulls, epsilon0=epsilon0)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(swarm, "_RUN_BYTES", budget)
+            patched.setattr(swarm, "step", recording)
+            results = run_many(problem, schedules, n, n * (steps + 1),
+                               range(60, 60 + len(schedules)))
+        return results, np.array(inertia)
+
+    def test_every_block_length_gives_the_same_runs(self, monkeypatch):
+        schedules = [*baseline_schedules().values(),
+                     IpsoParams(omega=-0.0, c=1.2, alpha=1.0)]
+        problem = suite_function("shifted_rastrigin", 3).problem()
+        n, steps = 20, 150
+        assert 1 < _RUN_BYTES // (8 * (1 + 2 * n * 3)) < steps
+        default, inertia = self._stack(monkeypatch, problem, schedules, n,
+                                       steps)
+        for block in (1, 2, 3, steps):
+            results, got = self._stack(monkeypatch, problem, schedules, n,
+                                       steps, block)
+            assert got.tobytes() == inertia.tobytes(), block
+            for alone, result in zip(default, results):
+                assert result.best_value == alone.best_value, block
+                assert (result.best_position.tobytes()
+                        == alone.best_position.tobytes())
+                assert result.history == alone.history, block
