@@ -49,6 +49,8 @@ from .schedules import (
 from .swarm import Problem, run_many
 
 PLAN_FORMAT_VERSION = 1
+# Runs per (algorithm, function) pairing when a plan or `bench` names none.
+DEFAULT_RUNS = 15
 
 
 # --- the classic functions ---------------------------------------------------
@@ -58,35 +60,35 @@ PLAN_FORMAT_VERSION = 1
 # bits whether it is evaluated alone or inside a batch.
 
 def sphere(x: np.ndarray) -> np.ndarray:
-    return np.sum(x * x, axis=-1)
+    return (x * x).sum(axis=-1)
 
 
 def rosenbrock(x: np.ndarray) -> np.ndarray:
     head, tail = x[..., :-1], x[..., 1:]
-    return np.sum(100.0 * (tail - head ** 2) ** 2 + (1.0 - head) ** 2, axis=-1)
+    return (100.0 * (tail - head ** 2) ** 2 + (1.0 - head) ** 2).sum(axis=-1)
 
 
 def rastrigin(x: np.ndarray) -> np.ndarray:
-    return 10.0 * x.shape[-1] + np.sum(x * x - 10.0 * np.cos(2.0 * np.pi * x),
-                                       axis=-1)
+    return 10.0 * x.shape[-1] + (x * x - 10.0 * np.cos(2.0 * np.pi * x)).sum(
+        axis=-1)
 
 
 def ackley(x: np.ndarray) -> np.ndarray:
     d = x.shape[-1]
-    return (-20.0 * np.exp(-0.2 * np.sqrt(np.sum(x * x, axis=-1) / d))
-            - np.exp(np.sum(np.cos(2.0 * np.pi * x), axis=-1) / d)
+    return (-20.0 * np.exp(-0.2 * np.sqrt((x * x).sum(axis=-1) / d))
+            - np.exp(np.cos(2.0 * np.pi * x).sum(axis=-1) / d)
             + 20.0 + np.e)
 
 
 def griewank(x: np.ndarray) -> np.ndarray:
     i = np.arange(1, x.shape[-1] + 1, dtype=float)
-    return (1.0 + np.sum(x * x, axis=-1) / 4000.0
-            - np.prod(np.cos(x / np.sqrt(i)), axis=-1))
+    return (1.0 + (x * x).sum(axis=-1) / 4000.0
+            - np.cos(x / np.sqrt(i)).prod(axis=-1))
 
 
 def schwefel226(x: np.ndarray) -> np.ndarray:
-    return 418.9829 * x.shape[-1] - np.sum(x * np.sin(np.sqrt(np.abs(x))),
-                                           axis=-1)
+    return 418.9829 * x.shape[-1] - (x * np.sin(np.sqrt(np.abs(x)))).sum(
+        axis=-1)
 
 
 def _shifted(x: np.ndarray, base, shift: np.ndarray) -> np.ndarray:
@@ -177,7 +179,7 @@ class ExperimentPlan:
     functions: tuple[TestFunction, ...]
     dimension: int
     pop_size: int = 20
-    runs: int = 50
+    runs: int = DEFAULT_RUNS
     evals_per_dim: int = 5000
     base_seed: int = 0
 
@@ -214,7 +216,7 @@ def _safe_name(name: str) -> bool:
     return bool(name) and all(ch.isalnum() or ch in "_-" for ch in name)
 
 
-def default_plan(dimension: int = 10, runs: int = 15,
+def default_plan(dimension: int = 10, runs: int = DEFAULT_RUNS,
                  base_seed: int = 0) -> ExperimentPlan:
     """Stock comparison: the six schedules over the classic suite."""
     return ExperimentPlan(

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from .benchmark import (
+    DEFAULT_RUNS,
     default_plan,
     load_plan,
     load_results,
@@ -454,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parallelism", type=int, default=1)
     p.add_argument("--dimension", type=int, default=10,
                    help="stock-plan dimension (ignored with --plan)")
-    p.add_argument("--runs", type=int, default=15,
+    p.add_argument("--runs", type=int, default=DEFAULT_RUNS,
                    help="stock-plan runs per pairing (ignored with --plan)")
     p.add_argument("--base-seed", type=int, default=0,
                    help="stock-plan base seed (ignored with --plan)")

@@ -11,6 +11,11 @@ AND only when the position lies inside the search box; positions themselves
 are never clamped, so particles may roam outside and return.  The global
 best is recomputed synchronously after the whole population has moved.
 
+Cost of a tick: :func:`step` reuses scratch buffers held on the state for
+its pulls and masks, and when no particle beats its personal best it skips
+the in-box test and the best-keeping, since nothing else can change.  The
+objective's returned values are read, never written or kept.
+
 Lockstep: :func:`run_many` advances ``R`` independent runs of one problem
 together, each under its own schedule.  Their state is stacked along a
 leading run axis and updated in place, and each tick makes one objective
@@ -113,6 +118,18 @@ class SwarmState:
         """Index of each run's first particle among all ``R*n``."""
         return np.arange(0, self.runs * self.pop_size, self.pop_size)
 
+    @cached_property
+    def _workspace(self) -> tuple[np.ndarray, ...]:
+        """:func:`step`'s temporaries: the ``(R, n, d)`` pull, two
+        ``(R, n, d)`` in-box masks and the ``(R, n)`` improvement mask.
+
+        Scratch only, never a view of a state array, so a field that is
+        reassigned is never read stale.
+        """
+        shape = self.positions.shape
+        return (np.empty(shape), np.empty(shape, dtype=bool),
+                np.empty(shape, dtype=bool), np.empty(shape[:2], dtype=bool))
+
 
 @dataclass(frozen=True)
 class RunResult:
@@ -130,33 +147,37 @@ def _evaluate(problem: Problem, positions: np.ndarray) -> np.ndarray:
     ``positions`` stacks the particles of every run, ``(R, n, d)``; the
     objective sees them as one ``(R*n, d)`` array and must return one value
     per row.  A per-vector function ``f`` satisfies that as
-    ``lambda X: np.apply_along_axis(f, -1, X)``.
+    ``lambda X: np.apply_along_axis(f, -1, X)``.  The returned values may be
+    the objective's own array: it is copied when a value must become inf,
+    and never written, so a caller that keeps the result copies it.
     """
     runs, n, d = positions.shape
     rows = runs * n
-    values = np.array(problem.objective(positions.reshape(rows, d)),
-                      dtype=float)
+    values = np.asarray(problem.objective(positions.reshape(rows, d)),
+                        dtype=float)
     if values.shape != (rows,):
         raise ValueError(
             f"objective {problem.name or '<anonymous>'} returned shape "
             f"{values.shape} for {rows} positions; the contract is "
             "f(X[n, d]) -> y[n] (lift a per-vector f with "
             "np.apply_along_axis(f, -1, X))")
-    bad = ~np.isfinite(values)
-    if bad.any():
+    finite = np.isfinite(values)
+    bad = rows - np.count_nonzero(finite)
+    if bad:
         logger.warning(
             "objective %s returned %d non-finite value(s) in a sweep of %d; "
             "treating them as no-improvement",
-            problem.name or "<anonymous>", np.count_nonzero(bad), rows)
-        values[bad] = math.inf
+            problem.name or "<anonymous>", bad, rows)
+        values = np.where(finite, values, math.inf)
     return values.reshape(runs, n)
 
 
 def _take_gbest(state: SwarmState) -> None:
     best = state.pbest_values.argmin(axis=1)
     best += state._run_starts
-    state.gbest[:] = state.pbest_positions.reshape(-1, state.gbest.shape[1])[best]
-    state.gbest_value[:] = state.pbest_values.reshape(-1)[best]
+    state.pbest_positions.reshape(-1, state.gbest.shape[1]).take(
+        best, axis=0, out=state.gbest)
+    state.pbest_values.reshape(-1).take(best, out=state.gbest_value)
 
 
 def initialize(problem: Problem, pop_size: int,
@@ -176,7 +197,7 @@ def initialize(problem: Problem, pop_size: int,
         positions=positions,
         velocities=np.zeros_like(positions),
         pbest_positions=positions.copy(),
-        pbest_values=_evaluate(problem, positions),
+        pbest_values=_evaluate(problem, positions).copy(),
         gbest=np.empty((runs, problem.dimension)),
         gbest_value=np.empty(runs),
         success_rate=np.zeros(runs),
@@ -216,9 +237,10 @@ def step(state: SwarmState, omega: np.ndarray, pulls: np.ndarray,
         raise ValueError(f"inertia of shape {np.shape(omega)} and pulls of "
                          f"shape {np.shape(pulls)} for {runs} runs of "
                          f"{n}x{d}; need ({runs},) and ({runs}, 2, {n}, {d})")
+    pull, at_least, at_most, improved = state._workspace
     x, v = state.positions, state.velocities
     v *= omega[:, None, None]
-    pull = state.pbest_positions - x
+    np.subtract(state.pbest_positions, x, out=pull)
     pull *= pulls[:, 0]
     v += pull
     np.subtract(state.gbest[:, None, :], x, out=pull)
@@ -227,8 +249,18 @@ def step(state: SwarmState, omega: np.ndarray, pulls: np.ndarray,
     x += v
 
     values = _evaluate(problem, x)
-    in_box = ((x >= problem.lower) & (x <= problem.upper)).all(axis=2)
-    improved = in_box & (values < state.pbest_values - epsilon0)
+    # x - 0.0 is x bit for bit, so the default threshold needs no subtraction.
+    threshold = (state.pbest_values - epsilon0 if epsilon0
+                 else state.pbest_values)
+    np.less(values, threshold, out=improved)
+    if not np.count_nonzero(improved):
+        # Unchanged personal bests keep every global best: nothing to do.
+        state.success_rate.fill(0.0)
+        return
+    np.greater_equal(x, problem.lower, out=at_least)
+    np.less_equal(x, problem.upper, out=at_most)
+    at_least &= at_most
+    improved &= at_least.all(axis=2)
     np.copyto(state.pbest_positions, x, where=improved[:, :, None])
     np.copyto(state.pbest_values, values, where=improved)
     _take_gbest(state)

@@ -32,6 +32,7 @@ from swarmpattern import (
     suite_function,
 )
 from swarmpattern import benchmark
+from swarmpattern.cli import build_parser
 
 ICPSO = IpsoParams(0.711897, 1.711897, 1.0)
 
@@ -131,6 +132,13 @@ class TestExperimentPlan:
         assert len(plan.functions) == 11
         assert plan.runs == 15
         assert plan.pop_size == 20
+
+    def test_one_default_run_count(self):
+        bare = ExperimentPlan((("icpso", ICPSO),),
+                              (suite_function("sphere", 2),), 2)
+        args = build_parser().parse_args(["bench", "--out", "unused"])
+        assert (bare.runs == default_plan(2).runs == args.runs
+                == benchmark.DEFAULT_RUNS == 15)
 
     def test_validation_messages(self):
         sphere2 = suite_function("sphere", 2)

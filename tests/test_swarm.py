@@ -229,6 +229,102 @@ class TestStep:
         assert len(caplog.records) == 2
         assert np.array_equal(state.gbest_value, [1.0, 1.0, 1.0])
 
+    def test_a_tick_without_a_better_value_changes_only_the_success_rate(
+            self, monkeypatch):
+        # Pulls are zero, so each particle moves by its velocity.
+        # Tick one: run 0's first particle improves and run 1 only moves
+        # away from its bests.  Tick two (inertia 0): no value beats its
+        # personal best, so step leaves before the in-box test.
+        problem = _sphere(1)
+        x = np.array([[[2.0], [3.0]], [[1.0], [-2.0]]])
+        state = SwarmState(
+            problem=problem, positions=x.copy(),
+            velocities=np.array([[[-1.0], [0.0]], [[1.0], [-1.0]]]),
+            pbest_positions=x.copy(), pbest_values=x[..., 0] ** 2,
+            gbest=np.array([[2.0], [1.0]]), gbest_value=np.array([4.0, 1.0]),
+            success_rate=np.full(2, 0.5))
+        gbest_takes = []
+        take_gbest = swarm._take_gbest
+
+        def counted(s):
+            gbest_takes.append(1)
+            take_gbest(s)
+
+        monkeypatch.setattr(swarm, "_take_gbest", counted)
+        pulls = np.zeros((2, 2, 2, 1))
+        before = copy.deepcopy(state)
+        step(state, np.ones(2), pulls)
+        assert len(gbest_takes) == 1
+        assert np.array_equal(state.pbest_values[0], [1.0, 9.0])
+        assert np.array_equal(state.gbest[0], [1.0])
+        assert state.success_rate[0] == 0.5
+        for name in ("pbest_positions", "pbest_values", "gbest", "gbest_value"):
+            assert np.array_equal(getattr(state, name)[1],
+                                  getattr(before, name)[1]), name
+        assert state.success_rate[1] == 0.0
+        before = copy.deepcopy(state)
+        step(state, np.zeros(2), pulls)
+        assert len(gbest_takes) == 1
+        for name in ("positions", "pbest_positions", "pbest_values", "gbest",
+                     "gbest_value"):
+            assert np.array_equal(getattr(state, name),
+                                  getattr(before, name)), name
+        assert np.array_equal(state.success_rate, [0.0, 0.0])
+        assert not np.signbit(state.success_rate).any()
+
+    def test_a_non_finite_sweep_improves_nothing(self, caplog):
+        # -inf would beat every personal best unless it became inf first.
+        raw = np.array([-np.inf, np.nan, -np.inf, np.inf])
+        calls = iter([lambda X: np.sum(X * X, axis=-1), lambda X: raw])
+        problem = Problem(2, -np.ones(2), np.ones(2),
+                          lambda X: next(calls)(X))
+        state = initialize(problem, 4, _rngs(0))
+        before = copy.deepcopy(state)
+        with caplog.at_level("WARNING", logger="swarmpattern.swarm"):
+            step(state, *_tick([IpsoParams(0.7, 1.4, 1.0)], _rngs(1), 4, 2))
+        assert len(caplog.records) == 1
+        assert "4 non-finite value(s) in a sweep of 4" in caplog.text
+        for name in ("pbest_positions", "pbest_values", "gbest", "gbest_value"):
+            assert np.array_equal(getattr(state, name),
+                                  getattr(before, name)), name
+        assert state.success_rate[0] == 0.0
+
+    @pytest.mark.parametrize("raw", [[3.0, 1.0, 2.0, 5.0],
+                                     [3.0, np.nan, -np.inf, 2.0]])
+    def test_the_objective_s_array_is_read_never_written_or_kept(self, raw):
+        # An objective may hand back the same read-only array every call.
+        raw = np.array(raw)
+        raw.setflags(write=False)
+        expected = raw.copy()
+        problem = Problem(1, -np.ones(1), np.ones(1), lambda X: raw)
+        state = initialize(problem, raw.size, _rngs(0))
+        rngs = _rngs(1)
+        for _ in range(3):
+            step(state, *_tick([IpsoParams(0.7, 1.4, 1.0)], rngs, raw.size, 1))
+        assert np.array_equal(raw, expected, equal_nan=True)
+        assert not np.shares_memory(raw, state.pbest_values)
+
+    def test_reassigned_arrays_are_never_read_stale(self):
+        problem = _sphere(3)
+        state = initialize(problem, 6, _rngs(0))
+        rngs = _rngs(1)
+        for _ in range(4):
+            step(state, *_tick([ICPSO], rngs, 6, 3))
+        old_positions, old_pbest = state.positions, state.pbest_positions
+        state.positions = old_positions.copy()
+        state.pbest_positions = old_pbest.copy()
+        old_positions.fill(np.nan)
+        old_pbest.fill(np.nan)
+        fresh = _state(problem, state.positions[0], state.velocities[0],
+                       state.pbest_positions[0], state.pbest_values[0])
+        tick = _tick([ICPSO], rngs, 6, 3)
+        step(state, *tick)
+        step(fresh, *tick)
+        for name in ("positions", "velocities", "pbest_positions",
+                     "pbest_values", "gbest", "gbest_value", "success_rate"):
+            assert np.array_equal(getattr(state, name),
+                                  getattr(fresh, name)), name
+
     def test_one_inertia_and_one_pull_pair_per_run(self):
         state = initialize(_sphere(2), 4, _rngs(0, 1))
         with pytest.raises(ValueError, match=r"for 2 runs of 4x2; need "
