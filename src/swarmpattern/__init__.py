@@ -79,7 +79,6 @@ from .schedules import (
     SuccessRateInertia,
     baseline_schedules,
     coefficients_at,
-    mapso_pattern,
 )
 from .swarm import (
     Problem,

@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import SwarmPatternError
+from .errors import SwarmPatternError, read_only_arrays
 from .schedules import (
     ScheduleSpec,
     baseline_schedules,
@@ -104,31 +104,18 @@ _BASES = {
     "schwefel226": (schwefel226, -500.0, 500.0, None),
 }
 _SHIFTED = ("sphere", "rosenbrock", "rastrigin", "ackley", "griewank")
+_SUITE = (*_BASES, *(f"shifted_{name}" for name in _SHIFTED))
 
 
 @dataclass(frozen=True)
-class TestFunction:
-    """One benchmark target with its box and (when known) optimum value."""
+class TestFunction(Problem):
+    """One benchmark target: a :class:`Problem` plus its optimum value,
+    when known."""
 
-    name: str
-    dimension: int
-    lower: np.ndarray
-    upper: np.ndarray
-    objective: object
-    optimum_value: float | None
-
-    def __post_init__(self):
-        lower = np.asarray(self.lower, dtype=float)
-        upper = np.asarray(self.upper, dtype=float)
-        lower.setflags(write=False)
-        upper.setflags(write=False)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
+    optimum_value: float | None = None
 
     def problem(self) -> Problem:
-        return Problem(dimension=self.dimension, lower=self.lower,
-                       upper=self.upper, objective=self.objective,
-                       name=self.name)
+        return self
 
 
 def _shift_vector(name: str, dimension: int, lo: float, hi: float) -> np.ndarray:
@@ -140,33 +127,25 @@ def _shift_vector(name: str, dimension: int, lo: float, hi: float) -> np.ndarray
     return rng.uniform(0.5 * lo, 0.5 * hi, dimension)
 
 
-def classic_suite(dimension: int) -> tuple[TestFunction, ...]:
-    """The six classics plus five shifted variants, all at one dimension."""
+def suite_function(name: str, dimension: int) -> TestFunction:
+    """One function of :func:`classic_suite`, built alone."""
     if dimension < 1:
         raise ValueError("dimension must be positive")
-    out = []
-    for name, (fn, lo, hi, best) in _BASES.items():
-        out.append(TestFunction(
-            name=name, dimension=dimension,
-            lower=np.full(dimension, lo), upper=np.full(dimension, hi),
-            objective=fn, optimum_value=best))
-    for name in _SHIFTED:
-        fn, lo, hi, best = _BASES[name]
-        shift = _shift_vector(name, dimension, lo, hi)
-        out.append(TestFunction(
-            name=f"shifted_{name}", dimension=dimension,
-            lower=np.full(dimension, lo), upper=np.full(dimension, hi),
-            objective=functools.partial(_shifted, base=fn, shift=shift),
-            optimum_value=best))
-    return tuple(out)
+    if name not in _SUITE:
+        raise ValueError(f"unknown test function {name!r}; "
+                         f"known: {', '.join(_SUITE)}")
+    base = name.removeprefix("shifted_")
+    fn, lo, hi, best = _BASES[base]
+    objective = fn if name == base else functools.partial(
+        _shifted, base=fn, shift=_shift_vector(base, dimension, lo, hi))
+    return TestFunction(dimension=dimension, lower=np.full(dimension, lo),
+                        upper=np.full(dimension, hi), objective=objective,
+                        name=name, optimum_value=best)
 
 
-def suite_function(name: str, dimension: int) -> TestFunction:
-    for fn in classic_suite(dimension):
-        if fn.name == name:
-            return fn
-    known = ", ".join(f.name for f in classic_suite(dimension))
-    raise ValueError(f"unknown test function {name!r}; known: {known}")
+def classic_suite(dimension: int) -> tuple[TestFunction, ...]:
+    """The six classics plus five shifted variants, all at one dimension."""
+    return tuple(suite_function(name, dimension) for name in _SUITE)
 
 
 # --- plans and result sets ---------------------------------------------------
@@ -241,17 +220,13 @@ class ResultSet:
     failures: tuple[tuple[str, str, int, str], ...] = ()
 
     def __post_init__(self):
-        shape = (len(self.algorithms), len(self.functions), -1)
-        values = np.asarray(self.values, dtype=float)
-        seeds = np.asarray(self.seeds, dtype=np.uint64)
-        if values.ndim != 3 or values.shape[:2] != shape[:2]:
+        read_only_arrays(self, "values")
+        read_only_arrays(self, "seeds", dtype=np.uint64)
+        shape = (len(self.algorithms), len(self.functions))
+        if self.values.ndim != 3 or self.values.shape[:2] != shape:
             raise ValueError("values must have shape (n_algorithms, n_functions, runs)")
-        if seeds.shape != values.shape:
+        if self.seeds.shape != self.values.shape:
             raise ValueError("seeds must match the shape of values")
-        values.setflags(write=False)
-        seeds.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "seeds", seeds)
 
     @property
     def runs(self) -> int:
@@ -413,7 +388,7 @@ def _run_function(task) -> tuple[int, list[tuple[int, int, float, str]]]:
         except SwarmPatternError as exc:
             failed[key] = f"{type(exc).__name__}: {exc}"
     stack = [run for run in pending if repr(run[3]) not in failed]
-    results = (run_many(function.problem(), [run[3] for run in stack],
+    results = (run_many(function, [run[3] for run in stack],
                         pop_size, budget, [run[2] for run in stack])
                if stack else [])
     best = {run[:2]: result.best_value for run, result in zip(stack, results)}

@@ -289,7 +289,7 @@ def cmd_optimize(args) -> int:
     schedule = _parse_schedule(args.schedule)
     budget = (args.budget_evals if args.budget_evals is not None
               else 5000 * args.dimension)
-    result = run(function.problem(), schedule, args.pop_size, budget,
+    result = run(function, schedule, args.pop_size, budget,
                  args.seed, epsilon0=args.epsilon0)
     if args.history:
         lines = ["evals,best_value"]

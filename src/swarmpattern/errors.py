@@ -1,4 +1,14 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the field checks of its
+frozen value classes that raise them.
+
+Every value class builds itself through the same two helpers: numeric fields
+are coerced to finite floats by :func:`finite_fields`, array fields are made
+read-only by :func:`read_only_arrays`.
+"""
+
+import math
+
+import numpy as np
 
 
 class SwarmPatternError(Exception):
@@ -23,3 +33,28 @@ class ScheduleError(SwarmPatternError, ValueError):
 
 class SampleError(SwarmPatternError, ValueError):
     """An empirical estimator received too few or degenerate samples."""
+
+
+def finite_fields(obj, *names, error=ValueError) -> None:
+    """Coerce the named fields of a frozen dataclass, every field when none
+    is named, to finite floats; raise ``error`` on the first that is not."""
+    for name in names or obj.__dataclass_fields__:
+        value = getattr(obj, name)
+        try:
+            number = float(value)
+        except (TypeError, ValueError):
+            number = math.nan
+        if not math.isfinite(number):
+            raise error(f"{type(obj).__name__}.{name} must be a finite "
+                        f"number, got {value!r}")
+        object.__setattr__(obj, name, number)
+
+
+def read_only_arrays(obj, *names, dtype=float) -> None:
+    """Replace the named fields of a frozen dataclass by read-only arrays of
+    ``dtype``.  ``np.asarray`` copies nothing that already is one, so such
+    an array is frozen in place."""
+    for name in names:
+        array = np.asarray(getattr(obj, name), dtype=dtype)
+        array.setflags(write=False)
+        object.__setattr__(obj, name, array)

@@ -32,19 +32,16 @@ exact solve of ``(I - M) z = b``.  Closed forms are provided for its mean
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateParameterError, StabilityError
-
-
-def _require_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
+from .errors import (
+    DegenerateParameterError,
+    StabilityError,
+    finite_fields,
+    read_only_arrays,
+)
 
 
 @dataclass(frozen=True)
@@ -64,9 +61,7 @@ class CoefficientMoments:
     sigma_phi2: float
 
     def __post_init__(self):
-        for name in ("mu_omega", "sigma_omega", "mu_phi1", "sigma_phi1",
-                     "mu_phi2", "sigma_phi2"):
-            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
+        finite_fields(self)
         for name in ("sigma_omega", "sigma_phi1", "sigma_phi2"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
@@ -82,8 +77,7 @@ class AttractorMoments:
     sigma_g: float
 
     def __post_init__(self):
-        for name in ("mu_p", "sigma_p", "mu_g", "sigma_g"):
-            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
+        finite_fields(self)
         if self.sigma_p < 0 or self.sigma_g < 0:
             raise ValueError("attractor standard deviations must be non-negative")
 
@@ -113,18 +107,13 @@ class MomentSystem:
     b: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.m, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        if m.shape != (5, 5):
-            raise ValueError(f"m must be 5x5, got shape {m.shape}")
-        if b.shape != (5,):
-            raise ValueError(f"b must have shape (5,), got {b.shape}")
-        if not np.all(np.isfinite(m)) or not np.all(np.isfinite(b)):
+        read_only_arrays(self, "m", "b")
+        if self.m.shape != (5, 5):
+            raise ValueError(f"m must be 5x5, got shape {self.m.shape}")
+        if self.b.shape != (5,):
+            raise ValueError(f"b must have shape (5,), got {self.b.shape}")
+        if not (np.all(np.isfinite(self.m)) and np.all(np.isfinite(self.b))):
             raise ValueError("moment system entries must be finite")
-        m.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "b", b)
 
 
 @dataclass(frozen=True)
@@ -134,11 +123,9 @@ class MomentState:
     z: np.ndarray
 
     def __post_init__(self):
-        z = np.asarray(self.z, dtype=float)
-        if z.shape != (5,):
-            raise ValueError(f"z must have shape (5,), got {z.shape}")
-        z.setflags(write=False)
-        object.__setattr__(self, "z", z)
+        read_only_arrays(self, "z")
+        if self.z.shape != (5,):
+            raise ValueError(f"z must have shape (5,), got {self.z.shape}")
 
     @property
     def mean(self) -> float:

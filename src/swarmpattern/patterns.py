@@ -36,7 +36,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, DegenerateParameterError
+from .errors import (
+    ConsistencyError,
+    DegenerateParameterError,
+    finite_fields,
+    read_only_arrays,
+)
 from .moments import (
     AttractorMoments,
     CoefficientMoments,
@@ -55,12 +60,7 @@ class IpsoParams:
     c: float
     alpha: float
 
-    def __post_init__(self):
-        for name in ("omega", "c", "alpha"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
+    __post_init__ = finite_fields
 
 
 @dataclass(frozen=True)
@@ -72,16 +72,13 @@ class MovementPattern:
     focus: float
 
     def __post_init__(self):
-        rho1, vc, focus = float(self.rho1), float(self.vc), float(self.focus)
-        if not (-1.0 < rho1 < 1.0):
+        finite_fields(self)
+        if not (-1.0 < self.rho1 < 1.0):
             raise ValueError("rho1 must lie in (-1,1)")
-        if not (vc > 0.0 and math.isfinite(vc)):
+        if not self.vc > 0.0:
             raise ValueError("vc must be positive and finite")
-        if not (focus > 0.0 and math.isfinite(focus)):
+        if not self.focus > 0.0:
             raise ValueError("focus must be positive and finite")
-        object.__setattr__(self, "rho1", rho1)
-        object.__setattr__(self, "vc", vc)
-        object.__setattr__(self, "focus", focus)
 
 
 @dataclass(frozen=True)
@@ -91,13 +88,11 @@ class AutocorrelationSeq:
     rho: np.ndarray
 
     def __post_init__(self):
-        rho = np.asarray(self.rho, dtype=float)
-        if rho.ndim != 1 or rho.size < 1:
+        read_only_arrays(self, "rho")
+        if self.rho.ndim != 1 or self.rho.size < 1:
             raise ValueError("rho must be a non-empty 1-d array")
-        if rho[0] != 1.0:
+        if self.rho[0] != 1.0:
             raise ValueError("rho[0] must be exactly 1")
-        rho.setflags(write=False)
-        object.__setattr__(self, "rho", rho)
 
     def __len__(self) -> int:
         return int(self.rho.size)

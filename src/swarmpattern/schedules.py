@@ -33,13 +33,12 @@ process, and is stored in a plan as its ``_KINDS`` name plus its fields.
 from __future__ import annotations
 
 import functools
-import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, ScheduleError
-from .patterns import IpsoParams, MovementPattern, solve_coefficient_arrays
+from .errors import ConsistencyError, ScheduleError, finite_fields
+from .patterns import IpsoParams, solve_coefficient_arrays
 
 _TABLE_CACHE = 32  # (spec, t_max) tables kept; 2 500 ticks take 100 kB
 
@@ -64,17 +63,9 @@ class ScheduleFeedback:
 # --- schedule variants -----------------------------------------------------
 
 def _finite_fields(spec) -> None:
-    """Coerce every field of a schedule spec to a finite float."""
-    for f in fields(spec):
-        value = getattr(spec, f.name)
-        try:
-            number = float(value)
-        except (TypeError, ValueError):
-            number = math.nan
-        if not math.isfinite(number):
-            raise ScheduleError(f"{type(spec).__name__}.{f.name} must be a "
-                                f"finite number, got {value!r}")
-        object.__setattr__(spec, f.name, number)
+    """Coerce every field of a schedule spec to a finite float, or raise
+    :class:`ScheduleError`."""
+    finite_fields(spec, error=ScheduleError)
 
 
 @dataclass(frozen=True)
@@ -125,16 +116,6 @@ def _mapso_profile(t, t_max, cfg: Mapso):
     # Focus: unbiased midgame, second-attractor bias endgame.
     focus = np.select([before, after], [cfg.f_min, cfg.f_max], 1.0)
     return rho1, vc, focus
-
-
-def mapso_pattern(t: float, t_max: float,
-                  cfg: Mapso = Mapso()) -> MovementPattern:
-    """The movement-pattern target at one clock tick."""
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
-    if not (0 <= t <= t_max):
-        raise ValueError(f"t must lie in [0, t_max], got t={t}, t_max={t_max}")
-    return MovementPattern(*_mapso_profile(np.float64(t), t_max, cfg))
 
 
 @dataclass(frozen=True)

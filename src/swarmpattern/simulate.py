@@ -34,7 +34,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateParameterError, SampleError
+from .errors import (
+    DegenerateParameterError,
+    SampleError,
+    finite_fields,
+    read_only_arrays,
+)
 from .moments import AttractorMoments
 from .patterns import AutocorrelationSeq, IpsoParams
 
@@ -45,6 +50,14 @@ _SQRT3 = math.sqrt(3.0)
 DIVERGENCE_LIMIT = 1e100
 
 
+def _ordered_interval(process, name: str) -> None:
+    """Coerce a range field to a finite ``(lo, hi)`` float pair, ``lo <= hi``."""
+    lo, hi = (float(v) for v in getattr(process, name))
+    if not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
+        raise ValueError(f"{name} must be a finite ordered interval")
+    object.__setattr__(process, name, (lo, hi))
+
+
 @dataclass(frozen=True)
 class IidUniformAttractors:
     """Fresh uniform draws each iteration: ``p ~ U[p_range]``, ``g ~ U[g_range]``."""
@@ -53,11 +66,8 @@ class IidUniformAttractors:
     g_range: tuple[float, float]
 
     def __post_init__(self):
-        for name in ("p_range", "g_range"):
-            lo, hi = (float(v) for v in getattr(self, name))
-            if not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
-                raise ValueError(f"{name} must be a finite ordered interval")
-            object.__setattr__(self, name, (lo, hi))
+        _ordered_interval(self, "p_range")
+        _ordered_interval(self, "g_range")
 
     def moments(self) -> AttractorMoments:
         (plo, phi), (glo, ghi) = self.p_range, self.g_range
@@ -81,15 +91,8 @@ class RandomWalkAttractors:
     step_range: tuple[float, float] = (-1.0, 1.0)
 
     def __post_init__(self):
-        for name in ("p0", "g0"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, value)
-        lo, hi = (float(v) for v in self.step_range)
-        if not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
-            raise ValueError("step_range must be a finite ordered interval")
-        object.__setattr__(self, "step_range", (lo, hi))
+        finite_fields(self, "p0", "g0")
+        _ordered_interval(self, "step_range")
 
 
 @dataclass(frozen=True)
@@ -99,12 +102,7 @@ class FixedAttractors:
     p_value: float
     g_value: float
 
-    def __post_init__(self):
-        for name in ("p_value", "g_value"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, value)
+    __post_init__ = finite_fields
 
     def moments(self) -> AttractorMoments:
         return AttractorMoments(mu_p=self.p_value, sigma_p=0.0,
@@ -163,10 +161,7 @@ class SimTrace:
     diverged: bool = False
 
     def __post_init__(self):
-        for name in ("positions", "p_values", "g_values"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        read_only_arrays(self, "positions", "p_values", "g_values")
         if not (len(self.positions) == len(self.p_values) == len(self.g_values)):
             raise ValueError("trace arrays must share one length")
 

@@ -26,6 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .benchmark import ResultSet
+from .errors import read_only_arrays
 
 APPROX_MIN_PER_SIDE = 20
 
@@ -50,12 +51,10 @@ class TournamentMatrix:
     entries: tuple[DominanceEntry, ...] = ()
 
     def __post_init__(self):
-        t = np.asarray(self.t, dtype=int)
+        read_only_arrays(self, "t", dtype=int)
         n = len(self.algorithms)
-        if t.shape != (n, n):
+        if self.t.shape != (n, n):
             raise ValueError("tournament matrix shape must match algorithms")
-        t.setflags(write=False)
-        object.__setattr__(self, "t", t)
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import read_only_arrays
 from .schedules import ScheduleSpec, coefficient_table
 
 logger = logging.getLogger(__name__)
@@ -72,18 +73,14 @@ class Problem:
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError("dimension must be positive")
-        lower = np.asarray(self.lower, dtype=float)
-        upper = np.asarray(self.upper, dtype=float)
+        read_only_arrays(self, "lower", "upper")
+        lower, upper = self.lower, self.upper
         if lower.shape != (self.dimension,) or upper.shape != (self.dimension,):
             raise ValueError("bounds must be vectors of length dimension")
-        if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
+        if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
             raise ValueError("bounds must be finite")
-        if np.any(lower >= upper):
+        if (lower >= upper).any():
             raise ValueError("need lower < upper in every dimension")
-        lower.setflags(write=False)
-        upper.setflags(write=False)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
 
 
 @dataclass

@@ -1,4 +1,5 @@
-"""Shared fixtures: a frozen sample of stable parameter sets and long traces.
+"""Shared fixtures: a frozen sample of stable parameter sets and long traces,
+and a per-tick oracle of the MAPSO profile.
 
 The sampler below is the single source of the "randomly sampled stable
 parameter sets" used by the estimator-agreement tests.  Its seed, caps and
@@ -34,6 +35,34 @@ UNSTABLE = [
     IpsoParams(0.3, 3.4, 1.0),
     IpsoParams(0.99, 4.2, 1.0),
 ]
+
+
+def reference_pattern(t, t_max, cfg):
+    """(rho1, vc, focus) of the MAPSO profile ``cfg`` at tick ``t``, written
+    as the branchy per-tick code the vectorised profile replaced: an oracle
+    independent of the code under test."""
+    t1 = cfg.t1_frac * t_max
+    t2 = cfg.t2_frac * t_max
+    tm = (t1 + t2) / 2.0
+    if t < t1:
+        vc_t = cfg.v_max
+    elif t > t2:
+        vc_t = cfg.v_min
+    else:
+        vc_t = cfg.v_max + (t - t1) / (t2 - t1) * (cfg.v_min - cfg.v_max)
+    if t < t1 or t >= t2:
+        rho1_t = cfg.rho_min
+    elif t <= tm:
+        rho1_t = cfg.rho_min + (t - t1) / (tm - t1) * (cfg.rho_max - cfg.rho_min)
+    else:
+        rho1_t = cfg.rho_max + (t - tm) / (t2 - tm) * (cfg.rho_min - cfg.rho_max)
+    if t < t1:
+        focus_t = cfg.f_min
+    elif t <= t2:
+        focus_t = 1.0
+    else:
+        focus_t = cfg.f_max
+    return rho1_t, vc_t, focus_t
 
 
 def sample_stable_sets(n, rng_seed, sr_cap, vx_cap=1e3):

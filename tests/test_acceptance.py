@@ -39,7 +39,6 @@ from swarmpattern import (
     ipso_to_moments,
     is_order2_convergent,
     iterate_to_fixed_point,
-    mapso_pattern,
     rho1,
     run_experiment,
     simulate,
@@ -49,6 +48,8 @@ from swarmpattern import (
     vc,
     wilcoxon_rank_sum,
 )
+from swarmpattern.schedules import _mapso_profile
+
 from conftest import TRACE_BURN_IN
 
 SLOW_MIXING = IpsoParams(0.73084, 1.6443, 1.0)
@@ -204,12 +205,13 @@ def test_08_adaptive_schedule_is_feasible_and_faithful(capsys):
     worst = 0.0
     all_stable = True
     vc_seen, rho_seen, focus_seen = [], [], []
+    profile = _mapso_profile(np.arange(t_max + 1), t_max, schedule)
     for t in range(t_max + 1):
         params = coefficients_at(schedule, ScheduleFeedback(t=t, t_max=t_max))
         coeffs = ipso_to_moments(params)
         all_stable = all_stable and is_order2_convergent(coeffs)
-        pattern = mapso_pattern(t, t_max, schedule)
-        targets = (pattern.vc, pattern.rho1, pattern.focus)
+        rho_t, vc_t, focus_t = (float(column[t]) for column in profile)
+        targets = (vc_t, rho_t, focus_t)
         got = (vc(params), rho1(coeffs), focus(coeffs))
         worst = max(worst, *(abs(g - w) / max(1.0, abs(w))
                              for g, w in zip(got, targets)))

@@ -2,9 +2,11 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import functools
 import json
 import multiprocessing
+import pickle
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -15,6 +17,7 @@ from swarmpattern import (
     IpsoParams,
     LinearInertia,
     Mapso,
+    Problem,
     RandomInertia,
     ResultSet,
     SuccessRateInertia,
@@ -114,6 +117,32 @@ class TestClassicFunctions:
     def test_dimension_guard(self):
         with pytest.raises(ValueError, match="dimension must be positive"):
             classic_suite(0)
+
+    @pytest.mark.parametrize("fn", classic_suite(3), ids=lambda fn: fn.name)
+    def test_a_suite_function_is_a_problem(self, fn):
+        assert isinstance(fn, Problem)
+        assert fn.problem() is fn
+        for bound in (fn.lower, fn.upper):
+            assert not bound.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                bound[0] = 0.0
+        copy = pickle.loads(pickle.dumps(fn))
+        assert (copy.name, copy.dimension, copy.optimum_value) == (
+            fn.name, fn.dimension, fn.optimum_value)
+        assert np.array_equal(copy.lower, fn.lower)
+        assert np.array_equal(copy.upper, fn.upper)
+        x = np.linspace(fn.lower, fn.upper, 5)
+        assert np.array_equal(copy.objective(x), fn.objective(x))
+        wrapped = dataclasses.replace(fn, objective=lambda X: fn.objective(X))
+        assert type(wrapped) is benchmark.TestFunction
+        assert wrapped.optimum_value == fn.optimum_value
+        assert np.array_equal(wrapped.objective(x), fn.objective(x))
+
+    def test_a_suite_function_checks_its_box_as_a_problem_does(self):
+        with pytest.raises(ValueError, match="need lower < upper"):
+            benchmark.TestFunction(dimension=2, lower=np.ones(2),
+                                   upper=np.ones(2), objective=benchmark.sphere,
+                                   name="flat", optimum_value=0.0)
 
     def test_unknown_name_lists_the_suite(self):
         with pytest.raises(ValueError, match="unknown test function 'sphere3'"):

@@ -19,11 +19,12 @@ from swarmpattern import (
     coefficients_at,
     ipso_to_moments,
     is_order2_convergent,
-    mapso_pattern,
     plan_to_dict,
     suite_function,
 )
 from swarmpattern.schedules import coefficient_table
+
+from conftest import reference_pattern
 
 
 def _run(capsys, *argv):
@@ -290,7 +291,7 @@ class TestOptimize:
 
 def _reference_dump(spec, t_max, stride, seed):
     """schedule-dump's CSV by the per-tick loop: one coefficients_at call
-    (and draw) and one mapso_pattern call per printed tick."""
+    (and draw) and one reference_pattern call per printed tick."""
     per_success = coefficient_table(spec, t_max)[:, 4]
     rng = np.random.default_rng(seed)
     lines = ["t,vc,rho1,focus,omega,c,alpha"]
@@ -299,8 +300,8 @@ def _reference_dump(spec, t_max, stride, seed):
         cells = [None, None, None, None if per_success[t] else params.omega,
                  params.c, params.alpha]
         if isinstance(spec, Mapso):
-            target = mapso_pattern(t, t_max, spec)
-            cells[:3] = target.vc, target.rho1, target.focus
+            rho1_t, vc_t, focus_t = reference_pattern(t, t_max, spec)
+            cells[:3] = vc_t, rho1_t, focus_t
         lines.append(",".join([str(t)] + ["" if v is None else repr(float(v))
                                           for v in cells]))
     return "\n".join(lines) + "\n"

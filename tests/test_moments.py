@@ -141,7 +141,7 @@ class TestDeriveExpectations:
             AttractorMoments(0.0, -0.1, 0.0, 1.0)
 
     def test_rejects_non_finite_mean(self):
-        with pytest.raises(ValueError, match="mu_omega must be finite"):
+        with pytest.raises(ValueError, match=r"CoefficientMoments\.mu_omega must be a finite number"):
             CoefficientMoments(float("nan"), 0.0, 0.7, 0.0, 0.7, 0.0)
 
 

@@ -63,7 +63,8 @@ class TestIpsoToMoments:
         assert coeffs.sigma_phi2 == pytest.approx(6.0 / math.sqrt(12.0))
 
     def test_rejects_non_finite_fields(self):
-        with pytest.raises(ValueError, match="must be finite"):
+        with pytest.raises(ValueError,
+                           match=r"IpsoParams\.omega must be a finite number"):
             IpsoParams(float("inf"), 1.0, 1.0)
 
 

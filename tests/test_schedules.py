@@ -10,11 +10,16 @@ import numpy as np
 import pytest
 
 from swarmpattern import (
+    AttractorMoments,
+    CoefficientMoments,
     ConsistencyError,
+    FixedAttractors,
     IpsoParams,
     LinearInertia,
     Mapso,
+    MovementPattern,
     RandomInertia,
+    RandomWalkAttractors,
     ScheduleError,
     ScheduleFeedback,
     ScheduleSpec,
@@ -25,7 +30,6 @@ from swarmpattern import (
     focus,
     ipso_to_moments,
     is_order2_convergent,
-    mapso_pattern,
     rho1,
     vc,
 )
@@ -37,6 +41,8 @@ from swarmpattern.schedules import (
     schedule_to_dict,
 )
 
+from conftest import reference_pattern
+
 T_MAX = 1000
 CFG = Mapso()
 T1 = CFG.t1_frac * T_MAX
@@ -44,8 +50,11 @@ T2 = CFG.t2_frac * T_MAX
 T_MID = (T1 + T2) / 2.0
 
 
+PROFILE = np.array(_mapso_profile(np.arange(T_MAX + 1), T_MAX, CFG))
+
+
 def _profile(t):
-    return mapso_pattern(t, T_MAX, CFG)
+    return MovementPattern(*PROFILE[:, int(t)])
 
 
 class TestMapsoProfiles:
@@ -78,12 +87,6 @@ class TestMapsoProfiles:
     def test_focus_steps_exactly_twice(self):
         values = np.array([_profile(t).focus for t in range(T_MAX + 1)])
         assert np.count_nonzero(np.diff(values)) == 2
-
-    def test_clock_guard(self):
-        with pytest.raises(ValueError, match=r"t must lie in \[0, t_max\]"):
-            _profile(-1)
-        with pytest.raises(ValueError, match=r"t must lie in \[0, t_max\]"):
-            _profile(T_MAX + 1)
 
     def test_config_validation(self):
         with pytest.raises(ScheduleError, match="0 < v_min <= v_max"):
@@ -121,11 +124,12 @@ class TestCoefficientsAt:
     def test_pattern_schedule_is_feasible_and_faithful_all_the_way(self):
         spec = Mapso()
         t_max = 600
+        profile = np.array(_mapso_profile(np.arange(t_max + 1), t_max, CFG))
         for t in range(t_max + 1):
             params = coefficients_at(spec, ScheduleFeedback(t=t, t_max=t_max))
             coeffs = ipso_to_moments(params)
             assert is_order2_convergent(coeffs), t
-            pattern = mapso_pattern(t, t_max, CFG)
+            pattern = MovementPattern(*profile[:, t])
             assert rho1(coeffs) == pytest.approx(pattern.rho1, rel=1e-9, abs=1e-9)
             assert vc(params) == pytest.approx(pattern.vc, rel=1e-9)
             assert focus(coeffs) == pytest.approx(pattern.focus, rel=1e-9)
@@ -186,32 +190,6 @@ class TestCoefficientsAt:
             coefficients_at(object(), ScheduleFeedback(t=0, t_max=10))
 
 
-def _reference_pattern(t, t_max, cfg):
-    """The MAPSO profile as the branchy per-tick code it replaced."""
-    t1 = cfg.t1_frac * t_max
-    t2 = cfg.t2_frac * t_max
-    tm = (t1 + t2) / 2.0
-    if t < t1:
-        vc_t = cfg.v_max
-    elif t > t2:
-        vc_t = cfg.v_min
-    else:
-        vc_t = cfg.v_max + (t - t1) / (t2 - t1) * (cfg.v_min - cfg.v_max)
-    if t < t1 or t >= t2:
-        rho1_t = cfg.rho_min
-    elif t <= tm:
-        rho1_t = cfg.rho_min + (t - t1) / (tm - t1) * (cfg.rho_max - cfg.rho_min)
-    else:
-        rho1_t = cfg.rho_max + (t - tm) / (t2 - tm) * (cfg.rho_min - cfg.rho_max)
-    if t < t1:
-        focus_t = cfg.f_min
-    elif t <= t2:
-        focus_t = 1.0
-    else:
-        focus_t = cfg.f_max
-    return rho1_t, vc_t, focus_t
-
-
 def _reference_solve(r, v, f):
     """The scalar closed-form solve with a positive alpha, by math.sqrt."""
     alpha = math.sqrt(f)
@@ -229,7 +207,7 @@ def _reference_row(spec, t, t_max):
         frac = t / t_max
         omega = spec.omega_start + (spec.omega_end - spec.omega_start) * frac
         return omega, spec.c, spec.alpha
-    return _reference_solve(*_reference_pattern(t, t_max, spec))
+    return _reference_solve(*reference_pattern(t, t_max, spec))
 
 
 TABLE_SPECS = {"mapso": Mapso(), "ldw": LinearInertia(0.9, 0.4),
@@ -265,7 +243,7 @@ class TestCoefficientTable:
     @pytest.mark.parametrize("t_max", [1, 2, 15, 29, 2_500, 10_000])
     def test_profile_equals_the_per_tick_reference_bit_for_bit(self, t_max):
         profile = np.array(_mapso_profile(np.arange(t_max + 1), t_max, CFG)).T
-        reference = np.array([_reference_pattern(t, t_max, CFG)
+        reference = np.array([reference_pattern(t, t_max, CFG)
                               for t in range(t_max + 1)])
         assert profile.tobytes() == reference.tobytes()
 
@@ -302,33 +280,53 @@ class TestCoefficientTable:
             coefficient_table(spec, 10)
 
 
-INERTIA_REQUIRED = {
-    LinearInertia: {"omega_start": 0.9, "omega_end": 0.4},
-    RandomInertia: {},
-    SuccessRateInertia: {},
-    Mapso: {},
+# Every value class whose float fields go through one finite-field check:
+# valid arguments, all ints, and the exact error class a bad field raises.
+FIELD_CONTRACT = {
+    LinearInertia: (dict(omega_start=1, omega_end=0, c=2, alpha=1),
+                    ScheduleError),
+    RandomInertia: (dict(c=2, alpha=1), ScheduleError),
+    SuccessRateInertia: (dict(omega_min=0, omega_max=1, c=2, alpha=1),
+                         ScheduleError),
+    Mapso: (dict(v_max=30, v_min=5, rho_max=0, rho_min=0, f_max=30, f_min=1,
+                 t1_frac=0, t2_frac=1), ScheduleError),
+    IpsoParams: (dict(omega=0, c=1, alpha=1), ValueError),
+    CoefficientMoments: (dict(mu_omega=0, sigma_omega=0, mu_phi1=1,
+                              sigma_phi1=0, mu_phi2=1, sigma_phi2=0),
+                         ValueError),
+    AttractorMoments: (dict(mu_p=0, sigma_p=1, mu_g=1, sigma_g=1), ValueError),
+    MovementPattern: (dict(rho1=0, vc=10, focus=1), ValueError),
+    RandomWalkAttractors: (dict(p0=0, g0=1), ValueError),
+    FixedAttractors: (dict(p_value=0, g_value=1), ValueError),
 }
 
 
+def _float_fields(spec_type):
+    return [f.name for f in fields(spec_type) if f.type == "float"]
+
+
 class TestInertiaSpecFields:
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "a"],
-                             ids=["nan", "inf", "text"])
-    @pytest.mark.parametrize("spec_type", list(INERTIA_REQUIRED),
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "a", None],
+                             ids=["nan", "inf", "text", "none"])
+    @pytest.mark.parametrize("spec_type", list(FIELD_CONTRACT),
                              ids=lambda t: t.__name__)
     def test_every_field_must_be_a_finite_number(self, spec_type, bad):
-        for f in fields(spec_type):
-            kwargs = {**INERTIA_REQUIRED[spec_type], f.name: bad}
-            message = rf"{spec_type.__name__}\.{f.name} must be a finite number"
-            with pytest.raises(ScheduleError, match=message):
-                spec_type(**kwargs)
+        valid, error = FIELD_CONTRACT[spec_type]
+        for name in _float_fields(spec_type):
+            message = rf"{spec_type.__name__}\.{name} must be a finite number"
+            with pytest.raises(ValueError, match=message) as raised:
+                spec_type(**{**valid, name: bad})
+            assert raised.type is error
 
-    def test_fields_are_coerced_to_float(self):
-        spec = LinearInertia(1, 0, c=2, alpha=1)
-        assert all(type(getattr(spec, f.name)) is float for f in fields(spec))
-        assert spec == LinearInertia(1.0, 0.0, c=2.0, alpha=1.0)
-        mapso = Mapso(v_max=30, f_max=30)
-        assert all(type(getattr(mapso, f.name)) is float for f in fields(mapso))
-        assert mapso == Mapso(v_max=30.0, f_max=30.0)
+    @pytest.mark.parametrize("spec_type", list(FIELD_CONTRACT),
+                             ids=lambda t: t.__name__)
+    def test_fields_are_coerced_to_float(self, spec_type):
+        valid, _ = FIELD_CONTRACT[spec_type]
+        spec = spec_type(**valid)
+        names = _float_fields(spec_type)
+        assert names and set(names) <= set(valid)
+        assert all(type(getattr(spec, name)) is float for name in names)
+        assert spec == spec_type(**{k: float(v) for k, v in valid.items()})
 
 
 class TestBaselines:

@@ -117,7 +117,8 @@ class TestSimulate:
             IidUniformAttractors((2.0, 1.0), (0.0, 1.0))
         with pytest.raises(ValueError, match="step_range must be a finite ordered interval"):
             RandomWalkAttractors(0.0, 1.0, step_range=(1.0, -1.0))
-        with pytest.raises(ValueError, match="must be finite"):
+        with pytest.raises(ValueError,
+                           match=r"FixedAttractors\.p_value must be a finite number"):
             FixedAttractors(float("inf"), 0.0)
 
     def test_trace_arrays_must_align(self):
