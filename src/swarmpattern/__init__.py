@@ -74,11 +74,9 @@ from .schedules import (
     LinearInertia,
     Mapso,
     RandomInertia,
-    ScheduleFeedback,
     ScheduleSpec,
     SuccessRateInertia,
     baseline_schedules,
-    coefficients_at,
 )
 from .swarm import (
     Problem,

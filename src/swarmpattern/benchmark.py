@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import SwarmPatternError, read_only_arrays
+from .errors import SwarmPatternError, array_dataclass, read_only_arrays
 from .schedules import (
     ScheduleSpec,
     baseline_schedules,
@@ -107,7 +107,7 @@ _SHIFTED = ("sphere", "rosenbrock", "rastrigin", "ackley", "griewank")
 _SUITE = (*_BASES, *(f"shifted_{name}" for name in _SHIFTED))
 
 
-@dataclass(frozen=True)
+@array_dataclass
 class TestFunction(Problem):
     """One benchmark target: a :class:`Problem` plus its optimum value,
     when known."""
@@ -209,7 +209,7 @@ def default_plan(dimension: int = 10, runs: int = DEFAULT_RUNS,
     )
 
 
-@dataclass(frozen=True)
+@array_dataclass
 class ResultSet:
     """Final best values and seeds, indexed (algorithm, function, run)."""
 

@@ -3,9 +3,11 @@ frozen value classes that raise them.
 
 Every value class builds itself through the same two helpers: numeric fields
 are coerced to finite floats by :func:`finite_fields`, array fields are made
-read-only by :func:`read_only_arrays`.
+read-only by :func:`read_only_arrays`.  A class with array fields is declared
+by :func:`array_dataclass`.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -58,3 +60,12 @@ def read_only_arrays(obj, *names, dtype=float) -> None:
         array = np.asarray(getattr(obj, name), dtype=dtype)
         array.setflags(write=False)
         object.__setattr__(obj, name, array)
+
+
+def array_dataclass(cls):
+    """Declare a frozen dataclass with array fields: equal only to itself,
+    as an array has no one truth value, and pickled and copied through its
+    constructor, so its checks run again and its arrays come back read-only."""
+    cls.__reduce__ = lambda obj: (type(obj), tuple(
+        getattr(obj, field.name) for field in dataclasses.fields(obj)))
+    return dataclasses.dataclass(cls, frozen=True, eq=False)

@@ -39,6 +39,7 @@ import numpy as np
 from .errors import (
     DegenerateParameterError,
     StabilityError,
+    array_dataclass,
     finite_fields,
     read_only_arrays,
 )
@@ -92,7 +93,7 @@ class AttractorMoments:
         return self.sigma_g ** 2 + self.mu_g ** 2
 
 
-@dataclass(frozen=True)
+@array_dataclass
 class MomentSystem:
     """Affine update ``z -> m @ z + b`` for the five position moments.
 
@@ -116,7 +117,7 @@ class MomentSystem:
             raise ValueError("moment system entries must be finite")
 
 
-@dataclass(frozen=True)
+@array_dataclass
 class MomentState:
     """One point of the moment trajectory, ordered as ``z`` above."""
 
@@ -258,15 +259,10 @@ def variance_fixed_point(coeffs: CoefficientMoments,
     return -(k3 + k4) / (k1 * k2) * (coeffs.mu_omega + 1.0)
 
 
-def spectral_radius(system: MomentSystem | np.ndarray) -> float:
+def spectral_radius(system: MomentSystem) -> float:
     """Largest eigenvalue modulus of the update matrix.
 
     A result at or above 1 is a legitimate radius of an unstable system,
     never an error.
     """
-    a = system.m if isinstance(system, MomentSystem) else np.asarray(system, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
-    return float(np.max(np.abs(np.linalg.eigvals(a))))
+    return float(np.max(np.abs(np.linalg.eigvals(system.m))))

@@ -39,6 +39,7 @@ import numpy as np
 from .errors import (
     ConsistencyError,
     DegenerateParameterError,
+    array_dataclass,
     finite_fields,
     read_only_arrays,
 )
@@ -81,7 +82,7 @@ class MovementPattern:
             raise ValueError("focus must be positive and finite")
 
 
-@dataclass(frozen=True)
+@array_dataclass
 class AutocorrelationSeq:
     """Autocorrelation by lag; ``rho[0]`` is always exactly 1."""
 

@@ -4,7 +4,8 @@ A schedule's coefficients over a run clock are one read-only table,
 :func:`coefficient_table`, built and validated whole before a run steps.
 Every kind's inertia is one affine rule over its row: a base value plus
 weights on the run's own standard uniform draw and on its success rate,
-both zero for the kinds that follow the clock alone.
+both zero for the kinds that follow the clock alone.  Only such a row is a
+coefficient triple on its own; :func:`coefficients_at` reads one.
 
 The pattern-adaptive schedule plans the run in movement-pattern space -- wide
 exploration early, a correlated sweep in the middle, tight biased
@@ -45,19 +46,16 @@ _TABLE_CACHE = 32  # (spec, t_max) tables kept; 2 500 ticks take 100 kB
 
 @dataclass(frozen=True)
 class ScheduleFeedback:
-    """Run clock plus the success-rate signal some schedules consume."""
+    """One tick ``t`` of a run clock over ``t_max`` ticks."""
 
     t: int
     t_max: int
-    success_rate: float = 0.0
 
     def __post_init__(self):
         if self.t_max < 1:
             raise ValueError("t_max must be positive")
         if not (0 <= self.t <= self.t_max):
             raise ValueError("t must lie in [0, t_max]")
-        if not (0.0 <= self.success_rate <= 1.0):
-            raise ValueError("success_rate must lie in [0, 1]")
 
 
 # --- schedule variants -----------------------------------------------------
@@ -210,28 +208,22 @@ def coefficient_table(spec: ScheduleSpec, t_max: int) -> np.ndarray:
     return _table(repr(spec), spec, t_max)
 
 
-coefficient_table.cache_info = _table.cache_info
-coefficient_table.cache_clear = _table.cache_clear
+def coefficients_at(spec: ScheduleSpec,
+                    feedback: ScheduleFeedback) -> IpsoParams:
+    """Row ``feedback.t`` of a clock-only schedule's
+    :func:`coefficient_table`, as a coefficient triple.
 
-
-def coefficients_at(spec: ScheduleSpec, feedback: ScheduleFeedback,
-                    rng: np.random.Generator | None = None) -> IpsoParams:
-    """Coefficient triple for the step at ``feedback.t``.
-
-    Row ``t`` of the schedule's :func:`coefficient_table`, its inertia rule
-    applied to ``feedback.success_rate`` and, only where the rule draws, to
-    one standard uniform from the caller's generator; the calling run owns
-    that generator so replays stay deterministic.
+    A row that weights a run's own draw or success rate (the
+    :class:`RandomInertia` and :class:`SuccessRateInertia` rules) has no
+    per-tick triple and raises :class:`ScheduleError`; read its
+    ``coefficient_table`` row instead.
     """
     omega, c, alpha, per_draw, per_success = coefficient_table(
         spec, feedback.t_max)[feedback.t]
-    if per_draw:
-        if rng is None:
-            raise ScheduleError(f"{type(spec).__name__} needs the run's "
-                                "random generator")
-        omega += per_draw * rng.uniform(0.0, 1.0)
-    if per_success:
-        omega += per_success * feedback.success_rate
+    if per_draw or per_success:
+        raise ScheduleError(f"{type(spec).__name__} weights each run's own "
+                            "draw or success rate, so it has no per-tick "
+                            "triple; read its coefficient_table rows")
     return IpsoParams(omega=omega, c=c, alpha=alpha)
 
 

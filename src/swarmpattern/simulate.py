@@ -37,6 +37,7 @@ import numpy as np
 from .errors import (
     DegenerateParameterError,
     SampleError,
+    array_dataclass,
     finite_fields,
     read_only_arrays,
 )
@@ -140,12 +141,11 @@ class SimConfig:
         if not (0 <= self.seed < 2 ** 64):
             raise ValueError("seed must fit in 64 bits")
         for name in ("x0", "x1"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(float(value)):
-                raise ValueError(f"{name} must be finite when given")
+            if getattr(self, name) is not None:
+                finite_fields(self, name)
 
 
-@dataclass(frozen=True)
+@array_dataclass
 class SimTrace:
     """Positions plus the attractor values that generated each of them.
 

@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .benchmark import ResultSet
-from .errors import read_only_arrays
+from .errors import array_dataclass, read_only_arrays
 
 APPROX_MIN_PER_SIDE = 20
 
@@ -42,7 +42,7 @@ class DominanceEntry:
     outcome: int
 
 
-@dataclass(frozen=True)
+@array_dataclass
 class TournamentMatrix:
     """Antisymmetric dominance totals ``t[i][j]`` over all functions."""
 

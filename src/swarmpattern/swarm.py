@@ -41,7 +41,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import read_only_arrays
+from .errors import array_dataclass, read_only_arrays
 from .schedules import ScheduleSpec, coefficient_table
 
 logger = logging.getLogger(__name__)
@@ -50,7 +50,7 @@ logger = logging.getLogger(__name__)
 _RUN_BYTES = 1 << 16
 
 
-@dataclass(frozen=True)
+@array_dataclass
 class Problem:
     """Box-constrained minimisation target.
 
@@ -83,14 +83,15 @@ class Problem:
             raise ValueError("need lower < upper in every dimension")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SwarmState:
     """Stacked state of ``R`` independent swarms.
 
     Positions, velocities and personal bests have shape ``(R, n, d)``,
     personal-best values ``(R, n)``, the global bests ``(R, d)`` and their
     values and success rates ``(R,)``.  :func:`step` updates the arrays in
-    place.
+    place.  No field can be reassigned, so the values cached from their
+    shapes hold for the state's life.
     """
 
     problem: Problem
@@ -118,11 +119,7 @@ class SwarmState:
     @cached_property
     def _workspace(self) -> tuple[np.ndarray, ...]:
         """:func:`step`'s temporaries: the ``(R, n, d)`` pull, two
-        ``(R, n, d)`` in-box masks and the ``(R, n)`` improvement mask.
-
-        Scratch only, never a view of a state array, so a field that is
-        reassigned is never read stale.
-        """
+        ``(R, n, d)`` in-box masks and the ``(R, n)`` improvement mask."""
         shape = self.positions.shape
         return (np.empty(shape), np.empty(shape, dtype=bool),
                 np.empty(shape, dtype=bool), np.empty(shape[:2], dtype=bool))

@@ -1,5 +1,5 @@
 """Shared fixtures: a frozen sample of stable parameter sets and long traces,
-and a per-tick oracle of the MAPSO profile.
+and per-tick oracles of the schedules.
 
 The sampler below is the single source of the "randomly sampled stable
 parameter sets" used by the estimator-agreement tests.  Its seed, caps and
@@ -8,13 +8,18 @@ Monte Carlo error margins quoted in the tests must be recalibrated.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from swarmpattern import (
     AttractorMoments,
     IpsoParams,
+    LinearInertia,
+    RandomInertia,
     SimConfig,
+    SuccessRateInertia,
     build_moment_system,
     iid_uniform_for_moments,
     ipso_to_moments,
@@ -63,6 +68,36 @@ def reference_pattern(t, t_max, cfg):
     else:
         focus_t = cfg.f_max
     return rho1_t, vc_t, focus_t
+
+
+def reference_solve(r, v, f):
+    """The scalar closed-form solve with a positive alpha, by math.sqrt."""
+    alpha = math.sqrt(f)
+    a1 = (alpha + 1.0) ** 2
+    m1 = a1 * (alpha ** 2 + 3.0 * alpha + 1.0)
+    m2 = a1 * (2.0 * alpha ** 2 + 3.0 * alpha + 2.0)
+    omega = (m1 * v + m2 * r * v + r - 1.0) / (m2 * v + m1 * r * v - r + 1.0)
+    return omega, 2.0 * (1.0 - r) * (omega + 1.0) / (alpha + 1.0), alpha
+
+
+def reference_row(spec, t, t_max, rng=None, success_rate=0.0):
+    """(omega, c, alpha) of the schedule ``spec`` at tick ``t``, each kind's
+    rule written out per tick: an oracle independent of the code under test.
+    A RandomInertia takes its one standard uniform from ``rng``; a
+    SuccessRateInertia reads the run's last ``success_rate``."""
+    if isinstance(spec, IpsoParams):
+        return spec.omega, spec.c, spec.alpha
+    if isinstance(spec, LinearInertia):
+        frac = t / t_max
+        omega = spec.omega_start + (spec.omega_end - spec.omega_start) * frac
+        return omega, spec.c, spec.alpha
+    if isinstance(spec, RandomInertia):
+        return 0.5 + 0.5 * rng.random(), spec.c, spec.alpha
+    if isinstance(spec, SuccessRateInertia):
+        omega = (spec.omega_min
+                 + (spec.omega_max - spec.omega_min) * success_rate)
+        return omega, spec.c, spec.alpha
+    return reference_solve(*reference_pattern(t, t_max, spec))
 
 
 def sample_stable_sets(n, rng_seed, sr_cap, vx_cap=1e3):

@@ -21,12 +21,10 @@ from swarmpattern import (
     Mapso,
     MovementPattern,
     RandomWalkAttractors,
-    ScheduleFeedback,
     SimConfig,
     autocorrelation,
     beat_digraph,
     build_moment_system,
-    coefficients_at,
     default_plan,
     empirical_autocorrelation,
     empirical_focus,
@@ -48,7 +46,7 @@ from swarmpattern import (
     vc,
     wilcoxon_rank_sum,
 )
-from swarmpattern.schedules import _mapso_profile
+from swarmpattern.schedules import _mapso_profile, coefficient_table
 
 from conftest import TRACE_BURN_IN
 
@@ -206,8 +204,9 @@ def test_08_adaptive_schedule_is_feasible_and_faithful(capsys):
     all_stable = True
     vc_seen, rho_seen, focus_seen = [], [], []
     profile = _mapso_profile(np.arange(t_max + 1), t_max, schedule)
+    table = coefficient_table(schedule, t_max)
     for t in range(t_max + 1):
-        params = coefficients_at(schedule, ScheduleFeedback(t=t, t_max=t_max))
+        params = IpsoParams(*table[t, :3])
         coeffs = ipso_to_moments(params)
         all_stable = all_stable and is_order2_convergent(coeffs)
         rho_t, vc_t, focus_t = (float(column[t]) for column in profile)

@@ -11,20 +11,17 @@ from swarmpattern import (
     IpsoParams,
     LinearInertia,
     Mapso,
-    ScheduleFeedback,
     SuccessRateInertia,
     __version__,
     baseline_schedules,
     cli,
-    coefficients_at,
     ipso_to_moments,
     is_order2_convergent,
     plan_to_dict,
     suite_function,
 )
-from swarmpattern.schedules import coefficient_table
 
-from conftest import reference_pattern
+from conftest import reference_pattern, reference_row
 
 
 def _run(capsys, *argv):
@@ -290,15 +287,17 @@ class TestOptimize:
 
 
 def _reference_dump(spec, t_max, stride, seed):
-    """schedule-dump's CSV by the per-tick loop: one coefficients_at call
-    (and draw) and one reference_pattern call per printed tick."""
-    per_success = coefficient_table(spec, t_max)[:, 4]
+    """schedule-dump's CSV by the per-tick loop: one reference_row call
+    (and draw) and one reference_pattern call per printed tick.  An inertia
+    that weights the run's success rate has no value to print."""
+    weights_success = (isinstance(spec, SuccessRateInertia)
+                       and spec.omega_max != spec.omega_min)
     rng = np.random.default_rng(seed)
     lines = ["t,vc,rho1,focus,omega,c,alpha"]
     for t in range(0, t_max + 1, stride):
-        params = coefficients_at(spec, ScheduleFeedback(t=t, t_max=t_max), rng)
-        cells = [None, None, None, None if per_success[t] else params.omega,
-                 params.c, params.alpha]
+        omega, c, alpha = reference_row(spec, t, t_max, rng)
+        cells = [None, None, None, None if weights_success else omega, c,
+                 alpha]
         if isinstance(spec, Mapso):
             rho1_t, vc_t, focus_t = reference_pattern(t, t_max, spec)
             cells[:3] = vc_t, rho1_t, focus_t

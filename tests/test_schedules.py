@@ -2,7 +2,6 @@
 and the plan serialization round trip."""
 from __future__ import annotations
 
-import math
 import typing
 from dataclasses import fields
 
@@ -21,12 +20,10 @@ from swarmpattern import (
     RandomInertia,
     RandomWalkAttractors,
     ScheduleError,
-    ScheduleFeedback,
     ScheduleSpec,
     SuccessRateInertia,
     baseline_schedules,
     cli,
-    coefficients_at,
     focus,
     ipso_to_moments,
     is_order2_convergent,
@@ -35,13 +32,15 @@ from swarmpattern import (
 )
 from swarmpattern.schedules import (
     _KINDS,
+    ScheduleFeedback,
     _mapso_profile,
     coefficient_table,
+    coefficients_at,
     schedule_from_dict,
     schedule_to_dict,
 )
 
-from conftest import reference_pattern
+from conftest import reference_pattern, reference_row
 
 T_MAX = 1000
 CFG = Mapso()
@@ -98,116 +97,35 @@ class TestMapsoProfiles:
         with pytest.raises(ScheduleError, match="0 <= t1_frac < t2_frac <= 1"):
             Mapso(t1_frac=0.9, t2_frac=0.2)
 
+
+def _row(spec, t, t_max):
+    return IpsoParams(*coefficient_table(spec, t_max)[t, :3])
+
+
+class TestCoefficientsAt:
+    """The per-tick read: a clock-only row as one triple."""
+
     def test_feedback_validation(self):
         with pytest.raises(ValueError, match="t_max must be positive"):
             ScheduleFeedback(t=0, t_max=0)
         with pytest.raises(ValueError, match=r"t must lie in \[0, t_max\]"):
             ScheduleFeedback(t=11, t_max=10)
-        with pytest.raises(ValueError, match=r"success_rate must lie in \[0, 1\]"):
-            ScheduleFeedback(t=0, t_max=10, success_rate=1.5)
 
+    @pytest.mark.parametrize("spec", [
+        Mapso(), IpsoParams(0.711897, 1.711897, 1.0), LinearInertia(0.9, 0.4)],
+        ids=lambda s: type(s).__name__)
+    def test_a_clock_only_row_comes_back_as_a_triple(self, spec):
+        for t in (0, 3, 10):
+            out = coefficients_at(spec, ScheduleFeedback(t=t, t_max=10))
+            assert type(out) is IpsoParams
+            assert out == _row(spec, t, 10)
 
-class TestCoefficientsAt:
-    def test_constant_passes_through(self):
-        params = IpsoParams(0.711897, 1.711897, 1.0)
-        out = coefficients_at(params, ScheduleFeedback(t=3, t_max=10))
-        assert out == params
-
-    def test_pattern_schedule_start(self):
-        out = coefficients_at(Mapso(), ScheduleFeedback(t=0, t_max=T_MAX))
-        assert out.alpha == 0.5
-        coeffs = ipso_to_moments(out)
-        assert rho1(coeffs) == pytest.approx(0.1, rel=1e-9)
-        assert vc(out) == pytest.approx(25.0, rel=1e-9)
-        assert focus(coeffs) == pytest.approx(0.25, rel=1e-9)
-
-    def test_pattern_schedule_is_feasible_and_faithful_all_the_way(self):
-        spec = Mapso()
-        t_max = 600
-        profile = np.array(_mapso_profile(np.arange(t_max + 1), t_max, CFG))
-        for t in range(t_max + 1):
-            params = coefficients_at(spec, ScheduleFeedback(t=t, t_max=t_max))
-            coeffs = ipso_to_moments(params)
-            assert is_order2_convergent(coeffs), t
-            pattern = MovementPattern(*profile[:, t])
-            assert rho1(coeffs) == pytest.approx(pattern.rho1, rel=1e-9, abs=1e-9)
-            assert vc(params) == pytest.approx(pattern.vc, rel=1e-9)
-            assert focus(coeffs) == pytest.approx(pattern.focus, rel=1e-9)
-
-    def test_pattern_schedule_is_constant_outside_the_ramp(self):
-        spec = Mapso()
-        before = [coefficients_at(spec, ScheduleFeedback(t=t, t_max=T_MAX))
-                  for t in range(0, int(T1))]
-        after = [coefficients_at(spec, ScheduleFeedback(t=t, t_max=T_MAX))
-                 for t in range(int(T2) + 1, T_MAX + 1)]
-        assert len({(p.omega, p.c, p.alpha) for p in before}) == 1
-        assert len({(p.omega, p.c, p.alpha) for p in after}) == 1
-
-    def test_linear_inertia_interpolates(self):
-        spec = LinearInertia(omega_start=0.9, omega_end=0.4)
-        start = coefficients_at(spec, ScheduleFeedback(t=0, t_max=100))
-        end = coefficients_at(spec, ScheduleFeedback(t=100, t_max=100))
-        mid = coefficients_at(spec, ScheduleFeedback(t=50, t_max=100))
-        assert start.omega == 0.9 and end.omega == 0.4
-        assert mid.omega == pytest.approx(0.65)
-        assert start.c == pytest.approx(1.49618) and start.alpha == 1.0
-
-    def test_random_inertia_needs_the_run_generator(self):
-        with pytest.raises(ScheduleError, match="needs the run's random generator"):
-            coefficients_at(RandomInertia(), ScheduleFeedback(t=0, t_max=10))
-
-    def test_random_inertia_draw_range_and_replay(self):
-        feedback = ScheduleFeedback(t=0, t_max=10)
-        rng_a = np.random.default_rng(7)
-        rng_b = np.random.default_rng(7)
-        seq_a = [coefficients_at(RandomInertia(), feedback, rng=rng_a).omega
-                 for _ in range(50)]
-        seq_b = [coefficients_at(RandomInertia(), feedback, rng=rng_b).omega
-                 for _ in range(50)]
-        assert seq_a == seq_b
-        assert all(0.5 <= w < 1.0 for w in seq_a)
-
-    def test_only_a_drawing_rule_reads_the_generator(self):
-        feedback = ScheduleFeedback(t=3, t_max=10, success_rate=0.5)
-        for name, spec in baseline_schedules().items():
-            rng = np.random.default_rng(7)
-            coefficients_at(spec, feedback, rng=rng)
-            drew = rng.random() != np.random.default_rng(7).random()
-            assert drew == (name == "rwpso"), name
-
-    def test_success_rate_inertia_tracks_the_signal(self):
-        spec = SuccessRateInertia()
-        cold = coefficients_at(spec, ScheduleFeedback(t=0, t_max=10, success_rate=0.0))
-        hot = coefficients_at(spec, ScheduleFeedback(t=0, t_max=10, success_rate=1.0))
-        warm = coefficients_at(spec, ScheduleFeedback(t=0, t_max=10, success_rate=0.25))
-        assert cold.omega == spec.omega_min
-        assert hot.omega == spec.omega_max
-        assert warm.omega == pytest.approx(spec.omega_min
-                                           + 0.25 * (spec.omega_max - spec.omega_min))
-
-    def test_unknown_spec_object_is_rejected(self):
-        with pytest.raises(ScheduleError, match="unknown schedule spec"):
-            coefficients_at(object(), ScheduleFeedback(t=0, t_max=10))
-
-
-def _reference_solve(r, v, f):
-    """The scalar closed-form solve with a positive alpha, by math.sqrt."""
-    alpha = math.sqrt(f)
-    a1 = (alpha + 1.0) ** 2
-    m1 = a1 * (alpha ** 2 + 3.0 * alpha + 1.0)
-    m2 = a1 * (2.0 * alpha ** 2 + 3.0 * alpha + 2.0)
-    omega = (m1 * v + m2 * r * v + r - 1.0) / (m2 * v + m1 * r * v - r + 1.0)
-    return omega, 2.0 * (1.0 - r) * (omega + 1.0) / (alpha + 1.0), alpha
-
-
-def _reference_row(spec, t, t_max):
-    if isinstance(spec, IpsoParams):
-        return spec.omega, spec.c, spec.alpha
-    if isinstance(spec, LinearInertia):
-        frac = t / t_max
-        omega = spec.omega_start + (spec.omega_end - spec.omega_start) * frac
-        return omega, spec.c, spec.alpha
-    return _reference_solve(*reference_pattern(t, t_max, spec))
+    @pytest.mark.parametrize("spec", [RandomInertia(), SuccessRateInertia()],
+                             ids=lambda s: type(s).__name__)
+    def test_a_per_run_kind_has_no_per_tick_triple(self, spec):
+        with pytest.raises(ScheduleError, match=rf"{type(spec).__name__} .* "
+                           "read its coefficient_table rows"):
+            coefficients_at(spec, ScheduleFeedback(t=0, t_max=10))
 
 
 TABLE_SPECS = {"mapso": Mapso(), "ldw": LinearInertia(0.9, 0.4),
@@ -234,7 +152,7 @@ class TestCoefficientTable:
     def test_rows_equal_the_per_tick_reference_bit_for_bit(self, name, t_max):
         spec = TABLE_SPECS[name]
         table = coefficient_table(spec, t_max)
-        reference = np.array([_reference_row(spec, t, t_max)
+        reference = np.array([reference_row(spec, t, t_max)
                               for t in range(t_max + 1)])
         assert table.shape == (t_max + 1, 5)
         assert table[:, :3].tobytes() == reference.tobytes()
@@ -265,7 +183,7 @@ class TestCoefficientTable:
     def test_every_stock_kind_pins_its_five_columns(self, name):
         spec = baseline_schedules()[name]
         if name == "mapso":
-            expected = [(*_reference_row(spec, t, 10), 0.0, 0.0)
+            expected = [(*reference_row(spec, t, 10), 0.0, 0.0)
                         for t in (0, 5, 10)]
         else:
             expected = STOCK_ROWS[name]
@@ -278,6 +196,51 @@ class TestCoefficientTable:
         spec = Mapso(f_max=1e9)
         with pytest.raises(ConsistencyError, match="failed at tick 9 of 10"):
             coefficient_table(spec, 10)
+
+    def test_constant_passes_through(self):
+        params = IpsoParams(0.711897, 1.711897, 1.0)
+        assert _row(params, 3, 10) == params
+
+    def test_pattern_schedule_start(self):
+        out = _row(Mapso(), 0, T_MAX)
+        assert out.alpha == 0.5
+        coeffs = ipso_to_moments(out)
+        assert rho1(coeffs) == pytest.approx(0.1, rel=1e-9)
+        assert vc(out) == pytest.approx(25.0, rel=1e-9)
+        assert focus(coeffs) == pytest.approx(0.25, rel=1e-9)
+
+    def test_pattern_schedule_is_feasible_and_faithful_all_the_way(self):
+        spec = Mapso()
+        t_max = 600
+        profile = np.array(_mapso_profile(np.arange(t_max + 1), t_max, CFG))
+        for t in range(t_max + 1):
+            params = _row(spec, t, t_max)
+            coeffs = ipso_to_moments(params)
+            assert is_order2_convergent(coeffs), t
+            pattern = MovementPattern(*profile[:, t])
+            assert rho1(coeffs) == pytest.approx(pattern.rho1, rel=1e-9, abs=1e-9)
+            assert vc(params) == pytest.approx(pattern.vc, rel=1e-9)
+            assert focus(coeffs) == pytest.approx(pattern.focus, rel=1e-9)
+
+    def test_pattern_schedule_is_constant_outside_the_ramp(self):
+        spec = Mapso()
+        before = [_row(spec, t, T_MAX) for t in range(0, int(T1))]
+        after = [_row(spec, t, T_MAX) for t in range(int(T2) + 1, T_MAX + 1)]
+        assert len({(p.omega, p.c, p.alpha) for p in before}) == 1
+        assert len({(p.omega, p.c, p.alpha) for p in after}) == 1
+
+    def test_linear_inertia_interpolates(self):
+        spec = LinearInertia(omega_start=0.9, omega_end=0.4)
+        start = _row(spec, 0, 100)
+        end = _row(spec, 100, 100)
+        mid = _row(spec, 50, 100)
+        assert start.omega == 0.9 and end.omega == 0.4
+        assert mid.omega == pytest.approx(0.65)
+        assert start.c == pytest.approx(1.49618) and start.alpha == 1.0
+
+    def test_unknown_spec_object_is_rejected(self):
+        with pytest.raises(ScheduleError, match="unknown schedule spec"):
+            coefficient_table(object(), 10)
 
 
 # Every value class whose float fields go through one finite-field check:

@@ -109,8 +109,19 @@ class TestSimulate:
             SimConfig(iterations=10, burn_in=10, seed=0)
         with pytest.raises(ValueError, match="seed must fit in 64 bits"):
             SimConfig(iterations=10, burn_in=0, seed=2 ** 64)
-        with pytest.raises(ValueError, match="x0 must be finite when given"):
+        with pytest.raises(ValueError, match=r"SimConfig\.x0 must be a finite number"):
             SimConfig(iterations=10, burn_in=0, seed=0, x0=float("nan"))
+
+    @pytest.mark.parametrize("bad", ["a", [1.0], float("inf")],
+                             ids=["text", "list", "inf"])
+    @pytest.mark.parametrize("name", ["x0", "x1"])
+    def test_seed_positions_follow_the_field_contract(self, name, bad):
+        with pytest.raises(ValueError, match=rf"SimConfig\.{name} must be a "
+                           "finite number"):
+            SimConfig(iterations=10, **{name: bad})
+        config = SimConfig(iterations=10, **{name: 1})
+        assert type(getattr(config, name)) is float
+        assert SimConfig(iterations=10).x0 is None
 
     def test_process_validation(self):
         with pytest.raises(ValueError, match="p_range must be a finite ordered interval"):
