@@ -29,7 +29,6 @@ import csv
 import functools
 import hashlib
 import json
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -49,8 +48,11 @@ from .schedules import (
 from .swarm import Problem, run_many
 
 PLAN_FORMAT_VERSION = 1
-# Runs per (algorithm, function) pairing when a plan or `bench` names none.
+# What a plan, `bench` or `optimize` names none of: runs per (algorithm,
+# function) pairing, particles per swarm and budget evaluations per dimension.
 DEFAULT_RUNS = 15
+DEFAULT_POP_SIZE = 20
+DEFAULT_EVALS_PER_DIM = 5000
 
 
 # --- the classic functions ---------------------------------------------------
@@ -157,9 +159,9 @@ class ExperimentPlan:
     algorithms: tuple[tuple[str, ScheduleSpec], ...]
     functions: tuple[TestFunction, ...]
     dimension: int
-    pop_size: int = 20
+    pop_size: int = DEFAULT_POP_SIZE
     runs: int = DEFAULT_RUNS
-    evals_per_dim: int = 5000
+    evals_per_dim: int = DEFAULT_EVALS_PER_DIM
     base_seed: int = 0
 
     def __post_init__(self):
@@ -202,31 +204,26 @@ def default_plan(dimension: int = 10, runs: int = DEFAULT_RUNS,
         algorithms=tuple(baseline_schedules().items()),
         functions=classic_suite(dimension),
         dimension=dimension,
-        pop_size=20,
         runs=runs,
-        evals_per_dim=5000,
         base_seed=base_seed,
     )
 
 
 @array_dataclass
 class ResultSet:
-    """Final best values and seeds, indexed (algorithm, function, run)."""
+    """Final best values, indexed (algorithm, function, run); a run's seed is
+    :func:`derive_seed` of those indices and the plan's base seed."""
 
     algorithms: tuple[str, ...]
     functions: tuple[str, ...]
     values: np.ndarray
-    seeds: np.ndarray
     failures: tuple[tuple[str, str, int, str], ...] = ()
 
     def __post_init__(self):
         read_only_arrays(self, "values")
-        read_only_arrays(self, "seeds", dtype=np.uint64)
         shape = (len(self.algorithms), len(self.functions))
         if self.values.ndim != 3 or self.values.shape[:2] != shape:
             raise ValueError("values must have shape (n_algorithms, n_functions, runs)")
-        if self.seeds.shape != self.values.shape:
-            raise ValueError("seeds must match the shape of values")
 
     @property
     def runs(self) -> int:
@@ -320,8 +317,8 @@ def _cell_path(out_dir: Path, algorithm: str, function: str) -> Path:
     return out_dir / "results" / f"{algorithm}__{function}.csv"
 
 
-def _read_cell(path: Path) -> dict[int, tuple[int, float]]:
-    rows: dict[int, tuple[int, float]] = {}
+def _read_cell(path: Path) -> dict[int, float]:
+    rows: dict[int, float] = {}
     if not path.exists():
         return rows
     with open(path, newline="", encoding="utf-8") as fh:
@@ -337,63 +334,48 @@ def _read_cell(path: Path) -> dict[int, tuple[int, float]]:
         if len(row) != 3:
             continue  # malformed row
         try:
-            run_index = int(row[0])
-            seed = int(row[1])
-            value = float(row[2])
+            run_index, _, value = int(row[0]), int(row[1]), float(row[2])
         except ValueError:
             continue
-        rows[run_index] = (seed, value)
+        rows[run_index] = value
     return rows
 
 
-def _write_cell(path: Path, seeds: np.ndarray, values: np.ndarray) -> None:
-    """Write one whole cell, a row for every run in run order."""
+def _write_cell(out_path: Path, plan: ExperimentPlan, i: int, k: int,
+                values: np.ndarray) -> None:
+    """Write cell ``(i, k)`` whole, a row for every run in run order."""
+    path = _cell_path(out_path, plan.algorithms[i][0], plan.functions[k].name)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["run", "seed", "best_value"])
-        for run_index, (seed, value) in enumerate(zip(seeds, values)):
-            writer.writerow([run_index, int(seed), repr(float(value))])
+        for r, value in enumerate(values):
+            writer.writerow([r, derive_seed(plan.base_seed, i, k, r),
+                             repr(float(value))])
 
 
-def _read_results(plan: ExperimentPlan,
-                  out_path: Path | None) -> tuple[np.ndarray, np.ndarray]:
-    """Values and seeds of every run on disk, indexed (algorithm, function, run).
+def _read_results(plan: ExperimentPlan, out_path: Path | None) -> np.ndarray:
+    """Values of every run on disk, indexed (algorithm, function, run).
 
-    A run without a row (every run, when there is no directory) reads as a
-    NaN value and a zero seed.
+    A run without a row (every run, when there is no directory) reads as
+    NaN.  Seeds are not read back: a run's seed is :func:`derive_seed`.
     """
     values = np.full((len(plan.algorithms), len(plan.functions), plan.runs),
                      np.nan)
-    seeds = np.zeros_like(values, dtype=np.uint64)
     if out_path is None:
-        return values, seeds
+        return values
     for i, (algorithm, _) in enumerate(plan.algorithms):
         for k, function in enumerate(plan.functions):
             rows = _read_cell(_cell_path(out_path, algorithm, function.name))
-            for r, (seed, value) in rows.items():
+            for r, value in rows.items():
                 if 0 <= r < plan.runs:
                     values[i, k, r] = value
-                    seeds[i, k, r] = seed
-    return values, seeds
+    return values
 
 
-def _run_function(task) -> tuple[int, list[tuple[int, int, float, str]]]:
-    """All pending runs of one function in one stack; a schedule whose
-    coefficient table fails its checks fails only its own runs, as NaN."""
-    k, function, pending, pop_size, budget = task
-    failed = {}  # by repr(spec), which tells a -0.0 field from 0.0
-    for key, spec in {repr(run[3]): run[3] for run in pending}.items():
-        try:
-            coefficient_table(spec, budget // pop_size)
-        except SwarmPatternError as exc:
-            failed[key] = f"{type(exc).__name__}: {exc}"
-    stack = [run for run in pending if repr(run[3]) not in failed]
-    results = (run_many(function, [run[3] for run in stack],
-                        pop_size, budget, [run[2] for run in stack])
-               if stack else [])
-    best = {run[:2]: result.best_value for run, result in zip(stack, results)}
-    return k, [(i, r, best.get((i, r), math.nan), failed.get(repr(spec), ""))
-               for i, r, _, spec in pending]
+def _run_function(task) -> list[float]:
+    """Best values of one stack of pending runs: ``task`` is the arguments
+    of :func:`run_many`."""
+    return [result.best_value for result in run_many(*task)]
 
 
 def run_experiment(plan: ExperimentPlan, out_dir: str | Path | None = None,
@@ -404,9 +386,11 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | Path | None = None,
     lockstep stack, and ``parallelism`` worker processes take one function
     at a time.  With ``out_dir`` set, each cell whose runs were pending is
     written whole, run-sorted, when its function finishes, and runs already
-    on disk are skipped, which makes interrupted experiments resumable.  A
-    failed run is kept as NaN, its error in ``ResultSet.failures`` and
-    ``failures.csv`` in plan order, and a resume fails it again.
+    on disk are skipped, which makes interrupted experiments resumable.
+    Each algorithm with pending runs has its coefficient table checked once,
+    before any stack runs; if that fails, its pending runs join no stack and
+    stay NaN, their error in ``ResultSet.failures`` and ``failures.csv`` in
+    plan order, and a resume fails them again.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be positive")
@@ -424,42 +408,52 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | Path | None = None,
             with open(manifest_path, "w", encoding="utf-8") as fh:
                 json.dump(manifest, fh, indent=2, sort_keys=True)
                 fh.write("\n")
-    values, seeds = _read_results(plan, out_path)
+    values = _read_results(plan, out_path)
+    pending = np.isnan(values)
 
-    tasks = []
+    errors: dict[int, str] = {}
+    for i, (_, schedule) in enumerate(plan.algorithms):
+        if pending[i].any():
+            try:
+                coefficient_table(schedule, plan.budget_evals // plan.pop_size)
+            except SwarmPatternError as exc:
+                errors[i] = f"{type(exc).__name__}: {exc}"
+    failures = [(plan.algorithms[i][0], function.name, int(r), error)
+                for i, error in errors.items()
+                for k, function in enumerate(plan.functions)
+                for r in np.flatnonzero(pending[i, k])]
+    if out_path is not None:
+        for i in errors:
+            for k in range(len(plan.functions)):
+                if pending[i, k].any():
+                    _write_cell(out_path, plan, i, k, values[i, k])
+
+    stacks, tasks = [], []
     for k, function in enumerate(plan.functions):
-        pending = [(i, r, derive_seed(plan.base_seed, i, k, r), schedule)
-                   for i, (_, schedule) in enumerate(plan.algorithms)
-                   for r in range(plan.runs) if math.isnan(values[i, k, r])]
-        if pending:
-            tasks.append((k, function, pending, plan.pop_size,
-                          plan.budget_evals))
+        stack = [(i, r) for i in range(len(plan.algorithms)) if i not in errors
+                 for r in range(plan.runs) if pending[i, k, r]]
+        if stack:
+            stacks.append((k, stack))
+            tasks.append((function, [plan.algorithms[i][1] for i, _ in stack],
+                          plan.pop_size, plan.budget_evals,
+                          [derive_seed(plan.base_seed, i, k, r)
+                           for i, r in stack]))
 
-    failed: list[tuple[int, int, int, str]] = []
-
-    def record(k: int, outcomes: list[tuple[int, int, float, str]]) -> None:
-        for i, r, value, error in outcomes:
-            values[i, k, r] = value
-            seeds[i, k, r] = derive_seed(plan.base_seed, i, k, r)
-            if error:
-                failed.append((i, k, r, error))
-        if out_path is not None:
-            for i in sorted({i for i, *_ in outcomes}):
-                _write_cell(_cell_path(out_path, plan.algorithms[i][0],
-                                       plan.functions[k].name),
-                            seeds[i, k], values[i, k])
+    def record(outcomes) -> None:
+        for (k, stack), best in zip(stacks, outcomes):
+            for (i, r), value in zip(stack, best):
+                values[i, k, r] = value
+            if out_path is not None:
+                for i in sorted({i for i, _ in stack}):
+                    _write_cell(out_path, plan, i, k, values[i, k])
 
     if parallelism == 1 or len(tasks) <= 1:
-        for task in tasks:
-            record(*_run_function(task))
+        record(map(_run_function, tasks))
     else:
         workers = min(parallelism, os.cpu_count() or 1, len(tasks))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for outcome in pool.map(_run_function, tasks, chunksize=1):
-                record(*outcome)
+            record(pool.map(_run_function, tasks, chunksize=1))
 
-    failures = [(plan.algorithms[i][0], plan.functions[k].name, r, error)
-                for i, k, r, error in sorted(failed)]
     if out_path is not None:
         failure_path = out_path / "failures.csv"
         if failures:
@@ -474,7 +468,6 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | Path | None = None,
         algorithms=tuple(n for n, _ in plan.algorithms),
         functions=tuple(f.name for f in plan.functions),
         values=values,
-        seeds=seeds,
         failures=tuple(failures),
     )
 
@@ -492,7 +485,7 @@ def load_results(out_dir: str | Path) -> ResultSet:
     if not manifest_path.exists():
         raise FileNotFoundError(f"no manifest.json under {out_path}")
     plan = plan_from_dict(_manifest_plan(manifest_path))
-    values, seeds = _read_results(plan, out_path)
+    values = _read_results(plan, out_path)
     missing = np.argwhere(np.isnan(values))
     if missing.size:
         preview = ", ".join(
@@ -510,5 +503,4 @@ def load_results(out_dir: str | Path) -> ResultSet:
         algorithms=tuple(n for n, _ in plan.algorithms),
         functions=tuple(f.name for f in plan.functions),
         values=values,
-        seeds=seeds,
     )

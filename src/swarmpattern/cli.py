@@ -24,6 +24,8 @@ import numpy as np
 
 from . import __version__
 from .benchmark import (
+    DEFAULT_EVALS_PER_DIM,
+    DEFAULT_POP_SIZE,
     DEFAULT_RUNS,
     default_plan,
     load_plan,
@@ -288,7 +290,7 @@ def cmd_optimize(args) -> int:
     function = suite_function(args.function, args.dimension)
     schedule = _parse_schedule(args.schedule)
     budget = (args.budget_evals if args.budget_evals is not None
-              else 5000 * args.dimension)
+              else DEFAULT_EVALS_PER_DIM * args.dimension)
     result = run(function, schedule, args.pop_size, budget,
                  args.seed, epsilon0=args.epsilon0)
     if args.history:
@@ -440,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--function", required=True)
     p.add_argument("--dimension", type=int, default=10)
     p.add_argument("--schedule", default="mapso")
-    p.add_argument("--pop-size", type=int, default=20)
+    p.add_argument("--pop-size", type=int, default=DEFAULT_POP_SIZE)
     p.add_argument("--budget-evals", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epsilon0", type=float, default=0.0)

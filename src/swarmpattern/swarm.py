@@ -125,7 +125,7 @@ class SwarmState:
                 np.empty(shape, dtype=bool), np.empty(shape[:2], dtype=bool))
 
 
-@dataclass(frozen=True)
+@array_dataclass
 class RunResult:
     """Final best plus the best-so-far history ``(evals, best_value)``."""
 
@@ -133,6 +133,9 @@ class RunResult:
     best_position: np.ndarray
     history: tuple[tuple[int, float], ...]
     seed: int
+
+    def __post_init__(self):
+        read_only_arrays(self, "best_position")
 
 
 def _evaluate(problem: Problem, positions: np.ndarray) -> np.ndarray:

@@ -36,6 +36,7 @@ from swarmpattern import (
 )
 from swarmpattern import benchmark
 from swarmpattern.cli import build_parser
+from swarmpattern.schedules import coefficient_table
 
 ICPSO = IpsoParams(0.711897, 1.711897, 1.0)
 
@@ -332,7 +333,6 @@ class TestRunExperiment:
                     direct = run(function.problem(), schedule, plan.pop_size,
                                  plan.budget_evals, seed)
                     assert results.values[i, k, r] == direct.best_value
-                    assert results.seeds[i, k, r] == seed
                     assert lockstep[r].seed == seed
                     assert lockstep[r].best_value == direct.best_value
                     assert (lockstep[r].best_position.tobytes()
@@ -350,6 +350,15 @@ class TestRunExperiment:
         lines = (tmp_path / "results" / "icpso__sphere.csv").read_text().splitlines()
         assert lines[0] == "run,seed,best_value"
         assert len(lines) == 1 + plan.runs
+        # Every row's seed is derive_seed of the row's coordinates.
+        for i, (algorithm, _) in enumerate(plan.algorithms):
+            for k, function in enumerate(plan.functions):
+                with open(tmp_path / "results" / f"{algorithm}__{function.name}.csv",
+                          newline="", encoding="utf-8") as fh:
+                    rows = list(csv.reader(fh))[1:]
+                assert [(int(run), int(seed)) for run, seed, _ in rows] == [
+                    (r, derive_seed(plan.base_seed, i, k, r))
+                    for r in range(plan.runs)]
 
     def test_rerun_is_byte_identical(self, tmp_path):
         plan = _tiny_plan()
@@ -441,9 +450,9 @@ class TestRunExperiment:
         written = []
         write_cell = benchmark._write_cell
 
-        def counting(path, seeds, values):
-            written.append(path.name)
-            write_cell(path, seeds, values)
+        def counting(out_path, plan, i, k, values):
+            written.append(f"{plan.algorithms[i][0]}__{plan.functions[k].name}.csv")
+            write_cell(out_path, plan, i, k, values)
 
         monkeypatch.setattr(benchmark, "_write_cell", counting)
         plan = _tiny_plan()
@@ -554,6 +563,33 @@ class TestRunExperiment:
                                  derive_seed(plan.base_seed, i, k, r))
                     assert results.values[i, k, r] == direct.best_value
 
+    def test_each_schedule_table_is_checked_once(self, tmp_path, monkeypatch):
+        # A table depends only on its spec and the plan's clock, so a plan
+        # with two functions checks each algorithm's table once, a failing
+        # one included, and a resume checks only algorithms with runs left.
+        calls = []
+
+        def counting(spec, t_max):
+            calls.append((spec, t_max))
+            return coefficient_table(spec, t_max)
+
+        monkeypatch.setattr(benchmark, "coefficient_table", counting)
+        plan = ExperimentPlan(
+            algorithms=(("icpso", ICPSO),
+                        ("overflow", LinearInertia(-1e308, 1e308)),
+                        ("rwpso", RandomInertia())),
+            functions=(suite_function("sphere", 2),
+                       suite_function("ackley", 2)),
+            dimension=2, pop_size=5, runs=2, evals_per_dim=20)
+        t_max = plan.budget_evals // plan.pop_size
+        results = run_experiment(plan, out_dir=tmp_path)
+        assert calls == [(spec, t_max) for _, spec in plan.algorithms]
+        assert [f[:2] for f in results.failures] == [
+            ("overflow", "sphere")] * 2 + [("overflow", "ackley")] * 2
+        calls.clear()
+        run_experiment(plan, out_dir=tmp_path)
+        assert calls == [(plan.algorithms[1][1], t_max)]
+
     def test_one_stack_per_function_with_pending_runs(self, tmp_path,
                                                        monkeypatch):
         calls = []
@@ -607,7 +643,6 @@ class TestRunExperiment:
         spawned = run_experiment(plan, out_dir=tmp_path / "spawned", parallelism=2)
         assert spawned.failures == ()
         assert np.array_equal(spawned.values, serial.values)
-        assert np.array_equal(spawned.seeds, serial.seeds)
         assert _snapshot(tmp_path / "spawned") == _snapshot(tmp_path / "serial")
 
     def test_parallelism_guard(self):
@@ -622,7 +657,6 @@ class TestLoadResults:
         assert loaded.algorithms == results.algorithms
         assert loaded.functions == results.functions
         assert np.array_equal(loaded.values, results.values)
-        assert np.array_equal(loaded.seeds, results.seeds)
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="no manifest.json"):
@@ -640,11 +674,9 @@ class TestLoadResults:
 class TestResultSet:
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="values must have shape"):
-            ResultSet(("a",), ("f",), np.zeros((2, 1, 3)), np.zeros((2, 1, 3)))
-        with pytest.raises(ValueError, match="seeds must match"):
-            ResultSet(("a",), ("f",), np.zeros((1, 1, 3)), np.zeros((1, 1, 2)))
+            ResultSet(("a",), ("f",), np.zeros((2, 1, 3)))
 
     def test_arrays_are_read_only(self):
-        rs = ResultSet(("a",), ("f",), np.zeros((1, 1, 2)), np.zeros((1, 1, 2)))
+        rs = ResultSet(("a",), ("f",), np.zeros((1, 1, 2)))
         with pytest.raises(ValueError):
             rs.values[0, 0, 0] = 1.0

@@ -50,7 +50,6 @@ def _results(values, algorithms=None, functions=None):
         algorithms=algorithms or tuple(f"algo{i}" for i in range(values.shape[0])),
         functions=functions or tuple(f"f{k}" for k in range(values.shape[1])),
         values=values,
-        seeds=np.zeros(values.shape, dtype=np.uint64),
     )
 
 

@@ -15,6 +15,7 @@ from swarmpattern import (
     MomentSystem,
     Problem,
     ResultSet,
+    RunResult,
     SimTrace,
     TournamentMatrix,
     default_plan,
@@ -35,8 +36,10 @@ BUILDERS = {
     "TestFunction": lambda: suite_function("shifted_sphere", 2),
     "ResultSet": lambda: ResultSet(
         algorithms=("a", "b"), functions=("f",),
-        values=np.arange(6.0).reshape(2, 1, 3),
-        seeds=np.arange(6).reshape(2, 1, 3), failures=(("a", "f", 0, "x"),)),
+        values=np.arange(6.0).reshape(2, 1, 3), failures=(("a", "f", 0, "x"),)),
+    "RunResult": lambda: RunResult(
+        best_value=0.5, best_position=np.arange(3.0),
+        history=((10, 2.0), (20, 0.5)), seed=3),
     "MomentSystem": lambda: MomentSystem(np.eye(5) / 2.0, np.arange(5.0)),
     "MomentState": lambda: MomentState(np.arange(5.0)),
     "AutocorrelationSeq": lambda: AutocorrelationSeq(np.array([1.0, 0.5])),
