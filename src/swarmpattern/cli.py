@@ -71,6 +71,7 @@ from .simulate import (
     IidUniformAttractors,
     RandomWalkAttractors,
     SimConfig,
+    SimTrace,
     empirical_autocorrelation,
     empirical_moments,
     empirical_movement_distance,
@@ -180,6 +181,22 @@ def _float_csv(value: float) -> str:
     return repr(float(value))
 
 
+# Trace rows formatted per write: bounds the Python floats alive at once.
+_CSV_ROWS = 4096
+
+
+def _write_trace_csv(out, trace: SimTrace) -> None:
+    """``t,x,p,g`` rows, each value spelled as ``_float_csv`` spells it."""
+    out.write("t,x,p,g\n")
+    for start in range(0, len(trace), _CSV_ROWS):
+        stop = start + _CSV_ROWS
+        out.writelines(
+            f"{t},{x!r},{p!r},{g!r}\n" for t, x, p, g in zip(
+                range(start, stop), trace.positions[start:stop].tolist(),
+                trace.p_values[start:stop].tolist(),
+                trace.g_values[start:stop].tolist()))
+
+
 # --- subcommands -------------------------------------------------------------
 
 def cmd_solve(args) -> int:
@@ -269,12 +286,11 @@ def cmd_simulate(args) -> int:
     config = SimConfig(iterations=args.iterations, burn_in=args.burn_in,
                        seed=args.seed, x0=args.x0, x1=args.x1)
     trace = simulate(params, process, config)
-    lines = ["t,x,p,g"]
-    for t in range(len(trace)):
-        lines.append(f"{t},{_float_csv(trace.positions[t])},"
-                     f"{_float_csv(trace.p_values[t])},"
-                     f"{_float_csv(trace.g_values[t])}")
-    _emit(args.output, "\n".join(lines) + "\n")
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as out:
+            _write_trace_csv(out, trace)
+    else:
+        _write_trace_csv(sys.stdout, trace)
     if not trace.diverged:
         mean, variance = empirical_moments(trace, args.burn_in)
         print(f"mean {mean!r}  variance {variance!r}  movement "

@@ -13,14 +13,18 @@ from ``SimConfig.seed`` produces every random number, in this fixed order:
 
 Two traces with equal configs are therefore bit-identical.
 
-Vectorisation.  Every elementwise quantity is a numpy array built before the
-recursion starts: the pulls, the attractor streams (the settling walk is a
-cumulative sum of its damped steps), and the per-step products
-``1 + omega - phi1 - phi2``, ``phi1 p`` and ``phi2 g``.  Each is formed with
-the same IEEE operations in the same order as the scalar update, so only the
-sequential two-term recurrence runs as a Python loop, and the traces equal
-bit for bit those of the per-element loop that ``tests/test_simulate.py``
-keeps as its oracle.
+Vectorisation.  The draws are whole arrays made before the recursion starts
+(the settling walk is a cumulative sum of its damped steps).  The recursion
+then runs in chunks of ``_CHUNK`` steps: each chunk forms its slices of
+``1 + omega - phi1 - phi2``, ``phi1 p`` and ``phi2 g`` with the same IEEE
+operations in the same order as the scalar update, runs the sequential
+two-term recurrence over them as a Python loop, and writes its positions into
+the one preallocated trace, where a single array test per chunk finds the
+first divergent step.  So once the four streams are drawn, a run of N steps
+allocates only the trace's three output arrays at full length; the pulls are
+freed before the attractor logs are built, so no more than five such arrays
+are alive at once.  The trace equals bit for bit that of the per-element loop
+``tests/test_simulate.py`` keeps as its oracle.
 
 The inertia weight is the constant ``omega`` of ``IpsoParams``; the pulls
 are uniform on ``[0, c]`` and ``[0, alpha c]`` (intervals flip orientation
@@ -49,6 +53,10 @@ _SQRT3 = math.sqrt(3.0)
 # A trace whose position passes this magnitude is declared divergent rather
 # than being iterated into float overflow.
 DIVERGENCE_LIMIT = 1e100
+
+# Steps of the recursion per chunk: a chunk's coefficient slices and its
+# Python floats are the only temporaries, whatever the trace length.
+_CHUNK = 4096
 
 
 def _ordered_interval(process, name: str) -> None:
@@ -189,13 +197,52 @@ def _attractor_streams(process: AttractorProcess, nsteps: int,
         lo, hi = process.step_range
         r1 = rng.uniform(lo, hi, nsteps)
         r2 = rng.uniform(lo, hi, nsteps)
-        # p[j] = p[j-1] + r1[j-1] / j as a running sum: cumsum adds in index
-        # order, so it performs the same additions as the sequential walk.
+        # p[j] = p[j-1] + r1[j-1] / j as a running sum, formed in the draw's
+        # own buffer: cumsum adds in index order, so it performs the same
+        # additions as the sequential walk.
         steps = np.arange(1, nsteps)
-        p = np.cumsum(np.concatenate(([process.p0], r1[:-1] / steps)))
-        g = np.cumsum(np.concatenate(([process.g0], r2[:-1] / steps)))
-        return p, g
+        for walk, start in ((r1, process.p0), (r2, process.g0)):
+            walk[1:] = walk[:-1] / steps
+            walk[:1] = start
+            np.cumsum(walk, out=walk)
+        return r1, r2
     return (np.full(nsteps, process.p_value), np.full(nsteps, process.g_value))
+
+
+def _recurse(x0: float, x1: float, w: float, phi1: np.ndarray, phi2: np.ndarray,
+             p_stream: np.ndarray, g_stream: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Positions of the recursion, and whether it diverged.
+
+    A diverged trace ends on its first step past ``DIVERGENCE_LIMIT`` and is
+    copied out, so it does not keep the full-length buffer alive.
+    """
+    nsteps = phi1.size
+    positions = np.empty(nsteps + 2)
+    positions[0], positions[1] = x0, x1
+    xprev, xcur = x0, x1
+    for start in range(0, nsteps, _CHUNK):
+        stop = start + _CHUNK
+        f1, f2 = phi1[start:stop], phi2[start:stop]
+        # The slices repeat the scalar update's operations in its order,
+        # which keeps the trace bit-identical to it; iterating a memoryview
+        # yields Python floats without building lists.
+        lead = (1.0 + w) - f1
+        lead -= f2
+        xs = []
+        append = xs.append
+        for a, fp, fg in zip(memoryview(lead), memoryview(f1 * p_stream[start:stop]),
+                             memoryview(f2 * g_stream[start:stop])):
+            xnext = a * xcur - w * xprev + fp + fg
+            append(xnext)
+            xprev, xcur = xcur, xnext
+        seg = positions[2 + start:2 + stop]
+        seg[:] = xs
+        # Also True for NaN and +-inf; steps after the first one past the
+        # limit ran on garbage and are cut away.
+        past = np.flatnonzero(~(np.abs(seg) <= DIVERGENCE_LIMIT))
+        if past.size:
+            return positions[:3 + start + int(past[0])].copy(), True
+    return positions, False
 
 
 def simulate(params: IpsoParams, process: AttractorProcess,
@@ -217,29 +264,15 @@ def simulate(params: IpsoParams, process: AttractorProcess,
     phi2 = rng.uniform(min(0.0, ac), max(0.0, ac), nsteps)
     p_stream, g_stream = _attractor_streams(process, nsteps, rng)
 
-    # The arrays repeat the scalar update's operations in its order, which
-    # keeps the trace bit-identical to it; iterating a memoryview yields
-    # Python floats without building lists.
-    w = params.omega
-    lead = (1.0 + w) - phi1
-    lead -= phi2
-    xs = [x0, x1]
-    xprev, xcur = x0, x1
-    diverged = False
-    for a, fp, fg in zip(memoryview(lead), memoryview(phi1 * p_stream),
-                         memoryview(phi2 * g_stream)):
-        xnext = a * xcur - w * xprev + fp + fg
-        xs.append(xnext)
-        # The chained bounds test is also False for NaN and +-inf.
-        if not -DIVERGENCE_LIMIT <= xnext <= DIVERGENCE_LIMIT:
-            diverged = True
-            break
-        xprev, xcur = xcur, xnext
-
-    used = len(xs) - 2
+    positions, diverged = _recurse(x0, x1, params.omega, phi1, phi2,
+                                   p_stream, g_stream)
+    # The pulls are spent: freeing them before the attractor logs are built
+    # keeps the peak at the four streams plus the positions.
+    del phi1, phi2
+    used = positions.size - 2
     pad = np.full(2, np.nan)
     return SimTrace(
-        positions=np.array(xs),
+        positions=positions,
         p_values=np.concatenate([pad, p_stream[:used]]),
         g_values=np.concatenate([pad, g_stream[:used]]),
         diverged=diverged,

@@ -8,9 +8,11 @@ import pytest
 
 from swarmpattern import (
     ExperimentPlan,
+    IidUniformAttractors,
     IpsoParams,
     LinearInertia,
     Mapso,
+    SimConfig,
     SuccessRateInertia,
     __version__,
     baseline_schedules,
@@ -18,6 +20,7 @@ from swarmpattern import (
     ipso_to_moments,
     is_order2_convergent,
     plan_to_dict,
+    simulate,
     suite_function,
 )
 
@@ -190,6 +193,28 @@ class TestSimulate:
         assert _run(capsys, *argv, "--output", str(first))[0] == 0
         assert _run(capsys, *argv, "--output", str(second))[0] == 0
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("omega, iterations", [(0.7298, 9000), (2.0, 2000)],
+                             ids=["seeded", "diverged"])
+    def test_rows_spell_each_value_as_its_repr(self, capsys, tmp_path, omega,
+                                                iterations):
+        # The row-at-a-time formatter the streamed writer replaced.
+        trace = simulate(IpsoParams(omega, 0.1, 1.0),
+                         IidUniformAttractors((-9.0, 11.0), (-5.0, 15.0)),
+                         SimConfig(iterations=iterations, burn_in=10, seed=4))
+        lines = ["t,x,p,g"]
+        for t in range(len(trace)):
+            lines.append(f"{t},{cli._float_csv(trace.positions[t])},"
+                         f"{cli._float_csv(trace.p_values[t])},"
+                         f"{cli._float_csv(trace.g_values[t])}")
+        expected = "\n".join(lines) + "\n"
+        argv = ["simulate", "--omega", str(omega), "--c", "0.1",
+                "--iterations", str(iterations), "--burn-in", "10", "--seed", "4"]
+        target = tmp_path / "trace.csv"
+        assert _run(capsys, *argv, "--output", str(target))[0] == 0
+        assert target.read_text(encoding="utf-8") == expected
+        code, out, _ = _run(capsys, *argv)
+        assert code == 0 and out == expected
 
     def test_divergent_trace_skips_summary(self, capsys):
         code, out, err = _run(capsys, "simulate", "--omega", "2.0",

@@ -8,6 +8,7 @@ inside the quoted tolerances, so reseeding requires recalibration.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from swarmpattern import (
     solve_coefficients,
     variance_fixed_point,
 )
+from swarmpattern.simulate import _CHUNK
 
 SLOW_MIXING = IpsoParams(0.73084, 1.6443, 1.0)
 FAST_MIXING = IpsoParams(0.98237, 0.19824, 1.0)
@@ -45,6 +47,15 @@ WIDE_IID = IidUniformAttractors((-9.0, 11.0), (-5.0, 15.0))
 WALK = RandomWalkAttractors(p0=1.0, g0=5.0)
 
 LONG = SimConfig(iterations=101_000, burn_in=1000, seed=0)
+
+# Divergent runs whose first step past the limit falls inside a later chunk:
+# omega just outside the stable region grows slowly past 1e100, and a walk
+# that overflows to inf drives the positions to inf and then NaN.
+LATE_DIVERGENCE = (IpsoParams(1.04, 0.1, 1.0), FixedAttractors(-2.0, 3.0),
+                   SimConfig(iterations=4 * _CHUNK, seed=11, x0=0.25, x1=-7.5))
+OVERFLOW = (IpsoParams(0.5, 1e-250, 1.0),
+            RandomWalkAttractors(p0=1e308, g0=0.0, step_range=(8.5e306, 8.7e306)),
+            SimConfig(iterations=4 * _CHUNK, seed=12, x0=0.25, x1=-7.5))
 
 
 def _constant_trace(value, n):
@@ -194,11 +205,19 @@ class TestScalarOracle:
         (IpsoParams(0.6, 1.2, -0.4), WALK, SimConfig(iterations=20_000, seed=9)),
         (REFERENCE, WALK, SimConfig(iterations=5000, seed=10, x0=0.25, x1=-7.5)),
         (IpsoParams(2.0, 0.1, 1.0), WIDE_IID, SimConfig(iterations=5000, seed=0)),
+        LATE_DIVERGENCE,
+        OVERFLOW,
+        *((REFERENCE, WIDE_IID, SimConfig(iterations=n, seed=n))
+          for n in (2, 3, 5, _CHUNK + 1, _CHUNK + 2, _CHUNK + 3, 2 * _CHUNK + 3)),
     ], ids=["iid", "walk", "fixed", "negative-c", "negative-alpha-c", "pinned",
-            "divergent"])
+            "divergent", "divergent-late", "overflow",
+            *(f"steps-{k}" for k in ("0", "1", "3", "chunk-1", "chunk",
+                                     "chunk+1", "2chunk+1"))])
     def test_matches_the_scalar_loop(self, params, process, config):
-        trace = simulate(params, process, config)
-        expected = _scalar_reference(params, process, config)
+        # The overflow case's walk overflows on purpose, in both forms.
+        with np.errstate(over="ignore"):
+            trace = simulate(params, process, config)
+            expected = _scalar_reference(params, process, config)
         for name in ("positions", "p_values", "g_values"):
             assert getattr(trace, name).tobytes() == getattr(expected, name).tobytes(), name
         assert trace.diverged == expected.diverged
@@ -208,6 +227,45 @@ class TestScalarOracle:
             assert abs(trace.positions[-1]) > 1e100
         if config.x0 is not None:
             assert trace.positions[:2].tolist() == [config.x0, config.x1]
+
+    def test_the_late_divergences_fall_inside_a_later_chunk(self):
+        late = simulate(*LATE_DIVERGENCE)
+        with np.errstate(over="ignore"):
+            overflow = simulate(*OVERFLOW)
+        for trace in (late, overflow):
+            steps = len(trace) - 2
+            assert trace.diverged and steps > _CHUNK
+            assert 0 < steps % _CHUNK < _CHUNK - 1
+        assert np.isfinite(late.positions[-1])
+        assert overflow.positions[-1] == math.inf
+
+
+class TestFootprint:
+    def test_a_diverged_trace_owns_only_what_it_used(self):
+        trace = simulate(IpsoParams(2.0, 0.1, 1.0), WIDE_IID,
+                         SimConfig(iterations=100_000, seed=0))
+        assert trace.diverged and len(trace) < 1000
+        for name in ("positions", "p_values", "g_values"):
+            array = getattr(trace, name)
+            owner = array if array.base is None else array.base
+            assert owner.nbytes == 8 * len(trace), name
+
+    # Measured peaks: the four drawn streams plus the positions, 5.15x the
+    # positions; the walk's division temporary while it is summed, 6.04x.
+    # Full-length temporaries or a list of Python floats would add more.
+    @pytest.mark.parametrize("process, bound", [(WIDE_IID, 5.7), (WALK, 6.7)],
+                             ids=["iid", "walk"])
+    def test_peak_memory_is_the_streams_plus_the_trace(self, process, bound):
+        config = SimConfig(iterations=200_000, seed=3)
+        simulate(REFERENCE, process, SimConfig(iterations=10, seed=3))
+        tracemalloc.start()
+        try:
+            trace = simulate(REFERENCE, process, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not trace.diverged
+        assert peak <= bound * trace.positions.nbytes
 
 
 class TestProcessMoments:
