@@ -18,9 +18,9 @@ Results persist incrementally: a JSON manifest of the plan and one CSV per
 whole and run-sorted, when its function's stack finishes, so an interruption
 loses at most the pending runs of the function in flight.
 An interrupted experiment resumes by rerunning with the same plan and output
-directory: runs with a row are skipped, while missing, torn and failed
-(NaN) runs are run again, so a resumed experiment is byte-identical to an
-uninterrupted one.
+directory: runs with a row are skipped, while missing and torn runs are run
+again, so a resumed experiment is byte-identical to an uninterrupted one.
+A plan whose schedule table fails is rejected before anything is written.
 """
 
 from __future__ import annotations
@@ -217,7 +217,6 @@ class ResultSet:
     algorithms: tuple[str, ...]
     functions: tuple[str, ...]
     values: np.ndarray
-    failures: tuple[tuple[str, str, int, str], ...] = ()
 
     def __post_init__(self):
         read_only_arrays(self, "values")
@@ -387,13 +386,17 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | Path | None = None,
     at a time.  With ``out_dir`` set, each cell whose runs were pending is
     written whole, run-sorted, when its function finishes, and runs already
     on disk are skipped, which makes interrupted experiments resumable.
-    Each algorithm with pending runs has its coefficient table checked once,
-    before any stack runs; if that fails, its pending runs join no stack and
-    stay NaN, their error in ``ResultSet.failures`` and ``failures.csv`` in
-    plan order, and a resume fails them again.
+    A plan whose schedule table fails is rejected before anything is
+    written: each algorithm's table is checked once, first, and a failure
+    re-raises its error with the algorithm's name in front.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be positive")
+    for name, schedule in plan.algorithms:
+        try:
+            coefficient_table(schedule, plan.budget_evals // plan.pop_size)
+        except SwarmPatternError as exc:
+            raise type(exc)(f"algorithm {name!r}: {exc}") from exc
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         (out_path / "results").mkdir(parents=True, exist_ok=True)
@@ -411,26 +414,9 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | Path | None = None,
     values = _read_results(plan, out_path)
     pending = np.isnan(values)
 
-    errors: dict[int, str] = {}
-    for i, (_, schedule) in enumerate(plan.algorithms):
-        if pending[i].any():
-            try:
-                coefficient_table(schedule, plan.budget_evals // plan.pop_size)
-            except SwarmPatternError as exc:
-                errors[i] = f"{type(exc).__name__}: {exc}"
-    failures = [(plan.algorithms[i][0], function.name, int(r), error)
-                for i, error in errors.items()
-                for k, function in enumerate(plan.functions)
-                for r in np.flatnonzero(pending[i, k])]
-    if out_path is not None:
-        for i in errors:
-            for k in range(len(plan.functions)):
-                if pending[i, k].any():
-                    _write_cell(out_path, plan, i, k, values[i, k])
-
     stacks, tasks = [], []
     for k, function in enumerate(plan.functions):
-        stack = [(i, r) for i in range(len(plan.algorithms)) if i not in errors
+        stack = [(i, r) for i in range(len(plan.algorithms))
                  for r in range(plan.runs) if pending[i, k, r]]
         if stack:
             stacks.append((k, stack))
@@ -454,31 +440,18 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | Path | None = None,
         with ProcessPoolExecutor(max_workers=workers) as pool:
             record(pool.map(_run_function, tasks, chunksize=1))
 
-    if out_path is not None:
-        failure_path = out_path / "failures.csv"
-        if failures:
-            with open(failure_path, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["algorithm", "function", "run", "error"])
-                writer.writerows(failures)
-        elif failure_path.exists():
-            failure_path.unlink()
-
     return ResultSet(
         algorithms=tuple(n for n, _ in plan.algorithms),
         functions=tuple(f.name for f in plan.functions),
         values=values,
-        failures=tuple(failures),
     )
 
 
 def load_results(out_dir: str | Path) -> ResultSet:
     """Rebuild a ResultSet from a finished output directory.
 
-    A run without a row, or with a NaN value (a failed run), is reported
-    as missing.  The hint points at ``failures.csv`` when the directory has
-    one, since a rerun fails those runs the same way; otherwise it says to
-    resume the experiment.
+    A run without a row, or with a NaN value, is reported as missing, with
+    a hint to resume the experiment.
     """
     out_path = Path(out_dir)
     manifest_path = out_path / "manifest.json"
@@ -491,14 +464,9 @@ def load_results(out_dir: str | Path) -> ResultSet:
         preview = ", ".join(
             f"{plan.algorithms[i][0]}/{plan.functions[k].name}#{r}"
             for i, k, r in missing[:5])
-        if (out_path / "failures.csv").exists():
-            hint = ("see failures.csv: those runs failed, and a rerun fails "
-                    "them the same way")
-        else:
-            hint = ("rerun the experiment with the same plan and output "
-                    "directory to resume")
-        raise ValueError(f"{len(missing)} runs missing or failed in {out_path} "
-                         f"(e.g. {preview}); {hint}")
+        raise ValueError(f"{len(missing)} runs missing in {out_path} "
+                         f"(e.g. {preview}); rerun the experiment with the "
+                         "same plan and output directory to resume")
     return ResultSet(
         algorithms=tuple(n for n, _ in plan.algorithms),
         functions=tuple(f.name for f in plan.functions),

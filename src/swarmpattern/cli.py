@@ -345,10 +345,6 @@ def cmd_bench(args) -> int:
     done = int(np.sum(~np.isnan(results.values)))
     total = results.values.size
     print(f"completed {done}/{total} runs into {args.out}")
-    if results.failures:
-        print(f"{len(results.failures)} runs failed; see failures.csv")
-        for algorithm, function, r, error in results.failures[:5]:
-            print(f"  {algorithm}/{function} run {r}: {error}")
     return 0
 
 

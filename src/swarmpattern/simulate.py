@@ -199,12 +199,14 @@ def _attractor_streams(process: AttractorProcess, nsteps: int,
         r2 = rng.uniform(lo, hi, nsteps)
         # p[j] = p[j-1] + r1[j-1] / j as a running sum, formed in the draw's
         # own buffer: cumsum adds in index order, so it performs the same
-        # additions as the sequential walk.
+        # additions as the sequential walk.  A walk that overflows holds
+        # inf, and the recursion then reports the trace as diverged.
         steps = np.arange(1, nsteps)
-        for walk, start in ((r1, process.p0), (r2, process.g0)):
-            walk[1:] = walk[:-1] / steps
-            walk[:1] = start
-            np.cumsum(walk, out=walk)
+        with np.errstate(over="ignore"):
+            for walk, start in ((r1, process.p0), (r2, process.g0)):
+                walk[1:] = walk[:-1] / steps
+                walk[:1] = start
+                np.cumsum(walk, out=walk)
         return r1, r2
     return (np.full(nsteps, process.p_value), np.full(nsteps, process.g_value))
 

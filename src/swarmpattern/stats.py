@@ -162,13 +162,13 @@ def _outcome(a, b, p: float, p_threshold: float) -> int:
 def tournament(results: ResultSet, p_threshold: float = 0.05) -> TournamentMatrix:
     """Dominance totals for every ordered algorithm pair.
 
-    Requires a complete ResultSet: failed (NaN) runs must be resolved before
+    Requires a complete ResultSet: missing (NaN) runs must be resolved before
     statistics, not silently compared.
     """
     if not (0.0 < p_threshold < 1.0):
         raise ValueError("p_threshold must lie in (0, 1)")
     if np.any(np.isnan(results.values)):
-        raise ValueError("ResultSet contains failed (NaN) runs; "
+        raise ValueError("ResultSet contains missing (NaN) runs; "
                          "finish or repair the experiment before comparing")
     n = len(results.algorithms)
     t = np.zeros((n, n), dtype=int)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from swarmpattern import (
+    ConsistencyError,
     ExperimentPlan,
     IpsoParams,
     LinearInertia,
@@ -20,6 +21,7 @@ from swarmpattern import (
     Problem,
     RandomInertia,
     ResultSet,
+    ScheduleError,
     SuccessRateInertia,
     baseline_schedules,
     classic_suite,
@@ -311,7 +313,6 @@ class TestRunExperiment:
         assert results.values.shape == (2, 2, 3)
         assert results.runs == 3
         assert np.all(np.isfinite(results.values))
-        assert results.failures == ()
 
     def test_cells_match_direct_runs_exactly(self):
         # Every stock kind: shared triples (constant, MAPSO, linear), a
@@ -466,107 +467,50 @@ class TestRunExperiment:
         run_experiment(plan, out_dir=tmp_path)
         assert written == ["ldw__ackley.csv"]
 
-    def test_rerun_with_failed_runs_keeps_the_failures(self, tmp_path):
-        # A failed run is pending on resume; its shared schedule fails again
-        # the same way, so failures.csv survives the rerun unchanged.
-        plan = ExperimentPlan(
-            algorithms=(("biased", Mapso(f_min=1e9, f_max=1e9)),
-                        ("icpso", ICPSO)),
-            functions=(suite_function("sphere", 2),),
-            dimension=2, pop_size=5, runs=3, evals_per_dim=20)
-        first = run_experiment(plan, out_dir=tmp_path)
-        reference = _snapshot(tmp_path)
-        assert "failures.csv" in reference
-        second = run_experiment(plan, out_dir=tmp_path)
-        assert _snapshot(tmp_path) == reference
-        assert len(first.failures) == len(second.failures) == 3
-        assert second.failures == first.failures
-
     def test_foreign_manifest_is_rejected(self, tmp_path):
         run_experiment(_tiny_plan(), out_dir=tmp_path)
         with pytest.raises(ValueError, match="use a fresh output directory"):
             run_experiment(_tiny_plan(base_seed=8), out_dir=tmp_path)
 
-    def test_failed_runs_become_nan_not_crashes(self, tmp_path):
-        plan = ExperimentPlan(
-            algorithms=(("icpso", ICPSO),
-                        ("biased", Mapso(f_min=1e9, f_max=1e9))),
-            functions=(suite_function("sphere", 2),),
-            dimension=2, pop_size=5, runs=2, evals_per_dim=20)
-        results = run_experiment(plan, out_dir=tmp_path)
-        assert np.all(np.isfinite(results.values[0]))
-        assert np.all(np.isnan(results.values[1]))
-        assert len(results.failures) == 2
-        algorithm, function, _, error = results.failures[0]
-        assert (algorithm, function) == ("biased", "sphere")
-        assert error.startswith("ConsistencyError: ")
-        failures = (tmp_path / "failures.csv").read_text().splitlines()
-        assert failures[0] == "algorithm,function,run,error"
-        assert len(failures) == 3
-
-    @pytest.mark.parametrize("schedule, error", [
-        (LinearInertia(-1e308, 1e308),
-         "ScheduleError: LinearInertia coefficients must be finite at tick 0"),
-        (SuccessRateInertia(omega_min=-1e308, omega_max=1e308),
-         "ScheduleError: SuccessRateInertia coefficients must be finite at "
+    @pytest.mark.parametrize("schedule, error, message", [
+        (LinearInertia(-1e308, 1e308), ScheduleError,
+         "algorithm 'overflow': LinearInertia coefficients must be finite at "
          "tick 0"),
-        (Mapso(v_min=1e300, v_max=1e308),
-         "ConsistencyError: Mapso pattern solver round-trip failed at tick 0"),
+        (SuccessRateInertia(omega_min=-1e308, omega_max=1e308), ScheduleError,
+         "algorithm 'overflow': SuccessRateInertia coefficients must be finite "
+         "at tick 0"),
+        (Mapso(v_min=1e300, v_max=1e308), ConsistencyError,
+         "algorithm 'overflow': Mapso pattern solver round-trip failed at "
+         "tick 0"),
     ], ids=["linear", "success", "mapso"])
-    def test_overflowing_schedule_fails_its_own_runs(self, tmp_path, schedule,
-                                                      error):
-        # Each spec passes construction; its coefficients overflow.
+    def test_a_failing_schedule_table_rejects_the_plan_before_writing(
+            self, tmp_path, schedule, error, message):
+        # Each spec passes construction; its coefficients overflow.  The
+        # valid algorithm beside it does not run either.
         plan = ExperimentPlan(
-            algorithms=(("overflow", schedule),),
+            algorithms=(("icpso", ICPSO), ("overflow", schedule)),
             functions=(suite_function("sphere", 2),),
             dimension=2, pop_size=5, runs=2, evals_per_dim=20)
-        results = run_experiment(plan, out_dir=tmp_path)
-        assert np.all(np.isnan(results.values))
-        assert [f[:3] for f in results.failures] == [
-            ("overflow", "sphere", 0), ("overflow", "sphere", 1)]
-        assert all(f[3].startswith(error) for f in results.failures)
-        failures = (tmp_path / "failures.csv").read_text().splitlines()
-        assert len(failures) == 3 and error in failures[1]
-
-    def test_bad_schedules_fail_alone_beside_stock_runs(self, tmp_path):
-        # Two schedules whose tables fail, on two functions: each fails its
-        # own runs, failures keep plan order, and the runs stacked beside
-        # them still equal lone run() calls.
-        plan = ExperimentPlan(
-            algorithms=(("biased", Mapso(f_min=1e9, f_max=1e9)),
-                        ("icpso", ICPSO),
-                        ("overflow", LinearInertia(-1e308, 1e308)),
-                        ("rwpso", RandomInertia())),
-            functions=(suite_function("sphere", 2),
-                       suite_function("ackley", 2)),
-            dimension=2, pop_size=5, runs=2, evals_per_dim=20, base_seed=3)
-        results = run_experiment(plan, out_dir=tmp_path)
-        assert [f[:3] for f in results.failures] == [
-            (algorithm, function, r) for algorithm in ("biased", "overflow")
-            for function in ("sphere", "ackley") for r in range(2)]
-        assert all(f[3].startswith("ConsistencyError: ")
-                   for f in results.failures[:4])
-        assert all(f[3].startswith("ScheduleError: ")
-                   for f in results.failures[4:])
-        with open(tmp_path / "failures.csv", newline="",
-                  encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-        assert rows == [["algorithm", "function", "run", "error"]] + [
-            [a, f, str(r), e] for a, f, r, e in results.failures]
-        assert np.all(np.isnan(results.values[[0, 2]]))
-        for i in (1, 3):
-            schedule = plan.algorithms[i][1]
-            for k, function in enumerate(plan.functions):
-                for r in range(plan.runs):
-                    direct = run(function.problem(), schedule, plan.pop_size,
-                                 plan.budget_evals,
-                                 derive_seed(plan.base_seed, i, k, r))
-                    assert results.values[i, k, r] == direct.best_value
+        fresh = tmp_path / "fresh"
+        with pytest.raises(error) as info:
+            run_experiment(plan, out_dir=fresh)
+        assert str(info.value).startswith(message)
+        assert isinstance(info.value.__cause__, error)
+        assert not fresh.exists()
+        # The table check comes before the manifest check, so a finished
+        # directory of another plan keeps its bytes.
+        finished = tmp_path / "finished"
+        run_experiment(_tiny_plan(), out_dir=finished)
+        reference = _snapshot(finished)
+        with pytest.raises(error) as info:
+            run_experiment(plan, out_dir=finished)
+        assert str(info.value).startswith(message)
+        assert _snapshot(finished) == reference
 
     def test_each_schedule_table_is_checked_once(self, tmp_path, monkeypatch):
         # A table depends only on its spec and the plan's clock, so a plan
-        # with two functions checks each algorithm's table once, a failing
-        # one included, and a resume checks only algorithms with runs left.
+        # with two functions checks each algorithm's table once per call,
+        # a resume with nothing left to run included.
         calls = []
 
         def counting(spec, t_max):
@@ -575,20 +519,17 @@ class TestRunExperiment:
 
         monkeypatch.setattr(benchmark, "coefficient_table", counting)
         plan = ExperimentPlan(
-            algorithms=(("icpso", ICPSO),
-                        ("overflow", LinearInertia(-1e308, 1e308)),
+            algorithms=(("icpso", ICPSO), ("mapso", Mapso()),
                         ("rwpso", RandomInertia())),
             functions=(suite_function("sphere", 2),
                        suite_function("ackley", 2)),
             dimension=2, pop_size=5, runs=2, evals_per_dim=20)
         t_max = plan.budget_evals // plan.pop_size
-        results = run_experiment(plan, out_dir=tmp_path)
+        run_experiment(plan, out_dir=tmp_path)
         assert calls == [(spec, t_max) for _, spec in plan.algorithms]
-        assert [f[:2] for f in results.failures] == [
-            ("overflow", "sphere")] * 2 + [("overflow", "ackley")] * 2
         calls.clear()
         run_experiment(plan, out_dir=tmp_path)
-        assert calls == [(plan.algorithms[1][1], t_max)]
+        assert calls == [(spec, t_max) for _, spec in plan.algorithms]
 
     def test_one_stack_per_function_with_pending_runs(self, tmp_path,
                                                        monkeypatch):
@@ -615,17 +556,13 @@ class TestRunExperiment:
 
     def test_parallel_workers_write_the_serial_directory(self, tmp_path):
         plan = ExperimentPlan(
-            algorithms=(*baseline_schedules().items(),
-                        ("overflow", LinearInertia(-1e308, 1e308))),
+            algorithms=tuple(baseline_schedules().items()),
             functions=(suite_function("sphere", 2),
                        suite_function("ackley", 2),
                        suite_function("shifted_rastrigin", 2)),
             dimension=2, pop_size=5, runs=2, evals_per_dim=20)
-        serial = run_experiment(plan, out_dir=tmp_path / "serial")
-        pooled = run_experiment(plan, out_dir=tmp_path / "pooled",
-                                parallelism=2)
-        assert len(serial.failures) == 6
-        assert pooled.failures == serial.failures
+        run_experiment(plan, out_dir=tmp_path / "serial")
+        run_experiment(plan, out_dir=tmp_path / "pooled", parallelism=2)
         assert _snapshot(tmp_path / "pooled") == _snapshot(tmp_path / "serial")
 
     def test_spawned_workers_match_a_serial_run(self, tmp_path, monkeypatch):
@@ -641,7 +578,6 @@ class TestRunExperiment:
             functools.partial(ProcessPoolExecutor,
                               mp_context=multiprocessing.get_context("spawn")))
         spawned = run_experiment(plan, out_dir=tmp_path / "spawned", parallelism=2)
-        assert spawned.failures == ()
         assert np.array_equal(spawned.values, serial.values)
         assert _snapshot(tmp_path / "spawned") == _snapshot(tmp_path / "serial")
 

@@ -445,41 +445,36 @@ class TestBenchAndCompare:
         assert (config["runs"], config["dimension"], config["base_seed"]) == (3, 2, 7)
         assert config["plan"]["runs"] == 3
 
-    def test_compare_on_failed_runs_points_at_failures_csv(self, capsys, tmp_path):
-        plan = ExperimentPlan(
-            algorithms=(("biased", Mapso(f_min=1e9, f_max=1e9)),
-                        ("icpso", IpsoParams(0.711897, 1.711897, 1.0))),
-            functions=(suite_function("sphere", 2),),
-            dimension=2, pop_size=5, runs=3, evals_per_dim=20)
-        plan_path = tmp_path / "plan.json"
-        plan_path.write_text(json.dumps(plan_to_dict(plan)), encoding="utf-8")
+    def test_compare_on_missing_runs_points_at_resume(self, capsys, tmp_path,
+                                                      plan_file):
         out_dir = tmp_path / "results"
-        code, out, _ = _run(capsys, "bench", "--plan", str(plan_path),
-                            "--out", str(out_dir))
+        code, _, _ = _run(capsys, "bench", "--plan", str(plan_file),
+                          "--out", str(out_dir))
         assert code == 0
-        assert "3 runs failed; see failures.csv" in out
+        (out_dir / "results" / "ldw__ackley.csv").unlink()
         code, _, err = _run(capsys, "compare", "--results", str(out_dir))
         assert code == 2
-        assert "3 runs missing or failed" in err
-        assert "see failures.csv: those runs failed, and a rerun fails them the same way" in err
-        assert "to resume" not in err
+        assert "3 runs missing" in err
+        assert ("rerun the experiment with the same plan and output directory "
+                "to resume") in err
 
-    @pytest.mark.parametrize("schedule", [
-        LinearInertia(-1e308, 1e308),
-        SuccessRateInertia(omega_min=-1e308, omega_max=1e308),
-    ], ids=["linear", "success"])
-    def test_bench_records_an_overflowing_schedule_as_failed_runs(
-            self, capsys, tmp_path, schedule):
+    def test_bench_rejects_a_plan_whose_schedule_table_fails(self, capsys,
+                                                             tmp_path):
         plan = ExperimentPlan(
-            algorithms=(("overflow", schedule),),
+            algorithms=(("icpso", IpsoParams(0.711897, 1.711897, 1.0)),
+                        ("overflow", LinearInertia(-1e308, 1e308))),
             functions=(suite_function("sphere", 2),),
             dimension=2, pop_size=5, runs=2, evals_per_dim=20)
         plan_path = tmp_path / "plan.json"
         plan_path.write_text(json.dumps(plan_to_dict(plan)), encoding="utf-8")
-        code, out, _ = _run(capsys, "bench", "--plan", str(plan_path),
-                            "--out", str(tmp_path / "results"))
-        assert code == 0
-        assert "2 runs failed; see failures.csv" in out
+        out_dir = tmp_path / "results"
+        code, out, err = _run(capsys, "bench", "--plan", str(plan_path),
+                              "--out", str(out_dir))
+        assert code == 3
+        assert ("error: algorithm 'overflow': LinearInertia coefficients must "
+                "be finite at tick 0") in err
+        assert "completed" not in out
+        assert not (out_dir / "manifest.json").exists()
 
     def test_compare_without_results(self, capsys, tmp_path):
         code, _, err = _run(capsys, "compare", "--results",

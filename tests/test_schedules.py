@@ -191,6 +191,19 @@ class TestCoefficientTable:
         assert table[[0, 5, 10]] == pytest.approx(np.array(expected),
                                                   rel=1e-15, abs=0.0)
 
+    @pytest.mark.parametrize("t_max", [1, 2, 100, 2_500, 7_500])
+    def test_a_flat_mapso_is_icpso(self, t_max):
+        # Every factor flattened at ICPSO's own pattern: the solver returns
+        # ICPSO's c and alpha exactly and its omega to within one ulp.
+        icpso = IpsoParams(0.711897, 1.711897, 1.0)
+        spec = Mapso(v_max=vc(icpso), v_min=vc(icpso), rho_max=0.0,
+                     rho_min=0.0, f_max=1.0, f_min=1.0)
+        table = coefficient_table(spec, t_max)
+        assert np.all(np.abs(table[:, 0] - icpso.omega)
+                      <= np.spacing(icpso.omega))
+        assert (table[:, 1] == icpso.c).all()
+        assert (table[:, 2] == icpso.alpha).all()
+
     def test_first_bad_tick_is_named(self):
         # Focus 1e9 from t1 on: the solver cannot hold alpha near 31623.
         spec = Mapso(f_max=1e9)

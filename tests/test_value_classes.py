@@ -36,7 +36,7 @@ BUILDERS = {
     "TestFunction": lambda: suite_function("shifted_sphere", 2),
     "ResultSet": lambda: ResultSet(
         algorithms=("a", "b"), functions=("f",),
-        values=np.arange(6.0).reshape(2, 1, 3), failures=(("a", "f", 0, "x"),)),
+        values=np.arange(6.0).reshape(2, 1, 3)),
     "RunResult": lambda: RunResult(
         best_value=0.5, best_position=np.arange(3.0),
         history=((10, 2.0), (20, 0.5)), seed=3),
