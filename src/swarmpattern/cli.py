@@ -309,16 +309,18 @@ def cmd_optimize(args) -> int:
               else DEFAULT_EVALS_PER_DIM * args.dimension)
     result = run(function, schedule, args.pop_size, budget,
                  args.seed, epsilon0=args.epsilon0)
+    n, best = result.pop_size, result.best_so_far
     if args.history:
         lines = ["evals,best_value"]
-        lines.extend(f"{e},{_float_csv(v)}" for e, v in result.history)
+        lines.extend(f"{e},{_float_csv(v)}" for e, v in zip(
+            range(n, n * (best.size + 1), n), best.tolist()))
         Path(args.history).write_text("\n".join(lines) + "\n", encoding="utf-8")
     payload = {
         "function": function.name,
         "best_value": result.best_value,
         "best_position": [float(v) for v in result.best_position],
-        "evals": result.history[-1][0],
-        "steps": len(result.history) - 1,
+        "evals": n * best.size,
+        "steps": best.size - 1,
         "seed": result.seed,
     }
     _emit_payload(args, payload, [
@@ -342,9 +344,8 @@ def cmd_bench(args) -> int:
                   base_seed=plan.base_seed)
     results = run_experiment(plan, out_dir=args.out,
                              parallelism=args.parallelism)
-    done = int(np.sum(~np.isnan(results.values)))
-    total = results.values.size
-    print(f"completed {done}/{total} runs into {args.out}")
+    n = results.values.size  # run_experiment finishes every run or raises
+    print(f"completed {n}/{n} runs into {args.out}")
     return 0
 
 
@@ -355,12 +356,10 @@ def cmd_compare(args) -> int:
     graph = beat_digraph(tm)
     out_dir = Path(args.out or args.results)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "tournament.csv").write_text(tournament_to_csv(tm),
-                                            encoding="utf-8")
-    (out_dir / "edges.csv").write_text(digraph_edges_csv(graph),
-                                       encoding="utf-8")
-    (out_dir / "digraph.dot").write_text(digraph_to_dot(graph),
-                                         encoding="utf-8")
+    for name, text in (("tournament.csv", tournament_to_csv(tm)),
+                       ("edges.csv", digraph_edges_csv(graph)),
+                       ("digraph.dot", digraph_to_dot(graph))):
+        (out_dir / name).write_text(text, encoding="utf-8")
     sys.stdout.write(ranking_table(graph))
     return 0
 

@@ -139,9 +139,7 @@ def wilcoxon_rank_sum(a, b) -> float:
     if var_u <= 0.0:
         return 1.0
     # Continuity correction shrinks the larger tail's statistic by 1/2.
-    z = (abs(u1 - mean_u) - 0.5) / math.sqrt(var_u)
-    if z < 0.0:
-        z = 0.0
+    z = max(0.0, (abs(u1 - mean_u) - 0.5) / math.sqrt(var_u))
     return min(1.0, 2.0 * _normal_sf(z))
 
 
@@ -152,11 +150,7 @@ def _outcome(a, b, p: float, p_threshold: float) -> int:
         return 0
     med_a = float(np.median(np.asarray(a, dtype=float)))
     med_b = float(np.median(np.asarray(b, dtype=float)))
-    if med_a < med_b:
-        return 1
-    if med_b < med_a:
-        return -1
-    return 0
+    return (med_a < med_b) - (med_b < med_a)
 
 
 def tournament(results: ResultSet, p_threshold: float = 0.05) -> TournamentMatrix:

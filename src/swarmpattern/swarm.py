@@ -20,7 +20,9 @@ Lockstep: :func:`run_many` advances ``R`` independent runs of one problem
 together, each under its own schedule.  Their state is stacked along a
 leading run axis and updated in place, and each tick makes one objective
 call on all ``R*n`` positions and reads each run's coefficients from a row
-of its schedule's table.  :func:`run` is the case ``R = 1``.
+of its schedule's table.  The stack keeps one best-so-far array; each result
+holds its run's read-only column and derives ``history`` from it when read.
+:func:`run` is the case ``R = 1``.
 
 Determinism: every run owns one PCG64 generator, seeded from its own seed,
 and reads it in a fixed order per iteration -- first the inertia's draw
@@ -127,25 +129,31 @@ class SwarmState:
 
 @array_dataclass
 class RunResult:
-    """Final best plus the best-so-far history ``(evals, best_value)``."""
+    """Final best plus ``best_so_far``, the global best after the initial
+    sweep and each tick of ``pop_size`` evaluations: a read-only view of the
+    run's column in its stack's array, which ``history`` pairs with evals."""
 
     best_value: float
     best_position: np.ndarray
-    history: tuple[tuple[int, float], ...]
+    best_so_far: np.ndarray
+    pop_size: int
     seed: int
 
     def __post_init__(self):
-        read_only_arrays(self, "best_position")
+        read_only_arrays(self, "best_position", "best_so_far")
+
+    @property
+    def history(self) -> tuple[tuple[int, float], ...]:
+        n, size = self.pop_size, self.best_so_far.size
+        return tuple(zip(range(n, n * (size + 1), n), self.best_so_far.tolist()))
 
 
 def _evaluate(problem: Problem, positions: np.ndarray) -> np.ndarray:
     """One objective call for the whole sweep; non-finite values become inf.
 
     ``positions`` stacks the particles of every run, ``(R, n, d)``; the
-    objective sees them as one ``(R*n, d)`` array and must return one value
-    per row.  A per-vector function ``f`` satisfies that as
-    ``lambda X: np.apply_along_axis(f, -1, X)``.  The returned values may be
-    the objective's own array: it is copied when a value must become inf,
+    objective sees them as one ``(R*n, d)`` array.  The returned values may
+    be the objective's own array: it is copied when a value must become inf,
     and never written, so a caller that keeps the result copies it.
     """
     runs, n, d = positions.shape
@@ -270,20 +278,19 @@ def run_many(problem: Problem, schedules: Sequence[ScheduleSpec],
     """One run per seed, run ``r`` under ``schedules[r]``, all stepped in
     lockstep; run ``r`` alone gives the same result bit for bit.
 
-    Each run owns a PCG64 generator seeded from its seed.  The schedule
-    clock runs over ``t_max = budget_evals // pop_size`` ticks; stepping
-    stops once the budget is spent, so each run's final evaluation count is
-    exactly ``pop_size * (1 + steps)``.
+    The schedule clock runs over ``t_max = budget_evals // pop_size`` ticks;
+    stepping stops once the budget is spent, so each run's final evaluation
+    count is exactly ``pop_size * (1 + steps)``.  The global bests fill one
+    ``(steps + 1, R)`` array; run ``r``'s result holds its column, not a copy.
 
     The table of each distinct schedule (by ``repr``, so -0.0 is not 0.0)
     is built and checked before the initial sweep.  Everything that does not
     depend on the positions is made a block of ticks ahead, as many as fit
-    in ``_RUN_BYTES`` of one run's draws: each run fills its standard
-    uniforms for the block with one generator call (per tick the inertia's
-    draw, if its rule weights one, then phi1, then phi2), and the pulls are
-    scaled by the runs' (c, alpha*c).  A run's inertia is its table's base
-    value; the draw term is added for a block, the success-rate term per
-    tick, each only to the runs whose rule weights it.
+    in ``_RUN_BYTES`` of one run's draws, drawn in the order the module
+    docstring gives, and the pulls are scaled by the runs' (c, alpha*c).  A
+    run's inertia is its table's base value; the draw term is added for a
+    block, the success-rate term per tick, each to the runs whose rule
+    weights it.
     """
     if pop_size < 1:
         raise ValueError("pop_size must be positive")
@@ -330,10 +337,9 @@ def run_many(problem: Problem, schedules: Sequence[ScheduleSpec],
                                    * state.success_rate, inertia)
             step(state, inertia, pulls[:, j], epsilon0=epsilon0)
             best_so_far[start + j + 1] = state.gbest_value
-    evals = range(pop_size, pop_size * (steps + 2), pop_size)
     return [RunResult(best_value=float(state.gbest_value[r]),
                       best_position=state.gbest[r].copy(),
-                      history=tuple(zip(evals, best_so_far[:, r].tolist())),
+                      best_so_far=best_so_far[:, r], pop_size=pop_size,
                       seed=seed)
             for r, seed in enumerate(seeds)]
 

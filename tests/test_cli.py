@@ -20,6 +20,7 @@ from swarmpattern import (
     ipso_to_moments,
     is_order2_convergent,
     plan_to_dict,
+    run,
     simulate,
     suite_function,
 )
@@ -246,6 +247,22 @@ class TestOptimize:
         values = [float(row[1]) for row in rows]
         assert all(b <= a for a, b in zip(values, values[1:]))
         assert values[-1] == payload["best_value"]
+
+    def test_history_file_is_the_result_history(self, capsys, tmp_path):
+        # A partial final sweep: 505 evaluations buy 50 whole steps.
+        history = tmp_path / "history.csv"
+        code, out, _ = _run(capsys, "optimize", "--function", "rastrigin",
+                            "--dimension", "3", "--schedule", "mapso",
+                            "--pop-size", "10", "--budget-evals", "505",
+                            "--seed", "4", "--format", "json",
+                            "--history", str(history))
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["evals"], payload["steps"]) == (510, 50)
+        result = run(suite_function("rastrigin", 3), Mapso(), 10, 505, 4)
+        lines = ["evals,best_value"]
+        lines += [f"{e},{v!r}" for e, v in result.history]
+        assert history.read_bytes() == ("\n".join(lines) + "\n").encode()
 
     def test_text_line(self, capsys):
         code, out, _ = _run(capsys, "optimize", "--function", "sphere",

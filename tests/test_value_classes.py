@@ -39,7 +39,8 @@ BUILDERS = {
         values=np.arange(6.0).reshape(2, 1, 3)),
     "RunResult": lambda: RunResult(
         best_value=0.5, best_position=np.arange(3.0),
-        history=((10, 2.0), (20, 0.5)), seed=3),
+        best_so_far=np.array([[2.0, 7.0], [0.5, 6.0]])[:, 0], pop_size=10,
+        seed=3),
     "MomentSystem": lambda: MomentSystem(np.eye(5) / 2.0, np.arange(5.0)),
     "MomentState": lambda: MomentState(np.arange(5.0)),
     "AutocorrelationSeq": lambda: AutocorrelationSeq(np.array([1.0, 0.5])),
@@ -74,6 +75,13 @@ def test_equality_and_hash_answer_by_identity(name):
     assert first == first and first != second
     assert hash(first) == hash(first)
     assert len({first, second}) == 2
+
+
+def test_a_run_result_rebuilt_from_its_column_keeps_its_history():
+    original = BUILDERS["RunResult"]()
+    assert original.history == ((10, 2.0), (20, 0.5))
+    for clone in (pickle.loads(pickle.dumps(original)), copy.deepcopy(original)):
+        assert repr(clone.history) == repr(original.history)
 
 
 def test_plans_compare_by_value_through_their_dict():
