@@ -13,8 +13,8 @@ The package splits into a small analytic core and the machinery around it:
 * :mod:`swarmpattern.swarm` -- the population optimizer.
 * :mod:`swarmpattern.benchmark` -- classic test functions and the
   reproducible experiment runner.
-* :mod:`swarmpattern.stats` -- rank-sum comparison, tournament matrix and
-  beat digraph.
+* :mod:`swarmpattern.stats` -- rank-sum comparison and the tournament
+  matrix with its beat digraph.
 * :mod:`swarmpattern.cli` -- the ``swarmpattern`` command.
 """
 
@@ -102,10 +102,8 @@ from .benchmark import (
     suite_function,
 )
 from .stats import (
-    BeatDigraph,
     DominanceEntry,
     TournamentMatrix,
-    beat_digraph,
     digraph_edges_csv,
     digraph_to_dot,
     ranking_table,

@@ -93,7 +93,7 @@ def schwefel226(x: np.ndarray) -> np.ndarray:
         axis=-1)
 
 
-def _shifted(x: np.ndarray, base, shift: np.ndarray) -> np.ndarray:
+def _shifted(base, shift: np.ndarray, x: np.ndarray) -> np.ndarray:
     return base(x - shift)
 
 
@@ -126,11 +126,18 @@ def _shift_vector(name: str, dimension: int, lo: float, hi: float) -> np.ndarray
     digest = hashlib.sha256(f"shift:{name}".encode()).digest()
     rng = np.random.default_rng(int.from_bytes(digest[:8], "little"))
     # Keep the shifted optimum comfortably inside the box.
-    return rng.uniform(0.5 * lo, 0.5 * hi, dimension)
+    shift = rng.uniform(0.5 * lo, 0.5 * hi, dimension)
+    shift.setflags(write=False)
+    return shift
 
 
 def suite_function(name: str, dimension: int) -> TestFunction:
-    """One function of :func:`classic_suite`, built alone."""
+    """One :func:`classic_suite` function, the same object on every call."""
+    return _suite_function(name, dimension)
+
+
+@functools.lru_cache(maxsize=None)
+def _suite_function(name: str, dimension: int) -> TestFunction:
     if dimension < 1:
         raise ValueError("dimension must be positive")
     if name not in _SUITE:
@@ -138,8 +145,9 @@ def suite_function(name: str, dimension: int) -> TestFunction:
                          f"known: {', '.join(_SUITE)}")
     base = name.removeprefix("shifted_")
     fn, lo, hi, best = _BASES[base]
+    # Bound positionally: a partial's args are a tuple, its keywords a dict.
     objective = fn if name == base else functools.partial(
-        _shifted, base=fn, shift=_shift_vector(base, dimension, lo, hi))
+        _shifted, fn, _shift_vector(base, dimension, lo, hi))
     return TestFunction(dimension=dimension, lower=np.full(dimension, lo),
                         upper=np.full(dimension, hi), objective=objective,
                         name=name, optimum_value=best)
@@ -147,7 +155,7 @@ def suite_function(name: str, dimension: int) -> TestFunction:
 
 def classic_suite(dimension: int) -> tuple[TestFunction, ...]:
     """The six classics plus five shifted variants, all at one dimension."""
-    return tuple(suite_function(name, dimension) for name in _SUITE)
+    return tuple(_suite_function(name, dimension) for name in _SUITE)
 
 
 # --- plans and result sets ---------------------------------------------------
@@ -179,12 +187,14 @@ class ExperimentPlan:
             raise ValueError(f"name {bad!r} is not filesystem-safe")
         if not self.algorithms or not self.functions:
             raise ValueError("plan needs at least one algorithm and one function")
-        if any(f.dimension != self.dimension for f in self.functions):
-            raise ValueError("every function must match the plan dimension")
+        for f in self.functions:  # the manifest rebuilds a function by name
+            if f is not _suite_function(f.name, self.dimension):
+                raise ValueError(f"function {f.name!r} must be suite_function's "
+                                 "and match the plan dimension")
         if self.runs < 2:
             raise ValueError("runs must be at least 2 for downstream statistics")
-        if self.pop_size < 1 or self.evals_per_dim < 1 or self.dimension < 1:
-            raise ValueError("pop_size, evals_per_dim and dimension must be positive")
+        if self.pop_size < 1 or self.evals_per_dim < 1:
+            raise ValueError("pop_size and evals_per_dim must be positive")
         if not (0 <= self.base_seed < 2 ** 64):
             raise ValueError("base_seed must fit in 64 bits")
 
@@ -223,10 +233,6 @@ class ResultSet:
         shape = (len(self.algorithms), len(self.functions))
         if self.values.ndim != 3 or self.values.shape[:2] != shape:
             raise ValueError("values must have shape (n_algorithms, n_functions, runs)")
-
-    @property
-    def runs(self) -> int:
-        return int(self.values.shape[2])
 
 
 # --- seed derivation ---------------------------------------------------------
@@ -287,7 +293,7 @@ def plan_from_dict(data: dict) -> ExperimentPlan:
         for key, value in counts.items():
             if type(value) is not int:
                 raise TypeError(f"{key} must be a JSON integer, got {value!r}")
-        functions = tuple(suite_function(name, counts["dimension"])
+        functions = tuple(_suite_function(name, counts["dimension"])
                           for name in data["functions"])
         return ExperimentPlan(algorithms=algorithms, functions=functions,
                               **counts)
@@ -352,16 +358,14 @@ def _write_cell(out_path: Path, plan: ExperimentPlan, i: int, k: int,
                              repr(float(value))])
 
 
-def _read_results(plan: ExperimentPlan, out_path: Path | None) -> np.ndarray:
+def _read_results(plan: ExperimentPlan, out_path: Path) -> np.ndarray:
     """Values of every run on disk, indexed (algorithm, function, run).
 
-    A run without a row (every run, when there is no directory) reads as
-    NaN.  Seeds are not read back: a run's seed is :func:`derive_seed`.
+    A run without a row reads as NaN.  Seeds are not read back: a run's seed
+    is :func:`derive_seed`.
     """
     values = np.full((len(plan.algorithms), len(plan.functions), plan.runs),
                      np.nan)
-    if out_path is None:
-        return values
     for i, (algorithm, _) in enumerate(plan.algorithms):
         for k, function in enumerate(plan.functions):
             rows = _read_cell(_cell_path(out_path, algorithm, function.name))
@@ -377,15 +381,15 @@ def _run_function(task) -> list[float]:
     return [result.best_value for result in run_many(*task)]
 
 
-def run_experiment(plan: ExperimentPlan, out_dir: str | Path | None = None,
+def run_experiment(plan: ExperimentPlan, out_dir: str | Path,
                    parallelism: int = 1) -> ResultSet:
-    """Execute (or finish) every run of the plan.
+    """Execute (or finish) every run of the plan into ``out_dir``.
 
     The pending runs of one function, across every algorithm, step in one
     lockstep stack, and ``parallelism`` worker processes take one function
-    at a time.  With ``out_dir`` set, each cell whose runs were pending is
-    written whole, run-sorted, when its function finishes, and runs already
-    on disk are skipped, which makes interrupted experiments resumable.
+    at a time.  Each cell whose runs were pending is written whole,
+    run-sorted, when its function finishes, and runs already on disk are
+    skipped, which makes interrupted experiments resumable.
     A plan whose schedule table fails is rejected before anything is
     written: each algorithm's table is checked once, first, and a failure
     re-raises its error with the algorithm's name in front.
@@ -397,20 +401,17 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | Path | None = None,
             coefficient_table(schedule, plan.budget_evals // plan.pop_size)
         except SwarmPatternError as exc:
             raise type(exc)(f"algorithm {name!r}: {exc}") from exc
-    out_path = Path(out_dir) if out_dir is not None else None
-    if out_path is not None:
-        (out_path / "results").mkdir(parents=True, exist_ok=True)
-        manifest_path = out_path / "manifest.json"
-        manifest = {"plan": plan_to_dict(plan), "toolkit_version": __version__}
-        if manifest_path.exists():
-            if _manifest_plan(manifest_path) != manifest["plan"]:
-                raise ValueError(
-                    f"{manifest_path} was written for a different plan; "
-                    "use a fresh output directory")
-        else:
-            with open(manifest_path, "w", encoding="utf-8") as fh:
-                json.dump(manifest, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+    out_path = Path(out_dir)
+    (out_path / "results").mkdir(parents=True, exist_ok=True)
+    manifest_path = out_path / "manifest.json"
+    manifest = {"plan": plan_to_dict(plan), "toolkit_version": __version__}
+    if manifest_path.exists():
+        if _manifest_plan(manifest_path) != manifest["plan"]:
+            raise ValueError(f"{manifest_path} was written for a different "
+                             "plan; use a fresh output directory")
+    else:
+        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True)
+                                 + "\n", encoding="utf-8")
     values = _read_results(plan, out_path)
     pending = np.isnan(values)
 
@@ -420,7 +421,9 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | Path | None = None,
                  for r in range(plan.runs) if pending[i, k, r]]
         if stack:
             stacks.append((k, stack))
-            tasks.append((function, [plan.algorithms[i][1] for i, _ in stack],
+            # By the public name: a rebound suite_function reaches every run.
+            tasks.append((suite_function(function.name, plan.dimension),
+                          [plan.algorithms[i][1] for i, _ in stack],
                           plan.pop_size, plan.budget_evals,
                           [derive_seed(plan.base_seed, i, k, r)
                            for i, r in stack]))
@@ -429,9 +432,8 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | Path | None = None,
         for (k, stack), best in zip(stacks, outcomes):
             for (i, r), value in zip(stack, best):
                 values[i, k, r] = value
-            if out_path is not None:
-                for i in sorted({i for i, _ in stack}):
-                    _write_cell(out_path, plan, i, k, values[i, k])
+            for i in sorted({i for i, _ in stack}):
+                _write_cell(out_path, plan, i, k, values[i, k])
 
     if parallelism == 1 or len(tasks) <= 1:
         record(map(_run_function, tasks))
@@ -440,11 +442,8 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | Path | None = None,
         with ProcessPoolExecutor(max_workers=workers) as pool:
             record(pool.map(_run_function, tasks, chunksize=1))
 
-    return ResultSet(
-        algorithms=tuple(n for n, _ in plan.algorithms),
-        functions=tuple(f.name for f in plan.functions),
-        values=values,
-    )
+    return ResultSet(tuple(n for n, _ in plan.algorithms),
+                     tuple(f.name for f in plan.functions), values)
 
 
 def load_results(out_dir: str | Path) -> ResultSet:
@@ -467,8 +466,5 @@ def load_results(out_dir: str | Path) -> ResultSet:
         raise ValueError(f"{len(missing)} runs missing in {out_path} "
                          f"(e.g. {preview}); rerun the experiment with the "
                          "same plan and output directory to resume")
-    return ResultSet(
-        algorithms=tuple(n for n, _ in plan.algorithms),
-        functions=tuple(f.name for f in plan.functions),
-        values=values,
-    )
+    return ResultSet(tuple(n for n, _ in plan.algorithms),
+                     tuple(f.name for f in plan.functions), values)

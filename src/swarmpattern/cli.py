@@ -78,7 +78,6 @@ from .simulate import (
     simulate,
 )
 from .stats import (
-    beat_digraph,
     digraph_edges_csv,
     digraph_to_dot,
     ranking_table,
@@ -353,14 +352,13 @@ def cmd_compare(args) -> int:
     _print_config(args, out=args.out or args.results)
     results = load_results(args.results)
     tm = tournament(results, p_threshold=args.p_threshold)
-    graph = beat_digraph(tm)
     out_dir = Path(args.out or args.results)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in (("tournament.csv", tournament_to_csv(tm)),
-                       ("edges.csv", digraph_edges_csv(graph)),
-                       ("digraph.dot", digraph_to_dot(graph))):
+                       ("edges.csv", digraph_edges_csv(tm)),
+                       ("digraph.dot", digraph_to_dot(tm))):
         (out_dir / name).write_text(text, encoding="utf-8")
-    sys.stdout.write(ranking_table(graph))
+    sys.stdout.write(ranking_table(tm))
     return 0
 
 

@@ -95,16 +95,6 @@ class AutocorrelationSeq:
         if self.rho[0] != 1.0:
             raise ValueError("rho[0] must be exactly 1")
 
-    def __len__(self) -> int:
-        return int(self.rho.size)
-
-    def __getitem__(self, lag):
-        return self.rho[lag]
-
-    @property
-    def lags(self) -> np.ndarray:
-        return np.arange(self.rho.size)
-
 
 def ipso_to_moments(params: IpsoParams) -> CoefficientMoments:
     """First two moments of the uniform-coefficient family.

@@ -133,7 +133,9 @@ def iid_uniform_for_moments(attractors: AttractorMoments) -> IidUniformAttractor
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Length, burn-in, seed and optional pinned seed positions of one run."""
+    """Length, burn-in, seed and optional pinned seed positions of one run.
+    ``burn_in`` is only checked: :func:`simulate` returns every step, and
+    the estimators take their own ``burn_in``."""
 
     iterations: int
     burn_in: int = 0

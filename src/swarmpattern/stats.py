@@ -12,7 +12,8 @@ Each pair of algorithms gets one :class:`DominanceEntry` per function whose
 outcome is +1 or -1 for "first sample significantly better/worse" (lower
 median at p below the threshold), or 0 for "no significant difference".
 Summing the outcomes over functions gives the tournament entry
-``T[i][j]``; its sign digraph draws an edge i -> j whenever ``T[i][j] > 0``,
+``T[i][j]``.  The beat digraph is a view of that matrix, read from
+:class:`TournamentMatrix` itself: an edge i -> j whenever ``T[i][j] > 0``,
 and an algorithm's beat count is its out-degree -- the number of rivals it
 beats overall.
 """
@@ -56,18 +57,24 @@ class TournamentMatrix:
         if self.t.shape != (n, n):
             raise ValueError("tournament matrix shape must match algorithms")
 
+    @property
+    def edges(self) -> tuple[tuple[str, str], ...]:
+        """Sign digraph: i -> j for ``T[i][j] > 0`` and i != j, row-major."""
+        wins = (self.t > 0) & ~np.eye(len(self.algorithms), dtype=bool)
+        return tuple((self.algorithms[i], self.algorithms[j])
+                     for i, j in np.argwhere(wins))
 
-@dataclass(frozen=True)
-class BeatDigraph:
-    """Sign digraph of a tournament with out-degree beat counts.
+    @property
+    def beat_count(self) -> dict[str, int]:
+        """Out-degree of each algorithm: how many rivals it beats overall."""
+        winners = [a for a, _ in self.edges]
+        return {name: winners.count(name) for name in self.algorithms}
 
-    ``nodes`` are ordered by descending beat count (ties by name), which is
-    the ranking the tournament induces.
-    """
-
-    nodes: tuple[str, ...]
-    edges: tuple[tuple[str, str], ...]
-    beat_count: dict[str, int]
+    @property
+    def ranking(self) -> tuple[str, ...]:
+        """Algorithms by descending beat count, ties by name."""
+        beats = self.beat_count
+        return tuple(sorted(self.algorithms, key=lambda a: (-beats[a], a)))
 
 
 def _midranks(pooled: np.ndarray) -> tuple[np.ndarray, float]:
@@ -129,15 +136,12 @@ def wilcoxon_rank_sum(a, b) -> float:
     r1 = float(np.sum(ranks[:n1]))
     u1 = r1 - n1 * (n1 + 1) / 2.0
 
-    has_ties = tie_sum > 0.0
-    if not has_ties and min(n1, n2) < APPROX_MIN_PER_SIDE:
+    if tie_sum == 0.0 and min(n1, n2) < APPROX_MIN_PER_SIDE:
         return _exact_two_sided_p(u1, n1, n2)
 
     n = n1 + n2
     mean_u = n1 * n2 / 2.0
     var_u = (n1 * n2 / 12.0) * ((n + 1.0) - tie_sum / (n * (n - 1.0)))
-    if var_u <= 0.0:
-        return 1.0
     # Continuity correction shrinks the larger tail's statistic by 1/2.
     z = max(0.0, (abs(u1 - mean_u) - 0.5) / math.sqrt(var_u))
     return min(1.0, 2.0 * _normal_sf(z))
@@ -184,20 +188,6 @@ def tournament(results: ResultSet, p_threshold: float = 0.05) -> TournamentMatri
                             entries=tuple(entries))
 
 
-def beat_digraph(tm: TournamentMatrix) -> BeatDigraph:
-    """Sign digraph: an edge i -> j whenever i dominates j overall."""
-    n = len(tm.algorithms)
-    edges = []
-    beat_count = {name: 0 for name in tm.algorithms}
-    for i in range(n):
-        for j in range(n):
-            if i != j and tm.t[i, j] > 0:
-                edges.append((tm.algorithms[i], tm.algorithms[j]))
-                beat_count[tm.algorithms[i]] += 1
-    nodes = tuple(sorted(tm.algorithms, key=lambda a: (-beat_count[a], a)))
-    return BeatDigraph(nodes=nodes, edges=tuple(edges), beat_count=beat_count)
-
-
 # --- exports -----------------------------------------------------------------
 
 def tournament_to_csv(tm: TournamentMatrix) -> str:
@@ -207,29 +197,31 @@ def tournament_to_csv(tm: TournamentMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def digraph_edges_csv(graph: BeatDigraph) -> str:
+def digraph_edges_csv(tm: TournamentMatrix) -> str:
     lines = ["from,to"]
-    lines.extend(f"{a},{b}" for a, b in graph.edges)
+    lines.extend(f"{a},{b}" for a, b in tm.edges)
     return "\n".join(lines) + "\n"
 
 
-def digraph_to_dot(graph: BeatDigraph) -> str:
+def digraph_to_dot(tm: TournamentMatrix) -> str:
     """GraphViz text of the beat digraph, beat counts in the node labels."""
+    beats = tm.beat_count
     lines = [
         "digraph tournament {",
         "  // beat count = out-degree: how many rivals the node beats overall",
         "  rankdir=LR;",
     ]
-    for name in graph.nodes:
-        lines.append(f'  "{name}" [label="{name}\\nbeats {graph.beat_count[name]}"];')
-    for a, b in graph.edges:
+    for name in tm.ranking:
+        lines.append(f'  "{name}" [label="{name}\\nbeats {beats[name]}"];')
+    for a, b in tm.edges:
         lines.append(f'  "{a}" -> "{b}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def ranking_table(graph: BeatDigraph) -> str:
+def ranking_table(tm: TournamentMatrix) -> str:
+    beats = tm.beat_count
     lines = ["rank  algorithm        beats"]
-    for pos, name in enumerate(graph.nodes, start=1):
-        lines.append(f"{pos:>4}  {name:<15}  {graph.beat_count[name]:>5}")
+    for pos, name in enumerate(tm.ranking, start=1):
+        lines.append(f"{pos:>4}  {name:<15}  {beats[name]:>5}")
     return "\n".join(lines) + "\n"

@@ -23,7 +23,6 @@ from swarmpattern import (
     RandomWalkAttractors,
     SimConfig,
     autocorrelation,
-    beat_digraph,
     build_moment_system,
     default_plan,
     empirical_autocorrelation,
@@ -283,8 +282,7 @@ def test_10_tournament_pipeline(capsys, tmp_path):
 
     tm = tournament(results)
     antisymmetric = np.array_equal(tm.t, -tm.t.T)
-    graph = beat_digraph(tm)
-    edge_set = set(graph.edges)
+    edge_set = set(tm.edges)
     no_two_cycles = all((b, a) not in edge_set for a, b in edge_set)
 
     i = results.algorithms.index("icpso")

@@ -82,14 +82,15 @@ class TestClassicFunctions:
 
     def test_shift_lands_on_optimum_inside_the_box(self):
         fn = suite_function("shifted_sphere", 10)
-        shift = fn.objective.keywords["shift"]
+        shift = fn.objective.args[1]
         assert fn.objective(shift) == 0.0
         assert np.all(shift > fn.lower)
         assert np.all(shift < fn.upper)
 
     def test_shift_is_stable_across_calls(self):
-        first = suite_function("shifted_ackley", 5).objective.keywords["shift"]
-        second = suite_function("shifted_ackley", 5).objective.keywords["shift"]
+        # suite_function hands out one object, so draw the shift afresh.
+        first = suite_function("shifted_ackley", 5).objective.args[1]
+        second = benchmark._shift_vector("ackley", 5, -32.768, 32.768)
         assert np.array_equal(first, second)
 
     def test_every_function_is_total_outside_its_box(self):
@@ -172,6 +173,38 @@ class TestExperimentPlan:
         assert (bare.runs == default_plan(2).runs == args.runs
                 == benchmark.DEFAULT_RUNS == 15)
 
+    def test_a_suite_function_is_one_shared_read_only_object(self):
+        sphere2 = suite_function("sphere", 2)
+        assert suite_function("sphere", 2) is sphere2
+        assert suite_function("sphere", dimension=2) is sphere2
+        assert classic_suite(2)[0] is sphere2
+        assert suite_function("sphere", 3) is not sphere2
+        shifted = suite_function("shifted_sphere", 2)
+        assert suite_function(name="shifted_sphere", dimension=2) is shifted
+        with pytest.raises(ValueError, match="read-only"):
+            shifted.objective.args[1][0] = 0.0
+        assert shifted.objective.keywords == {}  # no mutable dict holds it
+
+    def test_a_function_outside_the_suite_is_rejected(self):
+        # The manifest stores names only: a directory run for "flat" could
+        # never be loaded again.
+        flat = benchmark.TestFunction(
+            dimension=2, lower=np.full(2, -1.0), upper=np.full(2, 1.0),
+            objective=lambda X: np.zeros(len(X)), name="flat")
+        with pytest.raises(ValueError, match="unknown test function 'flat'; "
+                                             "known: sphere, rosenbrock"):
+            ExperimentPlan((("a", ICPSO),), (flat,), 2)
+
+    def test_a_custom_function_under_a_suite_name_is_rejected(self):
+        # Its results would be labelled, loaded and resumed as sphere's.
+        sphere2 = suite_function("sphere", 2)
+        impostor = dataclasses.replace(
+            sphere2, objective=lambda X: benchmark.sphere(X) + 7.0)
+        for fn in (impostor, dataclasses.replace(sphere2)):
+            with pytest.raises(ValueError, match="'sphere' must be "
+                                                 "suite_function's"):
+                ExperimentPlan((("a", ICPSO),), (fn,), 2)
+
     def test_validation_messages(self):
         sphere2 = suite_function("sphere", 2)
         with pytest.raises(ValueError, match="algorithm names must be unique"):
@@ -188,6 +221,8 @@ class TestExperimentPlan:
             ExperimentPlan((("a", ICPSO),), (sphere2,), 2, runs=1)
         with pytest.raises(ValueError, match="must be positive"):
             ExperimentPlan((("a", ICPSO),), (sphere2,), 2, pop_size=0)
+        with pytest.raises(ValueError, match="dimension must be positive"):
+            ExperimentPlan((("a", ICPSO),), (sphere2,), 0)
         with pytest.raises(ValueError, match="base_seed must fit in 64 bits"):
             ExperimentPlan((("a", ICPSO),), (sphere2,), 2, base_seed=-1)
 
@@ -245,8 +280,8 @@ class TestPlanSerialization:
         back = plan_from_dict(plan_to_dict(plan))
         assert back.algorithms == plan.algorithms
         assert [f.name for f in back.functions] == [f.name for f in plan.functions]
-        assert np.array_equal(back.functions[0].objective.keywords["shift"],
-                              plan.functions[0].objective.keywords["shift"])
+        assert np.array_equal(back.functions[0].objective.args[1],
+                              plan.functions[0].objective.args[1])
         assert (back.dimension, back.pop_size, back.runs,
                 back.evals_per_dim, back.base_seed) == (3, 7, 4, 100, 99)
 
@@ -305,16 +340,15 @@ class TestPlanSerialization:
 
 
 class TestRunExperiment:
-    def test_in_memory_results(self):
+    def test_results_carry_the_plan_labels(self, tmp_path):
         plan = _tiny_plan()
-        results = run_experiment(plan)
+        results = run_experiment(plan, out_dir=tmp_path)
         assert results.algorithms == ("icpso", "ldw")
         assert results.functions == ("sphere", "ackley")
         assert results.values.shape == (2, 2, 3)
-        assert results.runs == 3
         assert np.all(np.isfinite(results.values))
 
-    def test_cells_match_direct_runs_exactly(self):
+    def test_cells_match_direct_runs_exactly(self, tmp_path):
         # Every stock kind: shared triples (constant, MAPSO, linear), a
         # per-run inertia draw ahead of phi1 and phi2, and a per-run success
         # rate.  Each run of a lockstep cell must equal a run of its own.
@@ -323,7 +357,7 @@ class TestRunExperiment:
             functions=(suite_function("sphere", 2), suite_function("ackley", 2),
                        suite_function("shifted_rastrigin", 2)),
             dimension=2, pop_size=10, runs=4, evals_per_dim=200, base_seed=7)
-        results = run_experiment(plan)
+        results = run_experiment(plan, out_dir=tmp_path)
         for i, (_, schedule) in enumerate(plan.algorithms):
             for k, function in enumerate(plan.functions):
                 seeds = [derive_seed(plan.base_seed, i, k, r)
@@ -581,9 +615,35 @@ class TestRunExperiment:
         assert np.array_equal(spawned.values, serial.values)
         assert _snapshot(tmp_path / "spawned") == _snapshot(tmp_path / "serial")
 
-    def test_parallelism_guard(self):
+    def test_parallelism_guard(self, tmp_path):
         with pytest.raises(ValueError, match="parallelism must be positive"):
-            run_experiment(_tiny_plan(), parallelism=0)
+            run_experiment(_tiny_plan(), out_dir=tmp_path / "out", parallelism=0)
+        assert not (tmp_path / "out").exists()
+
+    def test_a_rebound_suite_function_reaches_every_run(self, tmp_path,
+                                                        monkeypatch):
+        # Callers may rebind benchmark.suite_function to instrument the
+        # objective (the counting wrapper here); plans still load, and every
+        # stack runs the function the rebound name hands out.
+        plan = _tiny_plan()
+        plain = run_experiment(plan, out_dir=tmp_path / "plain")
+        original, rows = benchmark.suite_function, []
+
+        def counted(name, dimension):
+            fn = original(name, dimension)
+
+            def objective(X):
+                rows.append(len(X))
+                return fn.objective(X)
+            return dataclasses.replace(fn, objective=objective)
+
+        monkeypatch.setattr(benchmark, "suite_function", counted)
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan_to_dict(plan)), encoding="utf-8")
+        rebound = run_experiment(load_plan(path), out_dir=tmp_path / "rebound")
+        assert sum(rows) == 2 * 2 * 3 * plan.budget_evals
+        assert np.array_equal(rebound.values, plain.values)
+        assert _snapshot(tmp_path / "rebound") == _snapshot(tmp_path / "plain")
 
 
 class TestLoadResults:

@@ -87,28 +87,28 @@ class TestRho1:
 class TestAutocorrelation:
     def test_pure_random_search_is_zero_at_every_lag(self):
         seq = autocorrelation(ipso_to_moments(PURE_RANDOM), 20)
-        assert seq[0] == 1.0
+        assert seq.rho[0] == 1.0
         assert np.all(seq.rho[1:] == 0.0)
-        assert list(seq.lags) == list(range(21))
+        assert seq.rho.size == 21
 
     def test_perfectly_correlated_start_stays_correlated(self):
         # mu_l - 1 = mu_omega forces rho1 = 1; the recursion then fixes
         # every later lag at 1 as well.
         coeffs = CoefficientMoments(0.5, 0.0, 0.3, 0.0, -0.3, 0.0)
         seq = autocorrelation(coeffs, 10)
-        assert seq[1] == pytest.approx(1.0, abs=1e-12)
+        assert seq.rho[1] == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(seq.rho, 1.0, atol=1e-12)
 
     def test_zero_lag1_reflects_inertia_at_lag2(self):
         # mu_l = 0 gives rho1 = 0 and rho2 = -mu_omega.
         coeffs = CoefficientMoments(0.5, 0.0, 0.75, 0.0, 0.75, 0.0)
         seq = autocorrelation(coeffs, 2)
-        assert seq[1] == pytest.approx(0.0, abs=1e-15)
-        assert seq[2] == pytest.approx(-0.5, abs=1e-12)
+        assert seq.rho[1] == pytest.approx(0.0, abs=1e-15)
+        assert seq.rho[2] == pytest.approx(-0.5, abs=1e-12)
 
     def test_max_lag_zero_returns_the_trivial_sequence(self):
         seq = autocorrelation(ipso_to_moments(SLOW_MIXING), 0)
-        assert len(seq) == 1 and seq[0] == 1.0
+        assert seq.rho.size == 1 and seq.rho[0] == 1.0
 
     def test_negative_max_lag_rejected(self):
         with pytest.raises(ValueError, match="max_lag must be non-negative"):
@@ -127,7 +127,7 @@ class TestAutocorrelation:
         spread = mu_phi1 + mu_phi2
         closed = 1.0 - 2.0 * spread + spread * spread / (mu_omega + 1.0)
         seq = autocorrelation(coeffs, 2)
-        assert abs(seq[2] - closed) <= 1e-12 * max(1.0, abs(closed))
+        assert abs(seq.rho[2] - closed) <= 1e-12 * max(1.0, abs(closed))
 
     def test_stable_sets_stay_bounded(self, stable_sets):
         for _, coeffs, _ in stable_sets:

@@ -312,22 +312,22 @@ class TestEmpiricalAutocorrelation:
         trace = simulate(SLOW_MIXING, WIDE_IID, LONG)
         estimate = empirical_autocorrelation(trace, 1000, 1)
         analytic = autocorrelation(ipso_to_moments(SLOW_MIXING), 1)
-        assert estimate[1] == pytest.approx(analytic[1], abs=0.02)
+        assert estimate.rho[1] == pytest.approx(analytic.rho[1], abs=0.02)
 
     def test_lag1_anchor_fast_mixing(self):
         trace = simulate(FAST_MIXING, WIDE_IID, LONG)
         estimate = empirical_autocorrelation(trace, 1000, 1)
         analytic = autocorrelation(ipso_to_moments(FAST_MIXING), 1)
-        assert estimate[1] == pytest.approx(analytic[1], abs=0.02)
+        assert estimate.rho[1] == pytest.approx(analytic.rho[1], abs=0.02)
 
     def test_matches_pearson_per_lag(self):
         trace = simulate(REFERENCE, WIDE_IID, SimConfig(iterations=6000, burn_in=1000, seed=3))
         estimate = empirical_autocorrelation(trace, 1000, 10)
         window = trace.positions[1000:]
-        assert estimate[0] == 1.0
+        assert estimate.rho[0] == 1.0
         for lag in range(1, 11):
             reference = np.corrcoef(window[:-lag], window[lag:])[0, 1]
-            assert estimate[lag] == pytest.approx(reference, abs=1e-10)
+            assert estimate.rho[lag] == pytest.approx(reference, abs=1e-10)
 
     @pytest.mark.parametrize("process", [WIDE_IID, WALK], ids=["iid", "walk"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -349,7 +349,7 @@ class TestEmpiricalAutocorrelation:
         for params in (SLOW_MIXING, FAST_MIXING):
             via_iid = empirical_autocorrelation(simulate(params, WIDE_IID, config), 1000, 20)
             via_walk = empirical_autocorrelation(simulate(params, WALK, config), 1000, 20)
-            gap = max(abs(via_iid[i] - via_walk[i]) for i in range(1, 21))
+            gap = max(abs(via_iid.rho[i] - via_walk.rho[i]) for i in range(1, 21))
             assert gap < 0.06
 
     def test_window_size_guard(self):

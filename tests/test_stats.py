@@ -11,10 +11,8 @@ from hypothesis import strategies as st
 
 import swarmpattern.stats as stats
 from swarmpattern import (
-    BeatDigraph,
     ResultSet,
     TournamentMatrix,
-    beat_digraph,
     digraph_edges_csv,
     digraph_to_dot,
     ranking_table,
@@ -219,26 +217,38 @@ class TestBeatDigraph:
         results = _results(
             [[SIX], [SIX + 10.0], [SIX + 20.0]],
             algorithms=("a", "b", "c"), functions=("f0",))
-        return beat_digraph(tournament(results))
+        return tournament(results)
 
     def test_transitive_chain(self):
-        graph = self._transitive()
-        assert graph.beat_count == {"a": 2, "b": 1, "c": 0}
-        assert graph.nodes == ("a", "b", "c")
-        assert sorted(graph.edges) == [("a", "b"), ("a", "c"), ("b", "c")]
+        tm = self._transitive()
+        assert tm.beat_count == {"a": 2, "b": 1, "c": 0}
+        assert tm.ranking == ("a", "b", "c")
+        assert tm.edges == (("a", "b"), ("a", "c"), ("b", "c"))
 
     def test_at_most_one_edge_per_pair(self):
-        graph = self._transitive()
-        n = len(graph.nodes)
-        assert len(graph.edges) <= n * (n - 1) // 2
-        assert all((b, a) not in graph.edges for a, b in graph.edges)
+        tm = self._transitive()
+        n = len(tm.algorithms)
+        assert len(tm.edges) <= n * (n - 1) // 2
+        assert all((b, a) not in tm.edges for a, b in tm.edges)
 
     def test_all_draws_make_an_edgeless_graph(self):
         results = _results([[SIX, SIX], [SIX, SIX]])
-        graph = beat_digraph(tournament(results))
-        assert graph.edges == ()
-        assert graph.nodes == ("algo0", "algo1")
-        assert set(graph.beat_count.values()) == {0}
+        tm = tournament(results)
+        assert tm.edges == ()
+        assert tm.ranking == ("algo0", "algo1")
+        assert set(tm.beat_count.values()) == {0}
+
+    def test_a_positive_diagonal_draws_no_self_edge(self):
+        # The diagonal is ignored: an algorithm never beats itself.
+        zero = TournamentMatrix(("a", "b"), np.array([[0, 1], [-1, 0]]))
+        positive = TournamentMatrix(("a", "b"), np.array([[3, 1], [-1, 2]]))
+        for tm in (zero, positive):
+            assert tm.edges == (("a", "b"),)
+            assert tm.beat_count == {"a": 1, "b": 0}
+            assert tm.ranking == ("a", "b")
+        assert digraph_edges_csv(positive) == digraph_edges_csv(zero)
+        assert digraph_to_dot(positive) == digraph_to_dot(zero)
+        assert ranking_table(positive) == ranking_table(zero)
 
 
 class TestExports:
@@ -246,21 +256,20 @@ class TestExports:
         results = _results(
             [[SIX, SIX, np.ones(6)], [SIX + 10.0, SIX + 10.0, np.ones(6)]],
             algorithms=("fast", "slow"))
-        tm = tournament(results)
-        return tm, beat_digraph(tm)
+        return tournament(results)
 
     def test_matrix_csv(self):
-        tm, _ = self._micro()
+        tm = self._micro()
         lines = tournament_to_csv(tm).splitlines()
         assert lines == ["algorithm,fast,slow", "fast,0,2", "slow,-2,0"]
 
     def test_edge_csv(self):
-        _, graph = self._micro()
-        assert digraph_edges_csv(graph) == "from,to\nfast,slow\n"
+        tm = self._micro()
+        assert digraph_edges_csv(tm) == "from,to\nfast,slow\n"
 
     def test_dot_output(self):
-        _, graph = self._micro()
-        dot = digraph_to_dot(graph)
+        tm = self._micro()
+        dot = digraph_to_dot(tm)
         assert dot.startswith("digraph tournament {")
         assert "beat count = out-degree" in dot
         assert '"fast" [label="fast\\nbeats 1"];' in dot
@@ -268,8 +277,37 @@ class TestExports:
         assert dot.endswith("}\n")
 
     def test_ranking_table(self):
-        _, graph = self._micro()
-        lines = ranking_table(graph).splitlines()
+        tm = self._micro()
+        lines = ranking_table(tm).splitlines()
         assert lines[0] == "rank  algorithm        beats"
         assert lines[1].split() == ["1", "fast", "1"]
         assert lines[2].split() == ["2", "slow", "0"]
+
+    def test_every_export_pinned_on_a_draw_and_a_tie(self):
+        # Hand-built values, not runs: alpha and beta draw (identical samples,
+        # p = 1), both beat gamma, and tie on one beat each.  The ranking
+        # breaks the tie by name; edges keep the matrix's row-major order.
+        results = _results([[SIX + 10.0], [SIX], [SIX]],
+                           algorithms=("gamma", "beta", "alpha"))
+        tm = tournament(results)
+        assert tournament_to_csv(tm) == (
+            "algorithm,gamma,beta,alpha\n"
+            "gamma,0,-1,-1\n"
+            "beta,1,0,0\n"
+            "alpha,1,0,0\n")
+        assert digraph_edges_csv(tm) == "from,to\nbeta,gamma\nalpha,gamma\n"
+        assert digraph_to_dot(tm) == (
+            "digraph tournament {\n"
+            "  // beat count = out-degree: how many rivals the node beats overall\n"
+            "  rankdir=LR;\n"
+            '  "alpha" [label="alpha\\nbeats 1"];\n'
+            '  "beta" [label="beta\\nbeats 1"];\n'
+            '  "gamma" [label="gamma\\nbeats 0"];\n'
+            '  "beta" -> "gamma";\n'
+            '  "alpha" -> "gamma";\n'
+            "}\n")
+        assert ranking_table(tm) == (
+            "rank  algorithm        beats\n"
+            "   1  alpha                1\n"
+            "   2  beta                 1\n"
+            "   3  gamma                0\n")

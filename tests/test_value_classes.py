@@ -33,7 +33,9 @@ def _problem():
 # One builder per class; each call makes a new object with the same values.
 BUILDERS = {
     "Problem": _problem,
-    "TestFunction": lambda: suite_function("shifted_sphere", 2),
+    # suite_function hands out one shared object; a copy is a new one.
+    "TestFunction": lambda: dataclasses.replace(
+        suite_function("shifted_sphere", 2)),
     "ResultSet": lambda: ResultSet(
         algorithms=("a", "b"), functions=("f",),
         values=np.arange(6.0).reshape(2, 1, 3)),
@@ -85,7 +87,9 @@ def test_a_run_result_rebuilt_from_its_column_keeps_its_history():
 
 
 def test_plans_compare_by_value_through_their_dict():
+    # Plans hold the suite's shared function objects, so two plans built
+    # alike are equal; plan_to_dict is the value a manifest compares.
     first, second = default_plan(2, runs=5), default_plan(2, runs=5)
-    assert first == first and first != second
-    assert hash(first) == hash(first)
+    assert first == second and hash(first) == hash(second)
+    assert first != default_plan(2, runs=6)
     assert plan_to_dict(first) == plan_to_dict(second)
