@@ -5,7 +5,9 @@ stderr holding every parsed flag (defaults included), the values the command
 resolved from them (``bench``'s full plan, ``compare``'s output directory)
 and the package version, which is sufficient to reproduce its output
 exactly.  Payloads go to stdout or to ``--output``; ``--format json`` always
-writes indented JSON with sorted keys.
+writes indented JSON with sorted keys.  A value flag is named after the
+field it fills: ``--mu-p`` fills ``AttractorMoments.mu_p``, ``--p-range``
+``IidUniformAttractors.p_range``.
 
 Exit codes: 0 on success, 2 for input errors (bad flag values, unknown
 names, malformed files), 3 for numerical or degenerate-parameter errors
@@ -149,21 +151,19 @@ def _parse_schedule(text: str):
         raise _InputError(f"bad schedule {text!r}: {exc}") from exc
 
 
-def _parse_process(args):
-    if args.process == "iid":
-        return IidUniformAttractors(p_range=tuple(args.p_range),
-                                    g_range=tuple(args.g_range))
-    if args.process == "walk":
-        return RandomWalkAttractors(p0=args.p0, g0=args.g0,
-                                    step_range=tuple(args.step_range))
-    if args.process == "fixed":
-        return FixedAttractors(p_value=args.p_value, g_value=args.g_value)
-    raise _InputError(f"unknown attractor process {args.process!r}")
+_PROCESSES = {"iid": IidUniformAttractors, "walk": RandomWalkAttractors,
+              "fixed": FixedAttractors}
+
+
+def _build(cls, args):
+    """``cls`` with each field filled from the flag of the same name, where
+    the command has one; the other fields keep their defaults."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)
+                  if hasattr(args, f.name)})
 
 
 def _add_process_flags(sub, default: str = "iid") -> None:
-    sub.add_argument("--process", choices=("iid", "walk", "fixed"),
-                     default=default)
+    sub.add_argument("--process", choices=tuple(_PROCESSES), default=default)
     sub.add_argument("--p-range", nargs=2, type=float, default=(-9.0, 11.0),
                      metavar=("LO", "HI"))
     sub.add_argument("--g-range", nargs=2, type=float, default=(-5.0, 15.0),
@@ -200,7 +200,7 @@ def _write_trace_csv(out, trace: SimTrace) -> None:
 
 def cmd_solve(args) -> int:
     _print_config(args)
-    target = MovementPattern(rho1=args.rho1, vc=args.vc, focus=args.focus)
+    target = _build(MovementPattern, args)
     params = solve_coefficients(target, alpha_sign=args.alpha_sign)
     coeffs = ipso_to_moments(params)
     report = convergence_report(params)
@@ -229,14 +229,12 @@ def cmd_solve(args) -> int:
 
 def cmd_autocorr(args) -> int:
     _print_config(args)
-    params = IpsoParams(omega=args.omega, c=args.c, alpha=args.alpha)
+    params = _build(IpsoParams, args)
     analytic = autocorrelation(ipso_to_moments(params), args.max_lag)
     empirical = None
     if args.simulate:
-        process = _parse_process(args)
-        config = SimConfig(iterations=args.iterations, burn_in=args.burn_in,
-                           seed=args.seed)
-        trace = simulate(params, process, config)
+        trace = simulate(params, _build(_PROCESSES[args.process], args),
+                         _build(SimConfig, args))
         empirical = empirical_autocorrelation(trace, args.burn_in, args.max_lag)
     payload = {"lags": list(range(args.max_lag + 1)),
                "rho_analytic": [float(v) for v in analytic.rho]}
@@ -252,10 +250,9 @@ def cmd_autocorr(args) -> int:
 
 def cmd_moments(args) -> int:
     _print_config(args)
-    params = IpsoParams(omega=args.omega, c=args.c, alpha=args.alpha)
+    params = _build(IpsoParams, args)
     coeffs = ipso_to_moments(params)
-    attractors = AttractorMoments(mu_p=args.mu_p, sigma_p=args.sigma_p,
-                                  mu_g=args.mu_g, sigma_g=args.sigma_g)
+    attractors = _build(AttractorMoments, args)
     system = build_moment_system(coeffs, attractors)
     order1 = is_order1_convergent(coeffs)
     order2 = is_order2_convergent(coeffs)
@@ -280,11 +277,9 @@ def cmd_moments(args) -> int:
 
 def cmd_simulate(args) -> int:
     _print_config(args)
-    params = IpsoParams(omega=args.omega, c=args.c, alpha=args.alpha)
-    process = _parse_process(args)
-    config = SimConfig(iterations=args.iterations, burn_in=args.burn_in,
-                       seed=args.seed, x0=args.x0, x1=args.x1)
-    trace = simulate(params, process, config)
+    params = _build(IpsoParams, args)
+    trace = simulate(params, _build(_PROCESSES[args.process], args),
+                     _build(SimConfig, args))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as out:
             _write_trace_csv(out, trace)
@@ -308,18 +303,17 @@ def cmd_optimize(args) -> int:
               else DEFAULT_EVALS_PER_DIM * args.dimension)
     result = run(function, schedule, args.pop_size, budget,
                  args.seed, epsilon0=args.epsilon0)
-    n, best = result.pop_size, result.best_so_far
+    history = result.history
     if args.history:
         lines = ["evals,best_value"]
-        lines.extend(f"{e},{_float_csv(v)}" for e, v in zip(
-            range(n, n * (best.size + 1), n), best.tolist()))
+        lines.extend(f"{e},{_float_csv(v)}" for e, v in history)
         Path(args.history).write_text("\n".join(lines) + "\n", encoding="utf-8")
     payload = {
         "function": function.name,
         "best_value": result.best_value,
         "best_position": [float(v) for v in result.best_position],
-        "evals": n * best.size,
-        "steps": best.size - 1,
+        "evals": history[-1][0],
+        "steps": len(history) - 1,
         "seed": result.seed,
     }
     _emit_payload(args, payload, [
@@ -494,7 +488,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SwarmPatternError as exc:
+    except (SwarmPatternError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:  # _InputError included

@@ -82,16 +82,6 @@ class AttractorMoments:
         if self.sigma_p < 0 or self.sigma_g < 0:
             raise ValueError("attractor standard deviations must be non-negative")
 
-    @property
-    def e_p2(self) -> float:
-        """Raw second moment ``E p^2``."""
-        return self.sigma_p ** 2 + self.mu_p ** 2
-
-    @property
-    def e_g2(self) -> float:
-        """Raw second moment ``E g^2``."""
-        return self.sigma_g ** 2 + self.mu_g ** 2
-
 
 @array_dataclass
 class MomentSystem:
@@ -164,7 +154,8 @@ def build_moment_system(coeffs: CoefficientMoments,
     e_l2 = (1.0 + e_omega2 + e_phi1_2 + e_phi2_2
             + 2.0 * mu_w - 2.0 * (mu1 + mu2)
             - 2.0 * mu_w * (mu1 + mu2) + 2.0 * mu1 * mu2)
-    e_p2 = (attractors.e_p2 * e_phi1_2 + attractors.e_g2 * e_phi2_2
+    e_p2 = ((attractors.sigma_p ** 2 + mu_p ** 2) * e_phi1_2
+            + (attractors.sigma_g ** 2 + mu_g ** 2) * e_phi2_2
             + 2.0 * mu1 * mu2 * mu_p * mu_g)
     e_lp = (mu1 * mu_p + mu2 * mu_g
             + mu_w * mu1 * mu_p + mu_w * mu2 * mu_g

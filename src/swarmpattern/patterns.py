@@ -259,14 +259,15 @@ def solve_coefficients(target: MovementPattern, alpha_sign: int = 1) -> IpsoPara
         omega, c, got, ok = _solve(target.rho1, target.vc, target.focus, alpha)
     except ZeroDivisionError:
         raise DegenerateParameterError("pattern solver denominator vanishes") from None
-    params = IpsoParams(omega=omega, c=c, alpha=alpha)
+    except OverflowError:
+        raise DegenerateParameterError("pattern solver overflows") from None
     for name, value, want, fine in zip(("rho1", "vc", "focus"), got,
                                        (target.rho1, target.vc, target.focus), ok):
         if not fine:
             raise ConsistencyError(
                 f"pattern solver round-trip failed on {name}: "
                 f"got {value!r}, wanted {want!r}")
-    return params
+    return IpsoParams(omega=omega, c=c, alpha=alpha)
 
 
 def solve_coefficient_arrays(rho1, vc, focus):

@@ -318,25 +318,28 @@ def run_many(problem: Problem, schedules: Sequence[ScheduleSpec],
     pulls = np.empty((runs, block, 2, n, d))
     best_so_far = np.empty((steps + 1, runs))
     best_so_far[0] = state.gbest_value
-    for start in range(0, steps, block):
-        k = min(block, steps - start)
-        omega, c, alpha, per_draw, per_success = np.moveaxis(
-            table[start:start + k, :, group], 1, 0)
-        for r, rng in enumerate(rngs):
-            if draws[r]:  # per tick the inertia's draw, then the pulls
-                drawn = rng.random((k, width + 1))
-                omega[:, r] += per_draw[:, r] * drawn[:, 0]
-                pulls[r, :k] = drawn[:, 1:].reshape(k, 2, n, d)
-            else:
-                rng.random(out=pulls[r, :k])
-        _scale_pulls(pulls[:, :k], np.stack((c.T, (alpha * c).T), axis=-1))
-        for j in range(k):
-            inertia = omega[j]
-            if reads_success:
-                inertia = np.where(success, inertia + per_success[j]
-                                   * state.success_rate, inertia)
-            step(state, inertia, pulls[:, j], epsilon0=epsilon0)
-            best_so_far[start + j + 1] = state.gbest_value
+    # A diverging run overflows to inf and NaN; it stays a result, and
+    # its neighbours in the stack run on.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, steps, block):
+            k = min(block, steps - start)
+            omega, c, alpha, per_draw, per_success = np.moveaxis(
+                table[start:start + k, :, group], 1, 0)
+            for r, rng in enumerate(rngs):
+                if draws[r]:  # per tick the inertia's draw, then the pulls
+                    drawn = rng.random((k, width + 1))
+                    omega[:, r] += per_draw[:, r] * drawn[:, 0]
+                    pulls[r, :k] = drawn[:, 1:].reshape(k, 2, n, d)
+                else:
+                    rng.random(out=pulls[r, :k])
+            _scale_pulls(pulls[:, :k], np.stack((c.T, (alpha * c).T), axis=-1))
+            for j in range(k):
+                inertia = omega[j]
+                if reads_success:
+                    inertia = np.where(success, inertia + per_success[j]
+                                       * state.success_rate, inertia)
+                step(state, inertia, pulls[:, j], epsilon0=epsilon0)
+                best_so_far[start + j + 1] = state.gbest_value
     return [RunResult(best_value=float(state.gbest_value[r]),
                       best_position=state.gbest[r].copy(),
                       best_so_far=best_so_far[:, r], pop_size=pop_size,

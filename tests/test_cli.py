@@ -8,15 +8,18 @@ import pytest
 
 from swarmpattern import (
     ExperimentPlan,
+    FixedAttractors,
     IidUniformAttractors,
     IpsoParams,
     LinearInertia,
     Mapso,
+    RandomWalkAttractors,
     SimConfig,
     SuccessRateInertia,
     __version__,
     baseline_schedules,
     cli,
+    default_plan,
     ipso_to_moments,
     is_order2_convergent,
     plan_to_dict,
@@ -97,6 +100,23 @@ class TestSolve:
                             "--focus", "1.0", "--alpha-sign", "-1")
         assert code == 3
         assert "error:" in err
+
+
+class TestNumericalOverflow:
+    @pytest.mark.parametrize("argv", [
+        ("moments", "--omega", "1e200", "--c", "1"),
+        ("moments", "--omega", "0.5", "--c", "1e200"),
+        ("solve", "--rho1", "0.5", "--vc", "1", "--focus", "1e300"),
+        ("solve", "--rho1", "0.5", "--vc", "1e308"),
+    ], ids=["moments-omega", "moments-c", "solve-focus", "solve-vc"])
+    def test_is_a_numerical_error_on_one_line(self, capsys, argv):
+        code, out, err = _run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert "Traceback" not in err
+        config, error = err.splitlines()
+        assert config.startswith("effective-config: ")
+        assert error.startswith("error: ")
 
 
 class TestAutocorr:
@@ -195,14 +215,25 @@ class TestSimulate:
         assert _run(capsys, *argv, "--output", str(second))[0] == 0
         assert first.read_bytes() == second.read_bytes()
 
-    @pytest.mark.parametrize("omega, iterations", [(0.7298, 9000), (2.0, 2000)],
-                             ids=["seeded", "diverged"])
+    @pytest.mark.parametrize("omega, iterations, process, pinned, flags", [
+        (0.7298, 9000, IidUniformAttractors((-9.0, 11.0), (-5.0, 15.0)), {}, []),
+        (2.0, 2000, IidUniformAttractors((-9.0, 11.0), (-5.0, 15.0)), {}, []),
+        (0.7298, 5000, RandomWalkAttractors(2.5, -1.0, (-0.5, 2.0)),
+         {"x0": 0.25, "x1": -3.0},
+         ["--process", "walk", "--p0", "2.5", "--g0", "-1",
+          "--step-range", "-0.5", "2", "--x0", "0.25", "--x1", "-3"]),
+        (0.7298, 5000, FixedAttractors(1.5, -2.0), {"x0": 7.0, "x1": 0.5},
+         ["--process", "fixed", "--p-value", "1.5", "--g-value", "-2",
+          "--x0", "7", "--x1", "0.5"]),
+    ], ids=["seeded", "diverged", "walk", "fixed"])
     def test_rows_spell_each_value_as_its_repr(self, capsys, tmp_path, omega,
-                                                iterations):
-        # The row-at-a-time formatter the streamed writer replaced.
-        trace = simulate(IpsoParams(omega, 0.1, 1.0),
-                         IidUniformAttractors((-9.0, 11.0), (-5.0, 15.0)),
-                         SimConfig(iterations=iterations, burn_in=10, seed=4))
+                                                iterations, process, pinned,
+                                                flags):
+        # The row-at-a-time formatter the streamed writer replaced, over the
+        # library call that each process's flags spell.
+        trace = simulate(IpsoParams(omega, 0.1, 1.0), process,
+                         SimConfig(iterations=iterations, burn_in=10, seed=4,
+                                   **pinned))
         lines = ["t,x,p,g"]
         for t in range(len(trace)):
             lines.append(f"{t},{cli._float_csv(trace.positions[t])},"
@@ -210,7 +241,8 @@ class TestSimulate:
                          f"{cli._float_csv(trace.g_values[t])}")
         expected = "\n".join(lines) + "\n"
         argv = ["simulate", "--omega", str(omega), "--c", "0.1",
-                "--iterations", str(iterations), "--burn-in", "10", "--seed", "4"]
+                "--iterations", str(iterations), "--burn-in", "10", "--seed", "4",
+                *flags]
         target = tmp_path / "trace.csv"
         assert _run(capsys, *argv, "--output", str(target))[0] == 0
         assert target.read_text(encoding="utf-8") == expected
@@ -558,6 +590,16 @@ class TestBenchAndCompare:
             assert code == 2
             assert f"bad fields for schedule kind '{kind}'" in err
             assert not (out_dir / "manifest.json").exists()
+
+    def test_bench_runs_the_stock_plan_without_a_plan_file(self, capsys,
+                                                            tmp_path):
+        out_dir = tmp_path / "stock"
+        code, out, _ = _run(capsys, "bench", "--out", str(out_dir),
+                            "--dimension", "2", "--runs", "2")
+        assert code == 0
+        assert f"completed 132/132 runs into {out_dir}" in out
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["plan"] == plan_to_dict(default_plan(2, runs=2))
 
     def test_bench_without_plan_file(self, capsys, tmp_path):
         code, _, err = _run(capsys, "bench", "--plan",

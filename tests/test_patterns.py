@@ -273,6 +273,15 @@ class TestSolveCoefficients:
         with pytest.raises(ConsistencyError, match="round-trip failed"):
             solve_coefficients(MovementPattern(0.0, 1.0, 0.984375), alpha_sign=-1)
 
+    def test_an_overflowing_solve_is_degenerate(self):
+        with pytest.raises(DegenerateParameterError, match="overflows"):
+            solve_coefficients(MovementPattern(0.5, 1.0, 1e300))
+
+    def test_a_nan_solve_fails_its_round_trip(self):
+        # omega comes out NaN; that is a failed solve, not a bad IpsoParams.
+        with pytest.raises(ConsistencyError, match="round-trip failed on rho1"):
+            solve_coefficients(MovementPattern(0.5, 1e308, 1.0))
+
     @settings(max_examples=300, deadline=None)
     @given(target_rho1=st.floats(-0.9, 0.9), target_vc=st.floats(0.05, 30.0),
            target_focus=st.one_of(st.floats(0.04, 0.5), st.floats(1.5, 25.0)),

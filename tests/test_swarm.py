@@ -4,6 +4,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -644,6 +645,25 @@ class TestMixedStack:
                     == alone.best_position.tobytes())
             assert results[r].history == alone.history
             assert stacked[:, r].tobytes() == np.concatenate(inertia).tobytes()
+
+    def test_a_diverging_run_sinks_no_neighbour(self, caplog):
+        # Tier-1 turns warnings into errors: the diverging run's overflow
+        # must neither raise nor take the healthy run down with it.
+        problem = suite_function("sphere", 2)
+        schedules, seeds = [ICPSO, IpsoParams(1.5, 1.5, 1.0)], [1, 2]
+        n, budget = 20, 30_000
+        with caplog.at_level("WARNING", logger="swarmpattern.swarm"):
+            results = run_many(problem, schedules, n, budget, seeds)
+        assert "non-finite" in caplog.text  # the second run did diverge
+        healthy = run(problem, ICPSO, n, budget, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            diverged = run(problem, schedules[1], n, budget, 2)
+        for result, alone in zip(results, (healthy, diverged)):
+            assert result.best_value == alone.best_value
+            assert (result.best_position.tobytes()
+                    == alone.best_position.tobytes())
+            assert result.best_so_far.tobytes() == alone.best_so_far.tobytes()
 
     def test_signed_zero_inertia_is_its_own_schedule(self, monkeypatch):
         # Equal as dataclasses, since -0.0 == 0.0, but not the same run.
