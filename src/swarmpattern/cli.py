@@ -20,6 +20,7 @@ import argparse
 import json
 import sys
 from dataclasses import MISSING, fields
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,7 @@ from .benchmark import (
     run_experiment,
     suite_function,
 )
-from .errors import SwarmPatternError
+from .errors import StabilityError, SwarmPatternError
 from .moments import (
     AttractorMoments,
     build_moment_system,
@@ -74,6 +75,7 @@ from .simulate import (
     RandomWalkAttractors,
     SimConfig,
     SimTrace,
+    _simulate,
     empirical_autocorrelation,
     empirical_moments,
     empirical_movement_distance,
@@ -180,20 +182,15 @@ def _float_csv(value: float) -> str:
     return repr(float(value))
 
 
-# Trace rows formatted per write: bounds the Python floats alive at once.
-_CSV_ROWS = 4096
-
-
-def _write_trace_csv(out, trace: SimTrace) -> None:
-    """``t,x,p,g`` rows, each value spelled as ``_float_csv`` spells it."""
+def _write_trace_csv(out, trace: SimTrace, p: np.ndarray, g: np.ndarray) -> None:
+    """``t,x,p,g`` rows, each value spelled as ``_float_csv`` spells it: row
+    ``t`` holds ``p[t - 2]`` and ``g[t - 2]``, the draws that produced it,
+    and the seed rows ``nan``; a memoryview yields one Python float at a time."""
     out.write("t,x,p,g\n")
-    for start in range(0, len(trace), _CSV_ROWS):
-        stop = start + _CSV_ROWS
-        out.writelines(
-            f"{t},{x!r},{p!r},{g!r}\n" for t, x, p, g in zip(
-                range(start, stop), trace.positions[start:stop].tolist(),
-                trace.p_values[start:stop].tolist(),
-                trace.g_values[start:stop].tolist()))
+    seeds = (float("nan"),) * 2
+    out.writelines(f"{t},{x!r},{pt!r},{gt!r}\n" for t, (x, pt, gt) in enumerate(zip(
+        memoryview(trace.positions), chain(seeds, memoryview(p)),
+        chain(seeds, memoryview(g)))))
 
 
 # --- subcommands -------------------------------------------------------------
@@ -230,7 +227,19 @@ def cmd_solve(args) -> int:
 def cmd_autocorr(args) -> int:
     _print_config(args)
     params = _build(IpsoParams, args)
-    analytic = autocorrelation(ipso_to_moments(params), args.max_lag)
+    coeffs = ipso_to_moments(params)
+    if not is_order2_convergent(coeffs):
+        # Correlations exist only for a stationary series.  k2 squares the
+        # flags, overflowing only far outside omega's or the spread's range.
+        try:
+            report = convergence_report(params)
+        except OverflowError:
+            report = {"omega_in_range": -1.0 < params.omega < 1.0, "spread_ok": False}
+        failed = next(k for k in ("omega_in_range", "spread_ok", "k2_negative",
+                                  "convergent") if not report[k])
+        raise StabilityError(
+            f"autocorrelation needs an order-2 convergent set; {failed} is false")
+    analytic = autocorrelation(coeffs, args.max_lag)
     empirical = None
     if args.simulate:
         trace = simulate(params, _build(_PROCESSES[args.process], args),
@@ -260,7 +269,7 @@ def cmd_moments(args) -> int:
         "order1_convergent": order1,
         "order2_convergent": order2,
         "spectral_radius": spectral_radius(system),
-        "rho1": rho1(coeffs),
+        "rho1": rho1(coeffs) if order2 else None,
         "vc": vc(params),
         "focus": focus(coeffs),
         "gamma": gamma(attractors, params.alpha),
@@ -278,13 +287,13 @@ def cmd_moments(args) -> int:
 def cmd_simulate(args) -> int:
     _print_config(args)
     params = _build(IpsoParams, args)
-    trace = simulate(params, _build(_PROCESSES[args.process], args),
-                     _build(SimConfig, args))
+    trace, p, g = _simulate(params, _build(_PROCESSES[args.process], args),
+                            _build(SimConfig, args))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as out:
-            _write_trace_csv(out, trace)
+            _write_trace_csv(out, trace, p, g)
     else:
-        _write_trace_csv(sys.stdout, trace)
+        _write_trace_csv(sys.stdout, trace, p, g)
     if not trace.diverged:
         mean, variance = empirical_moments(trace, args.burn_in)
         print(f"mean {mean!r}  variance {variance!r}  movement "

@@ -141,28 +141,31 @@ def build_moment_system(coeffs: CoefficientMoments,
     ``e_p2`` and ``e_lp`` refer to the combined pull ``P``, not to the
     attractor ``p`` itself.
     """
-    mu_w = coeffs.mu_omega
-    mu1, mu2 = coeffs.mu_phi1, coeffs.mu_phi2
-    e_omega2 = coeffs.sigma_omega ** 2 + mu_w ** 2
-    e_phi1_2 = coeffs.sigma_phi1 ** 2 + mu1 ** 2
-    e_phi2_2 = coeffs.sigma_phi2 ** 2 + mu2 ** 2
-    mu_p, mu_g = attractors.mu_p, attractors.mu_g
+    try:
+        mu_w = coeffs.mu_omega
+        mu1, mu2 = coeffs.mu_phi1, coeffs.mu_phi2
+        e_omega2 = coeffs.sigma_omega ** 2 + mu_w ** 2
+        e_phi1_2 = coeffs.sigma_phi1 ** 2 + mu1 ** 2
+        e_phi2_2 = coeffs.sigma_phi2 ** 2 + mu2 ** 2
+        mu_p, mu_g = attractors.mu_p, attractors.mu_g
 
-    e_l = 1.0 + mu_w - mu1 - mu2
-    e_p = mu1 * mu_p + mu2 * mu_g
-    e_omega_p = mu_w * e_p
-    e_l2 = (1.0 + e_omega2 + e_phi1_2 + e_phi2_2
-            + 2.0 * mu_w - 2.0 * (mu1 + mu2)
-            - 2.0 * mu_w * (mu1 + mu2) + 2.0 * mu1 * mu2)
-    e_p2 = ((attractors.sigma_p ** 2 + mu_p ** 2) * e_phi1_2
-            + (attractors.sigma_g ** 2 + mu_g ** 2) * e_phi2_2
-            + 2.0 * mu1 * mu2 * mu_p * mu_g)
-    e_lp = (mu1 * mu_p + mu2 * mu_g
-            + mu_w * mu1 * mu_p + mu_w * mu2 * mu_g
-            - mu_p * e_phi1_2 - mu1 * mu2 * (mu_p + mu_g)
-            - mu_g * e_phi2_2)
-    # E(l w) expands through the shared w term; the phi means factor out.
-    e_l_omega = mu_w * e_l + coeffs.sigma_omega ** 2
+        e_l = 1.0 + mu_w - mu1 - mu2
+        e_p = mu1 * mu_p + mu2 * mu_g
+        e_omega_p = mu_w * e_p
+        e_l2 = (1.0 + e_omega2 + e_phi1_2 + e_phi2_2
+                + 2.0 * mu_w - 2.0 * (mu1 + mu2)
+                - 2.0 * mu_w * (mu1 + mu2) + 2.0 * mu1 * mu2)
+        e_p2 = ((attractors.sigma_p ** 2 + mu_p ** 2) * e_phi1_2
+                + (attractors.sigma_g ** 2 + mu_g ** 2) * e_phi2_2
+                + 2.0 * mu1 * mu2 * mu_p * mu_g)
+        e_lp = (mu1 * mu_p + mu2 * mu_g
+                + mu_w * mu1 * mu_p + mu_w * mu2 * mu_g
+                - mu_p * e_phi1_2 - mu1 * mu2 * (mu_p + mu_g)
+                - mu_g * e_phi2_2)
+        # E(l w) expands through the shared w term; the phi means factor out.
+        e_l_omega = mu_w * e_l + coeffs.sigma_omega ** 2
+    except OverflowError:
+        raise DegenerateParameterError("moment system overflows") from None
     m = np.array([
         [e_l, -mu_w, 0.0, 0.0, 0.0],
         [1.0, 0.0, 0.0, 0.0, 0.0],

@@ -21,10 +21,9 @@ operations in the same order as the scalar update, runs the sequential
 two-term recurrence over them as a Python loop, and writes its positions into
 the one preallocated trace, where a single array test per chunk finds the
 first divergent step.  So once the four streams are drawn, a run of N steps
-allocates only the trace's three output arrays at full length; the pulls are
-freed before the attractor logs are built, so no more than five such arrays
-are alive at once.  The trace equals bit for bit that of the per-element loop
-``tests/test_simulate.py`` keeps as its oracle.
+allocates only its positions at full length: no more than five such arrays
+are alive at once, and the returned trace keeps the positions alone, which
+equal bit for bit those of the oracle loop in ``tests/test_simulate.py``.
 
 The inertia weight is the constant ``omega`` of ``IpsoParams``; the pulls
 are uniform on ``[0, c]`` and ``[0, alpha c]`` (intervals flip orientation
@@ -78,13 +77,6 @@ class IidUniformAttractors:
         _ordered_interval(self, "p_range")
         _ordered_interval(self, "g_range")
 
-    def moments(self) -> AttractorMoments:
-        (plo, phi), (glo, ghi) = self.p_range, self.g_range
-        return AttractorMoments(
-            mu_p=(plo + phi) / 2.0, sigma_p=(phi - plo) / math.sqrt(12.0),
-            mu_g=(glo + ghi) / 2.0, sigma_g=(ghi - glo) / math.sqrt(12.0),
-        )
-
 
 @dataclass(frozen=True)
 class RandomWalkAttractors:
@@ -112,10 +104,6 @@ class FixedAttractors:
     g_value: float
 
     __post_init__ = finite_fields
-
-    def moments(self) -> AttractorMoments:
-        return AttractorMoments(mu_p=self.p_value, sigma_p=0.0,
-                                mu_g=self.g_value, sigma_g=0.0)
 
 
 AttractorProcess = IidUniformAttractors | RandomWalkAttractors | FixedAttractors
@@ -157,23 +145,15 @@ class SimConfig:
 
 @array_dataclass
 class SimTrace:
-    """Positions plus the attractor values that generated each of them.
-
-    ``p_values[t]`` / ``g_values[t]`` are the draws used to produce
-    ``positions[t]``; the two seed entries have no generating draw and hold
-    NaN.  When ``diverged`` is set the arrays stop at the offending step, so
-    their length may fall short of the configured iteration count.
-    """
+    """The positions of one run, the two seed positions first.  When
+    ``diverged`` is set they stop at the offending step, so their length may
+    fall short of the configured iteration count."""
 
     positions: np.ndarray
-    p_values: np.ndarray
-    g_values: np.ndarray
     diverged: bool = False
 
     def __post_init__(self):
-        read_only_arrays(self, "positions", "p_values", "g_values")
-        if not (len(self.positions) == len(self.p_values) == len(self.g_values)):
-            raise ValueError("trace arrays must share one length")
+        read_only_arrays(self, "positions")
 
     def __len__(self) -> int:
         return int(self.positions.size)
@@ -229,13 +209,15 @@ def _recurse(x0: float, x1: float, w: float, phi1: np.ndarray, phi2: np.ndarray,
         f1, f2 = phi1[start:stop], phi2[start:stop]
         # The slices repeat the scalar update's operations in its order,
         # which keeps the trace bit-identical to it; iterating a memoryview
-        # yields Python floats without building lists.
-        lead = (1.0 + w) - f1
-        lead -= f2
+        # yields Python floats without building lists.  A slice that
+        # overflows holds inf, and the trace then diverges.
+        with np.errstate(over="ignore", invalid="ignore"):
+            lead = (1.0 + w) - f1
+            lead -= f2
+            pull1, pull2 = f1 * p_stream[start:stop], f2 * g_stream[start:stop]
         xs = []
         append = xs.append
-        for a, fp, fg in zip(memoryview(lead), memoryview(f1 * p_stream[start:stop]),
-                             memoryview(f2 * g_stream[start:stop])):
+        for a, fp, fg in zip(memoryview(lead), memoryview(pull1), memoryview(pull2)):
             xnext = a * xcur - w * xprev + fp + fg
             append(xnext)
             xprev, xcur = xcur, xnext
@@ -249,14 +231,10 @@ def _recurse(x0: float, x1: float, w: float, phi1: np.ndarray, phi2: np.ndarray,
     return positions, False
 
 
-def simulate(params: IpsoParams, process: AttractorProcess,
-             config: SimConfig) -> SimTrace:
-    """Run the scalar recursion and log positions with their attractor draws.
-
-    Positions whose magnitude passes ``DIVERGENCE_LIMIT`` (or stop being
-    finite) flag the trace as diverged and end it early; unstable parameters
-    legitimately do this.
-    """
+def _simulate(params: IpsoParams, process: AttractorProcess, config: SimConfig
+              ) -> tuple[SimTrace, np.ndarray, np.ndarray]:
+    """:func:`simulate`'s trace and the attractor streams it drew: ``p[j]``
+    and ``g[j]`` produced ``positions[j + 2]``."""
     rng = np.random.default_rng(config.seed)
     lo, hi = _init_range(process)
     x0 = float(config.x0) if config.x0 is not None else float(rng.uniform(lo, hi))
@@ -268,19 +246,19 @@ def simulate(params: IpsoParams, process: AttractorProcess,
     phi2 = rng.uniform(min(0.0, ac), max(0.0, ac), nsteps)
     p_stream, g_stream = _attractor_streams(process, nsteps, rng)
 
-    positions, diverged = _recurse(x0, x1, params.omega, phi1, phi2,
-                                   p_stream, g_stream)
-    # The pulls are spent: freeing them before the attractor logs are built
-    # keeps the peak at the four streams plus the positions.
-    del phi1, phi2
-    used = positions.size - 2
-    pad = np.full(2, np.nan)
-    return SimTrace(
-        positions=positions,
-        p_values=np.concatenate([pad, p_stream[:used]]),
-        g_values=np.concatenate([pad, g_stream[:used]]),
-        diverged=diverged,
-    )
+    trace = SimTrace(*_recurse(x0, x1, params.omega, phi1, phi2, p_stream, g_stream))
+    return trace, p_stream, g_stream
+
+
+def simulate(params: IpsoParams, process: AttractorProcess,
+             config: SimConfig) -> SimTrace:
+    """Run the scalar recursion and return its positions.
+
+    Positions whose magnitude passes ``DIVERGENCE_LIMIT`` (or stop being
+    finite) flag the trace as diverged and end it early; unstable parameters
+    legitimately do this.
+    """
+    return _simulate(params, process, config)[0]
 
 
 def _window(trace: SimTrace, burn_in: int, need: int, what: str) -> np.ndarray:

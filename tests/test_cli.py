@@ -24,9 +24,10 @@ from swarmpattern import (
     is_order2_convergent,
     plan_to_dict,
     run,
-    simulate,
     suite_function,
 )
+
+from swarmpattern.simulate import _simulate
 
 from conftest import reference_pattern, reference_row
 
@@ -118,6 +119,29 @@ class TestNumericalOverflow:
         assert config.startswith("effective-config: ")
         assert error.startswith("error: ")
 
+    # Each moments flag in turn at 1e300 and 1.7e308.  alpha c past the
+    # float range makes mu_phi2 non-finite, an input error; every other
+    # probe squares a float past its range inside the moment system.
+    @pytest.mark.parametrize("flag", ["omega", "c", "alpha", "mu-p", "sigma-p",
+                                      "mu-g", "sigma-g"])
+    @pytest.mark.parametrize("value", ["1e300", "1.7e308"])
+    def test_every_moments_overflow_names_the_moment_system(self, capsys, flag,
+                                                            value):
+        argv = {"omega": "0.7", "c": "1.4", "alpha": "1", "mu-p": "0",
+                "sigma-p": "1", "mu-g": "0", "sigma-g": "1", flag: value}
+        code, out, err = _run(capsys, "moments",
+                              *(f"--{name}={v}" for name, v in argv.items()))
+        assert out == ""
+        config, error = err.splitlines()
+        assert config.startswith("effective-config: ")
+        if (flag, value) == ("alpha", "1.7e308"):
+            assert code == 2
+            assert error == ("error: CoefficientMoments.mu_phi2 must be a "
+                             "finite number, got inf")
+        else:
+            assert code == 3
+            assert error == "error: moment system overflows"
+
 
 class TestAutocorr:
     def test_pure_random_rows_are_zero(self, capsys):
@@ -156,6 +180,44 @@ class TestAutocorr:
         assert len(payload["rho_analytic"]) == 4
         assert "rho_empirical" not in payload
 
+    # Off the order-2 set these printed rho3 = -1.164 and rho1 = -1.94, or
+    # overflowed under warnings-as-errors.
+    @pytest.mark.parametrize("flags, failed", [
+        (["--omega", "1.2", "--c", "1.4"], "omega_in_range"),
+        (["--omega", "0.7", "--c", "5"], "spread_ok"),
+        (["--omega", "0.7", "--c", "3"], "k2_negative"),
+        (["--omega", "1e300", "--c", "1.4"], "omega_in_range"),
+        (["--omega", "0.7", "--c", "1e300"], "spread_ok"),
+        (["--omega", "0.7", "--c", "1.4", "--alpha", "1e300"], "spread_ok"),
+        (["--omega", "1.2", "--c", "1.4", "--simulate", "--iterations", "50"],
+         "omega_in_range"),
+    ], ids=["omega", "spread", "k2", "huge-omega", "huge-c", "huge-alpha",
+            "simulate"])
+    def test_a_set_off_the_order2_region_names_its_failed_condition(
+            self, capsys, flags, failed):
+        code, out, err = _run(capsys, "autocorr", *flags)
+        assert code == 3 and out == ""
+        assert err.splitlines()[1:] == [
+            "error: autocorrelation needs an order-2 convergent set; "
+            f"{failed} is false"]
+
+    @pytest.mark.parametrize("flag", ["omega", "c", "alpha"])
+    @pytest.mark.parametrize("value", ["0", "-0.0", "5e-324", "1e-300", "-1e-300",
+                                       "1e300", "-1e300", "1.7e308", "-1.7e308",
+                                       "nan", "inf", "-0.5", "0.5", "3"])
+    def test_every_answer_is_a_correlation_or_one_error_line(self, capsys,
+                                                             flag, value):
+        argv = {"omega": "0.7", "c": "1.4", "alpha": "1", flag: value}
+        code, out, err = _run(capsys, "autocorr", "--format", "json",
+                              *(f"--{name}={v}" for name, v in argv.items()))
+        assert code in (0, 2, 3)
+        if code == 0:
+            assert all(abs(r) <= 1.0 for r in json.loads(out)["rho_analytic"])
+        else:
+            assert out == ""
+            assert len(err.splitlines()) == 2
+            assert err.splitlines()[1].startswith("error: ")
+
 
 class TestMoments:
     def test_convergent_payload(self, capsys):
@@ -179,7 +241,19 @@ class TestMoments:
         assert payload["order1_convergent"] is False
         assert payload["e_x"] is None
         assert payload["v_x"] is None
+        assert payload["rho1"] is None
         assert "movement_distance" not in payload
+
+    @pytest.mark.parametrize("omega, c", [(0.7, 3.0), (-1.0, 1.0)],
+                             ids=["order1-only", "omega-minus-one"])
+    def test_rho1_is_reported_only_on_the_order2_set(self, capsys, omega, c):
+        code, out, _ = _run(capsys, "moments", "--omega", str(omega),
+                            "--c", str(c), "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["order1_convergent"] is (omega == 0.7)
+        assert payload["order2_convergent"] is False
+        assert payload["rho1"] is None and payload["v_x"] is None
 
     def test_text_format_prints_sorted_pairs(self, capsys):
         code, out, _ = _run(capsys, "moments", "--omega", "0.7298",
@@ -231,14 +305,15 @@ class TestSimulate:
                                                 flags):
         # The row-at-a-time formatter the streamed writer replaced, over the
         # library call that each process's flags spell.
-        trace = simulate(IpsoParams(omega, 0.1, 1.0), process,
-                         SimConfig(iterations=iterations, burn_in=10, seed=4,
-                                   **pinned))
+        trace, p, g = _simulate(IpsoParams(omega, 0.1, 1.0), process,
+                                SimConfig(iterations=iterations, burn_in=10,
+                                          seed=4, **pinned))
+        # The seed rows have no generating draw.
+        p, g = np.concatenate([[np.nan] * 2, p]), np.concatenate([[np.nan] * 2, g])
         lines = ["t,x,p,g"]
         for t in range(len(trace)):
             lines.append(f"{t},{cli._float_csv(trace.positions[t])},"
-                         f"{cli._float_csv(trace.p_values[t])},"
-                         f"{cli._float_csv(trace.g_values[t])}")
+                         f"{cli._float_csv(p[t])},{cli._float_csv(g[t])}")
         expected = "\n".join(lines) + "\n"
         argv = ["simulate", "--omega", str(omega), "--c", "0.1",
                 "--iterations", str(iterations), "--burn-in", "10", "--seed", "4",
@@ -249,13 +324,20 @@ class TestSimulate:
         code, out, _ = _run(capsys, *argv)
         assert code == 0 and out == expected
 
-    def test_divergent_trace_skips_summary(self, capsys):
-        code, out, err = _run(capsys, "simulate", "--omega", "2.0",
-                              "--c", "0.1", "--iterations", "2000",
+    # An overflowing 1 + omega - phi1 - phi2, or phi2 g, raised under
+    # warnings-as-errors.
+    @pytest.mark.parametrize("flags", [
+        ["--omega", "2.0", "--c", "0.1"],
+        ["--omega", "0.7", "--c", "1.7e308"],
+        ["--omega", "0.7", "--c", "1", "--alpha", "1.7e308"],
+    ], ids=["unstable", "overflowing-lead", "overflowing-pull"])
+    def test_divergent_trace_skips_summary(self, capsys, flags):
+        code, out, err = _run(capsys, "simulate", *flags, "--iterations", "2000",
                               "--seed", "0")
         assert code == 0
-        assert "trace diverged; summary statistics skipped" in err
-        assert len(out.strip().splitlines()) < 2001
+        assert err.splitlines()[-1] == "trace diverged; summary statistics skipped"
+        rows = out.splitlines()
+        assert rows[0] == "t,x,p,g" and 3 < len(rows) < 2001
 
 
 class TestOptimize:

@@ -7,6 +7,7 @@ inside the quoted tolerances, so reseeding requires recalibration.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -37,7 +38,7 @@ from swarmpattern import (
     solve_coefficients,
     variance_fixed_point,
 )
-from swarmpattern.simulate import _CHUNK
+from swarmpattern.simulate import _CHUNK, _simulate
 
 SLOW_MIXING = IpsoParams(0.73084, 1.6443, 1.0)
 FAST_MIXING = IpsoParams(0.98237, 0.19824, 1.0)
@@ -59,18 +60,18 @@ OVERFLOW = (IpsoParams(0.5, 1e-250, 1.0),
 
 
 def _constant_trace(value, n):
-    pad = np.full(n, np.nan)
-    return SimTrace(np.full(n, float(value)), pad, pad)
+    return SimTrace(np.full(n, float(value)))
 
 
 class TestSimulate:
     def test_same_seed_is_bit_identical(self):
         config = SimConfig(iterations=5000, burn_in=0, seed=1234)
-        first = simulate(SLOW_MIXING, WIDE_IID, config)
-        second = simulate(SLOW_MIXING, WIDE_IID, config)
+        first, p1, g1 = _simulate(SLOW_MIXING, WIDE_IID, config)
+        second, p2, g2 = _simulate(SLOW_MIXING, WIDE_IID, config)
         assert np.array_equal(first.positions, second.positions)
-        assert np.array_equal(first.p_values, second.p_values, equal_nan=True)
-        assert np.array_equal(first.g_values, second.g_values, equal_nan=True)
+        assert np.array_equal(p1, p2) and np.array_equal(g1, g2)
+        assert np.array_equal(simulate(SLOW_MIXING, WIDE_IID, config).positions,
+                              first.positions)
 
     def test_identity_recursion_never_moves(self):
         config = SimConfig(iterations=500, burn_in=0, seed=0, x0=3.7, x1=3.7)
@@ -86,12 +87,12 @@ class TestSimulate:
         assert variance == pytest.approx(0.0, abs=1e-9)
 
     def test_trace_layout(self):
-        trace = simulate(SLOW_MIXING, WIDE_IID, SimConfig(iterations=100, burn_in=0, seed=9))
+        trace, p, g = _simulate(SLOW_MIXING, WIDE_IID,
+                                SimConfig(iterations=100, burn_in=0, seed=9))
         assert len(trace) == 100
         # The two seed positions predate any attractor draw.
-        assert np.all(np.isnan(trace.p_values[:2]))
-        assert np.all(np.isnan(trace.g_values[:2]))
-        assert np.all(np.isfinite(trace.p_values[2:]))
+        assert p.shape == g.shape == (98,)
+        assert np.all((-9.0 <= p) & (p <= 11.0)) and np.all((-5.0 <= g) & (g <= 15.0))
         with pytest.raises(ValueError):
             trace.positions[0] = 0.0
 
@@ -100,18 +101,27 @@ class TestSimulate:
                          SimConfig(iterations=5000, burn_in=0, seed=0))
         assert trace.diverged
         assert len(trace) < 5000
-        assert len(trace.p_values) == len(trace.positions)
         last = trace.positions[-1]
         assert not np.isfinite(last) or abs(last) > 1e100
 
     @pytest.mark.parametrize("process", [WIDE_IID, WALK, FixedAttractors(1.0, 2.0)],
                              ids=["iid", "walk", "fixed"])
     def test_two_iterations_hold_only_the_seeds(self, process):
-        trace = simulate(SLOW_MIXING, process,
-                         SimConfig(iterations=2, seed=0, x0=1.5, x1=-0.5))
+        trace, p, g = _simulate(SLOW_MIXING, process,
+                                SimConfig(iterations=2, seed=0, x0=1.5, x1=-0.5))
         assert trace.positions.tolist() == [1.5, -0.5]
-        assert np.all(np.isnan(trace.p_values)) and len(trace.p_values) == 2
+        assert p.size == g.size == 0
         assert not trace.diverged
+
+    # A coefficient slice past the float range: 1 + omega - phi1 - phi2, or
+    # phi2 g.  Under the suite's warnings-as-errors this raised.
+    @pytest.mark.parametrize("params", [IpsoParams(0.7, 1.7e308, 1.0),
+                                        IpsoParams(0.7, 1.0, 1.7e308)],
+                             ids=["lead", "pull"])
+    def test_an_overflowing_coefficient_slice_diverges(self, params):
+        trace = simulate(params, WIDE_IID, SimConfig(iterations=50, seed=0))
+        assert trace.diverged and len(trace) < 50
+        assert not abs(trace.positions[-1]) <= 1e100
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="iterations must be at least 2"):
@@ -143,9 +153,10 @@ class TestSimulate:
                            match=r"FixedAttractors\.p_value must be a finite number"):
             FixedAttractors(float("inf"), 0.0)
 
-    def test_trace_arrays_must_align(self):
-        with pytest.raises(ValueError, match="share one length"):
-            SimTrace(np.zeros(3), np.zeros(2), np.zeros(3))
+    def test_a_trace_is_its_positions(self):
+        trace = SimTrace([1, 2.5])
+        assert [f.name for f in dataclasses.fields(trace)] == ["positions", "diverged"]
+        assert trace.positions.dtype == float and not trace.diverged
 
 
 def _scalar_reference(params, process, config):
@@ -189,9 +200,7 @@ def _scalar_reference(params, process, config):
         if not math.isfinite(xs[2 + j]) or abs(xs[2 + j]) > 1e100:
             used, diverged = j + 1, True
             break
-    pad = np.full(2, np.nan)
-    return SimTrace(xs[:2 + used], np.concatenate([pad, p[:used]]),
-                    np.concatenate([pad, g[:used]]), diverged)
+    return SimTrace(xs[:2 + used], diverged), p, g
 
 
 class TestScalarOracle:
@@ -214,12 +223,12 @@ class TestScalarOracle:
             *(f"steps-{k}" for k in ("0", "1", "3", "chunk-1", "chunk",
                                      "chunk+1", "2chunk+1"))])
     def test_matches_the_scalar_loop(self, params, process, config):
-        trace = simulate(params, process, config)
+        trace, p, g = _simulate(params, process, config)
         # The overflow case's walk overflows on purpose in the oracle too.
         with np.errstate(over="ignore"):
-            expected = _scalar_reference(params, process, config)
-        for name in ("positions", "p_values", "g_values"):
-            assert getattr(trace, name).tobytes() == getattr(expected, name).tobytes(), name
+            expected, want_p, want_g = _scalar_reference(params, process, config)
+        assert trace.positions.tobytes() == expected.positions.tobytes()
+        assert p.tobytes() == want_p.tobytes() and g.tobytes() == want_g.tobytes()
         assert trace.diverged == expected.diverged
         if trace.diverged:
             # Truncated early, ending on the offending value.
@@ -244,10 +253,20 @@ class TestFootprint:
         trace = simulate(IpsoParams(2.0, 0.1, 1.0), WIDE_IID,
                          SimConfig(iterations=100_000, seed=0))
         assert trace.diverged and len(trace) < 1000
-        for name in ("positions", "p_values", "g_values"):
-            array = getattr(trace, name)
-            owner = array if array.base is None else array.base
-            assert owner.nbytes == 8 * len(trace), name
+        array = trace.positions
+        owner = array if array.base is None else array.base
+        assert owner.nbytes == 8 * len(trace)
+
+    def test_a_returned_trace_holds_only_its_positions(self):
+        simulate(REFERENCE, WIDE_IID, SimConfig(iterations=10, seed=3))
+        tracemalloc.start()
+        try:
+            trace = simulate(REFERENCE, WIDE_IID, SimConfig(iterations=201_000, seed=3))
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not trace.diverged
+        assert held <= 1.1 * trace.positions.nbytes
 
     # Measured peaks: the four drawn streams plus the positions, 5.15x the
     # positions; the walk's division temporary while it is summed, 6.04x.
@@ -268,19 +287,17 @@ class TestFootprint:
 
 
 class TestProcessMoments:
-    def test_iid_uniform_round_trip(self):
-        attractors = AttractorMoments(1.5, 0.25, -2.0, 3.0)
-        process = iid_uniform_for_moments(attractors)
-        back = process.moments()
-        assert back.mu_p == pytest.approx(1.5, rel=1e-12)
-        assert back.sigma_p == pytest.approx(0.25, rel=1e-12)
-        assert back.mu_g == pytest.approx(-2.0, rel=1e-12)
-        assert back.sigma_g == pytest.approx(3.0, rel=1e-12)
+    def test_iid_uniform_ranges_realise_the_moments(self):
+        # U[mu - sqrt(3) sigma, mu + sqrt(3) sigma] has mean mu and sd sigma.
+        process = iid_uniform_for_moments(AttractorMoments(1.5, 0.25, -2.0, 3.0))
+        for (lo, hi), mu, sigma in ((process.p_range, 1.5, 0.25),
+                                    (process.g_range, -2.0, 3.0)):
+            assert (lo + hi) / 2.0 == pytest.approx(mu, rel=1e-12)
+            assert (hi - lo) / math.sqrt(12.0) == pytest.approx(sigma, rel=1e-12)
 
-    def test_fixed_attractors_have_no_spread(self):
-        moments = FixedAttractors(2.0, -1.0).moments()
-        assert moments.mu_p == 2.0 and moments.sigma_p == 0.0
-        assert moments.mu_g == -1.0 and moments.sigma_g == 0.0
+    def test_zero_spread_is_a_point_range(self):
+        process = iid_uniform_for_moments(AttractorMoments(2.0, 0.0, -1.0, 0.0))
+        assert process.p_range == (2.0, 2.0) and process.g_range == (-1.0, -1.0)
 
 
 class TestEmpiricalMoments:
@@ -361,8 +378,7 @@ class TestEmpiricalAutocorrelation:
             empirical_autocorrelation(_constant_trace(1.0, 50), 0, 2)
 
     def test_constant_lag_window_is_reported(self):
-        trace = SimTrace(np.array([1.0, 1.0, 1.0, 2.0]), np.full(4, np.nan),
-                         np.full(4, np.nan))
+        trace = SimTrace(np.array([1.0, 1.0, 1.0, 2.0]))
         with pytest.raises(SampleError, match="zero variance in the lag-1 window"):
             empirical_autocorrelation(trace, 0, 1)
 

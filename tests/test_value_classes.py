@@ -46,9 +46,7 @@ BUILDERS = {
     "MomentSystem": lambda: MomentSystem(np.eye(5) / 2.0, np.arange(5.0)),
     "MomentState": lambda: MomentState(np.arange(5.0)),
     "AutocorrelationSeq": lambda: AutocorrelationSeq(np.array([1.0, 0.5])),
-    "SimTrace": lambda: SimTrace(positions=np.arange(4.0),
-                                 p_values=np.full(4, 1.5),
-                                 g_values=np.full(4, -1.5), diverged=True),
+    "SimTrace": lambda: SimTrace(positions=np.arange(4.0), diverged=True),
     "TournamentMatrix": lambda: TournamentMatrix(
         ("a", "b"), np.array([[0, 2], [-2, 0]])),
 }
