@@ -310,8 +310,7 @@ def cmd_optimize(args) -> int:
     schedule = _parse_schedule(args.schedule)
     budget = (args.budget_evals if args.budget_evals is not None
               else DEFAULT_EVALS_PER_DIM * args.dimension)
-    result = run(function, schedule, args.pop_size, budget,
-                 args.seed, epsilon0=args.epsilon0)
+    result = run(function, schedule, args.pop_size, budget, args.seed)
     history = result.history
     if args.history:
         lines = ["evals,best_value"]
@@ -457,7 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pop-size", type=int, default=DEFAULT_POP_SIZE)
     p.add_argument("--budget-evals", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epsilon0", type=float, default=0.0)
     p.add_argument("--history", help="write (evals,best_value) history CSV here")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--output")

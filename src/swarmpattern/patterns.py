@@ -151,9 +151,12 @@ def gamma(attractors: AttractorMoments, alpha: float) -> float:
     coefficients control.
     """
     sep = attractors.mu_p - attractors.mu_g
-    return (2.0 * (alpha + 1.0) ** 2
-            * (attractors.sigma_p ** 2 + alpha ** 2 * attractors.sigma_g ** 2)
-            + alpha ** 2 * sep ** 2)
+    try:
+        return (2.0 * (alpha + 1.0) ** 2
+                * (attractors.sigma_p ** 2 + alpha ** 2 * attractors.sigma_g ** 2)
+                + alpha ** 2 * sep ** 2)
+    except OverflowError:
+        raise DegenerateParameterError("attractor factor gamma overflows") from None
 
 
 def _m1_m2(alpha: float) -> tuple[float, float]:
@@ -181,6 +184,8 @@ def vc(params: IpsoParams) -> float:
     except ZeroDivisionError:
         raise DegenerateParameterError(
             "variance coefficient denominator vanishes") from None
+    except OverflowError:
+        raise DegenerateParameterError("variance coefficient overflows") from None
 
 
 def _focus(mu_phi1, mu_phi2):

@@ -46,6 +46,7 @@ from .errors import (
 )
 from .moments import AttractorMoments
 from .patterns import AutocorrelationSeq, IpsoParams
+from .swarm import _scale_pulls
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -59,9 +60,10 @@ _CHUNK = 4096
 
 
 def _ordered_interval(process, name: str) -> None:
-    """Coerce a range field to a finite ``(lo, hi)`` float pair, ``lo <= hi``."""
+    """Coerce a range field to a ``(lo, hi)`` float pair that a uniform draw
+    takes: its width ``hi - lo`` is finite and not negative, not even -0.0."""
     lo, hi = (float(v) for v in getattr(process, name))
-    if not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
+    if not math.isfinite(hi - lo) or math.copysign(1.0, hi - lo) < 0.0:
         raise ValueError(f"{name} must be a finite ordered interval")
     object.__setattr__(process, name, (lo, hi))
 
@@ -241,9 +243,12 @@ def _simulate(params: IpsoParams, process: AttractorProcess, config: SimConfig
     x1 = float(config.x1) if config.x1 is not None else float(rng.uniform(lo, hi))
 
     nsteps = config.iterations - 2
-    c, ac = params.c, params.alpha * params.c
-    phi1 = rng.uniform(min(0.0, c), max(0.0, c), nsteps)
-    phi2 = rng.uniform(min(0.0, ac), max(0.0, ac), nsteps)
+    # phi1 and phi2 as one particle's (2, n, d) swarm pulls; an alpha c past
+    # the float range gives inf or NaN (inf * 0) pulls, and the trace diverges.
+    pulls = rng.random((2, 1, nsteps))
+    with np.errstate(invalid="ignore"):
+        _scale_pulls(pulls, np.array([params.c, params.alpha * params.c]))
+    phi1, phi2 = pulls[:, 0]
     p_stream, g_stream = _attractor_streams(process, nsteps, rng)
 
     trace = SimTrace(*_recurse(x0, x1, params.omega, phi1, phi2, p_stream, g_stream))

@@ -5,11 +5,11 @@ Per particle and per dimension the velocity update draws fresh pulls
     v <- omega v + phi1 (pbest - x) + phi2 (gbest - x),   x <- x + v
 
 with ``phi1 ~ U[0, c]`` and ``phi2 ~ U[0, alpha c]``, which is exactly the
-recursion the moment theory analyses once the attractors settle.  Personal
-bests accept a new position only on strict improvement beyond ``epsilon0``
-AND only when the position lies inside the search box; positions themselves
-are never clamped, so particles may roam outside and return.  The global
-best is recomputed synchronously after the whole population has moved.
+recursion the moment theory analyses once the attractors settle.  A
+personal best takes a new position on strict improvement at an in-box
+position, and on nothing else; positions themselves are never clamped, so
+particles may roam outside and return.  The global best is recomputed
+synchronously after the whole population has moved.
 
 Cost of a tick: :func:`step` reuses scratch buffers held on the state for
 its pulls and masks, and when no particle beats its personal best it skips
@@ -105,18 +105,11 @@ class SwarmState:
     gbest_value: np.ndarray
     success_rate: np.ndarray
 
-    @property
-    def runs(self) -> int:
-        return int(self.positions.shape[0])
-
-    @property
-    def pop_size(self) -> int:
-        return int(self.positions.shape[1])
-
     @cached_property
     def _run_starts(self) -> np.ndarray:
         """Index of each run's first particle among all ``R*n``."""
-        return np.arange(0, self.runs * self.pop_size, self.pop_size)
+        runs, n = self.positions.shape[:2]
+        return np.arange(0, runs * n, n)
 
     @cached_property
     def _workspace(self) -> tuple[np.ndarray, ...]:
@@ -225,16 +218,15 @@ def _scale_pulls(pulls: np.ndarray, bounds: np.ndarray) -> None:
     pulls += np.minimum(bounds, 0.0)
 
 
-def step(state: SwarmState, omega: np.ndarray, pulls: np.ndarray,
-         epsilon0: float = 0.0) -> None:
+def step(state: SwarmState, omega: np.ndarray, pulls: np.ndarray) -> None:
     """Advance every run one iteration, in place.
 
     Run ``r`` moves with inertia ``omega[r]`` and the drawn pulls
     ``pulls[r, 0]`` (phi1, towards its personal bests) and ``pulls[r, 1]``
     (phi2, towards its global best), shapes ``(R,)`` and ``(R, 2, n, d)``.
-    Personal bests require strict improvement by more than ``epsilon0`` and
-    an in-box position; each run's global best is the synchronous minimum
-    of its updated personal bests.
+    A personal best takes a strict improvement at an in-box position; each
+    run's global best is the synchronous minimum of its updated personal
+    bests.
     """
     problem = state.problem
     runs, n, d = state.positions.shape
@@ -254,10 +246,7 @@ def step(state: SwarmState, omega: np.ndarray, pulls: np.ndarray,
     x += v
 
     values = _evaluate(problem, x)
-    # x - 0.0 is x bit for bit, so the default threshold needs no subtraction.
-    threshold = (state.pbest_values - epsilon0 if epsilon0
-                 else state.pbest_values)
-    np.less(values, threshold, out=improved)
+    np.less(values, state.pbest_values, out=improved)
     if not np.count_nonzero(improved):
         # Unchanged personal bests keep every global best: nothing to do.
         state.success_rate.fill(0.0)
@@ -273,8 +262,8 @@ def step(state: SwarmState, omega: np.ndarray, pulls: np.ndarray,
 
 
 def run_many(problem: Problem, schedules: Sequence[ScheduleSpec],
-             pop_size: int, budget_evals: int, seeds: Sequence[int],
-             epsilon0: float = 0.0) -> list[RunResult]:
+             pop_size: int, budget_evals: int, seeds: Sequence[int]
+             ) -> list[RunResult]:
     """One run per seed, run ``r`` under ``schedules[r]``, all stepped in
     lockstep; run ``r`` alone gives the same result bit for bit.
 
@@ -296,8 +285,6 @@ def run_many(problem: Problem, schedules: Sequence[ScheduleSpec],
         raise ValueError("pop_size must be positive")
     if budget_evals < pop_size:
         raise ValueError("budget_evals must cover at least the initial sweep")
-    if not (math.isfinite(epsilon0) and epsilon0 >= 0.0):
-        raise ValueError(f"epsilon0 must be finite and >= 0, got {epsilon0!r}")
     seeds, schedules = list(seeds), list(schedules)
     if len(schedules) != len(seeds):
         raise ValueError(f"need one schedule per seed, got {len(schedules)} "
@@ -338,7 +325,7 @@ def run_many(problem: Problem, schedules: Sequence[ScheduleSpec],
                 if reads_success:
                     inertia = np.where(success, inertia + per_success[j]
                                        * state.success_rate, inertia)
-                step(state, inertia, pulls[:, j], epsilon0=epsilon0)
+                step(state, inertia, pulls[:, j])
                 best_so_far[start + j + 1] = state.gbest_value
     return [RunResult(best_value=float(state.gbest_value[r]),
                       best_position=state.gbest[r].copy(),
@@ -348,8 +335,7 @@ def run_many(problem: Problem, schedules: Sequence[ScheduleSpec],
 
 
 def run(problem: Problem, schedule: ScheduleSpec, pop_size: int,
-        budget_evals: int, seed: int, epsilon0: float = 0.0) -> RunResult:
+        budget_evals: int, seed: int) -> RunResult:
     """Full optimisation run under an evaluation budget: :func:`run_many`
     with one seed."""
-    return run_many(problem, [schedule], pop_size, budget_evals, [seed],
-                    epsilon0=epsilon0)[0]
+    return run_many(problem, [schedule], pop_size, budget_evals, [seed])[0]

@@ -104,20 +104,27 @@ class TestSolve:
 
 
 class TestNumericalOverflow:
-    @pytest.mark.parametrize("argv", [
-        ("moments", "--omega", "1e200", "--c", "1"),
-        ("moments", "--omega", "0.5", "--c", "1e200"),
-        ("solve", "--rho1", "0.5", "--vc", "1", "--focus", "1e300"),
-        ("solve", "--rho1", "0.5", "--vc", "1e308"),
-    ], ids=["moments-omega", "moments-c", "solve-focus", "solve-vc"])
-    def test_is_a_numerical_error_on_one_line(self, capsys, argv):
+    # The last case has a finite alpha c, so only vc's alpha ** 2 overflows.
+    @pytest.mark.parametrize("argv, message", [
+        (("moments", "--omega", "1e200", "--c", "1"), "moment system overflows"),
+        (("moments", "--omega", "0.5", "--c", "1e200"),
+         "moment system overflows"),
+        (("solve", "--rho1", "0.5", "--vc", "1", "--focus", "1e300"),
+         "pattern solver overflows"),
+        (("solve", "--rho1", "0.5", "--vc", "1e308"),
+         "pattern solver round-trip failed on rho1: got nan, wanted 0.5"),
+        (("moments", "--omega", "0.7", "--c", "1e-200", "--alpha", "1e200"),
+         "variance coefficient overflows"),
+    ], ids=["moments-omega", "moments-c", "solve-focus", "solve-vc",
+            "moments-vc"])
+    def test_is_a_numerical_error_on_one_line(self, capsys, argv, message):
         code, out, err = _run(capsys, *argv)
         assert code == 3
         assert out == ""
         assert "Traceback" not in err
         config, error = err.splitlines()
         assert config.startswith("effective-config: ")
-        assert error.startswith("error: ")
+        assert error == f"error: {message}"
 
     # Each moments flag in turn at 1e300 and 1.7e308.  alpha c past the
     # float range makes mu_phi2 non-finite, an input error; every other
@@ -141,6 +148,55 @@ class TestNumericalOverflow:
         else:
             assert code == 3
             assert error == "error: moment system overflows"
+
+
+_EXTREMES = ["0", "-0.0", "5e-324", "1e-300", "-1e-300", "1e300", "-1e300",
+             "1.7e308", "-1.7e308", "nan", "inf"]
+
+# (command, process) and the float flags set in turn over _EXTREMES; a range
+# flag is set to (-v, v).  simulate's iterations leave the default burn-in
+# valid.
+_GRID = {("solve", None): ["rho1", "vc", "focus"],
+         ("simulate", "iid"): ["omega", "c", "alpha", "x0", "x1", "p-range",
+                               "g-range"],
+         ("simulate", "walk"): ["p0", "g0", "step-range"],
+         ("simulate", "fixed"): ["p-value", "g-value"]}
+_BASE = {"solve": ["--rho1=0.5", "--vc=1"],
+         "simulate": ["--omega=0.7", "--c=1.4", "--iterations=2000"]}
+
+
+class TestExitContract:
+    """Every answer is exit 0, or exit 2 or 3 on one error line that names
+    the flag's field or the quantity that failed, never a traceback."""
+
+    @pytest.mark.parametrize("value", _EXTREMES)
+    @pytest.mark.parametrize("command, process, flag", [
+        (command, process, flag) for (command, process), flags in _GRID.items()
+        for flag in flags])
+    def test_every_extreme_flag_value_keeps_the_contract(
+            self, capsys, command, process, flag, value):
+        argv = [command, *_BASE[command]]
+        argv = [a for a in argv if not a.startswith(f"--{flag}=")]
+        if process:
+            argv.append(f"--process={process}")
+        if flag.endswith("range"):
+            # A leading space keeps argparse from reading "-v" as a flag.
+            neg = value[1:] if value.startswith("-") else "-" + value
+            argv += [f"--{flag}", f" {neg}", f" {value}"]
+        else:
+            argv.append(f"--{flag}={value}")
+        code, _, err = _run(capsys, *argv)
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("error: ")]
+        if code == 0:
+            assert errors == []
+            return
+        assert len(errors) == 1
+        subject = errors[0][len("error: "):]
+        field = subject.split(" ")[0].rpartition(".")[2]
+        assert (field == flag.replace("-", "_")
+                or subject.startswith("pattern solver ")), subject
 
 
 class TestAutocorr:
@@ -325,12 +381,16 @@ class TestSimulate:
         assert code == 0 and out == expected
 
     # An overflowing 1 + omega - phi1 - phi2, or phi2 g, raised under
-    # warnings-as-errors.
+    # warnings-as-errors; an alpha c past the float range made numpy's
+    # uniform draw refuse its range.
     @pytest.mark.parametrize("flags", [
         ["--omega", "2.0", "--c", "0.1"],
         ["--omega", "0.7", "--c", "1.7e308"],
         ["--omega", "0.7", "--c", "1", "--alpha", "1.7e308"],
-    ], ids=["unstable", "overflowing-lead", "overflowing-pull"])
+        ["--omega", "0.7", "--c", "1.4", "--alpha", "1.7e308"],
+        ["--omega", "0.7", "--c", "1.4", "--alpha=-1.7e308"],
+    ], ids=["unstable", "overflowing-lead", "overflowing-pull",
+            "overflowing-bound", "overflowing-negative-bound"])
     def test_divergent_trace_skips_summary(self, capsys, flags):
         code, out, err = _run(capsys, "simulate", *flags, "--iterations", "2000",
                               "--seed", "0")
@@ -432,14 +492,6 @@ class TestOptimize:
         code, _, err = _run(capsys, "optimize", "--function", "slope")
         assert code == 2
         assert "unknown test function 'slope'" in err
-
-    def test_negative_epsilon0_is_an_input_error(self, capsys):
-        code, out, err = _run(capsys, "optimize", "--function", "sphere",
-                              "--dimension", "2", "--budget-evals", "100",
-                              "--epsilon0", "-5")
-        assert code == 2
-        assert "epsilon0 must be finite and >= 0, got -5.0" in err
-        assert out == ""
 
 
 def _reference_dump(spec, t_max, stride, seed):

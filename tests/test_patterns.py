@@ -164,6 +164,12 @@ class TestGamma:
     def test_direct_substitution(self):
         assert gamma(AttractorMoments(0.0, 1.0, 2.0, 1.0), 1.0) == pytest.approx(20.0)
 
+    def test_an_overflowing_gamma_names_itself(self):
+        # alpha ** 2 past the float range raised a bare OverflowError.
+        with pytest.raises(DegenerateParameterError,
+                           match="^attractor factor gamma overflows$"):
+            gamma(AttractorMoments(0.0, 1.0, 0.0, 1.0), 1e200)
+
 
 class TestVc:
     def test_solver_target_round_trip(self):
@@ -172,6 +178,12 @@ class TestVc:
 
     def test_reference_parameters_have_positive_range(self):
         assert vc(IpsoParams(0.7298, 1.49618, 1.0)) > 0.0
+
+    def test_an_overflowing_vc_names_itself(self):
+        # alpha c is finite, but alpha ** 2 is past the float range.
+        with pytest.raises(DegenerateParameterError,
+                           match="^variance coefficient overflows$"):
+            vc(IpsoParams(0.7, 1e-200, 1e200))
 
     def test_zero_c_means_zero_range(self):
         assert vc(IpsoParams(0.5, 0.0, 1.0)) == 0.0

@@ -149,6 +149,20 @@ class TestSimulate:
             IidUniformAttractors((2.0, 1.0), (0.0, 1.0))
         with pytest.raises(ValueError, match="step_range must be a finite ordered interval"):
             RandomWalkAttractors(0.0, 1.0, step_range=(1.0, -1.0))
+        # Finite ends whose width overflows cannot scale a uniform draw.
+        with pytest.raises(ValueError, match="^p_range must be a finite "
+                           "ordered interval$"):
+            IidUniformAttractors((-1.7e308, 1.7e308), (0.0, 1.0))
+        with pytest.raises(ValueError, match="^g_range must be a finite "
+                           "ordered interval$"):
+            IidUniformAttractors((0.0, 1.0), (-1e308, 1e308))
+        with pytest.raises(ValueError, match="^step_range must be a finite "
+                           "ordered interval$"):
+            RandomWalkAttractors(0.0, 1.0, step_range=(-1.7e308, 1.7e308))
+        # -0.0 - 0.0 is a negative width, which a uniform draw refuses.
+        with pytest.raises(ValueError, match="p_range must be a finite ordered"):
+            IidUniformAttractors((0.0, -0.0), (0.0, 1.0))
+        assert IidUniformAttractors((-0.0, 0.0), (0.0, 0.0)).p_range == (-0.0, 0.0)
         with pytest.raises(ValueError,
                            match=r"FixedAttractors\.p_value must be a finite number"):
             FixedAttractors(float("inf"), 0.0)

@@ -101,8 +101,6 @@ class TestInitialize:
     def test_population_layout(self):
         problem = _sphere(30)
         state = initialize(problem, 20, _rngs(0))
-        assert state.runs == 1
-        assert state.pop_size == 20
         assert state.positions.shape == (1, 20, 30)
         assert state.pbest_values.shape == (1, 20)
         assert state.gbest.shape == (1, 30)
@@ -174,16 +172,6 @@ class TestStep:
         assert not np.array_equal(state.pbest_positions[0, 0], [3.0, 3.0])
         assert state.gbest_value[0] == np.min(state.pbest_values)
         assert state.gbest_value[0] <= 2.0
-
-    def test_epsilon0_suppresses_marginal_gains(self):
-        problem = Problem(1, np.zeros(1), np.full(1, 10.0), lambda X: X[..., 0])
-        strict = _state(problem, [[5.0]], [[-0.001]], [[5.0]], [5.0])
-        guarded = copy.deepcopy(strict)
-        step(strict, *_tick([IpsoParams(1.0, 0.0, 1.0)], _rngs(0), 1, 1))
-        assert strict.pbest_values[0, 0] == pytest.approx(4.999)
-        step(guarded, *_tick([IpsoParams(1.0, 0.0, 1.0)], _rngs(0), 1, 1),
-             epsilon0=0.01)
-        assert guarded.pbest_values[0, 0] == 5.0
 
     def test_flat_objective_never_updates(self):
         problem = Problem(3, -np.ones(3), np.ones(3), lambda X: np.zeros(len(X)))
@@ -502,11 +490,6 @@ class TestRun:
         with pytest.raises(ValueError, match="one schedule per seed, got 1 "
                            "for 2 seeds"):
             run_many(_sphere(2), [ICPSO], 10, 100, [0, 1])
-        # A negative epsilon0 accepts worse positions as personal bests and
-        # NaN accepts none; neither is a threshold.
-        for epsilon0 in (-1e9, -1e-300, np.nan, np.inf):
-            with pytest.raises(ValueError, match="epsilon0 must be finite"):
-                run(_sphere(3), ICPSO, 10, 2000, seed=0, epsilon0=epsilon0)
 
     def test_schedule_work_is_one_table_not_per_tick(self, monkeypatch):
         calls = {"table": 0, "profile": 0, "solve": 0}
@@ -628,9 +611,9 @@ class TestMixedStack:
         assert 1 < _RUN_BYTES // (8 * (1 + 2 * n * 3)) < steps
         inertia = []
 
-        def recording(state, omega, pulls, epsilon0=0.0):
+        def recording(state, omega, pulls):
             inertia.append(omega.copy())
-            step(state, omega, pulls, epsilon0=epsilon0)
+            step(state, omega, pulls)
 
         monkeypatch.setattr(swarm, "step", recording)
         results = run_many(problem, schedules, n, n * (steps + 1), seeds)
@@ -669,9 +652,9 @@ class TestMixedStack:
         # Equal as dataclasses, since -0.0 == 0.0, but not the same run.
         inertia = []
 
-        def recording(state, omega, pulls, epsilon0=0.0):
+        def recording(state, omega, pulls):
             inertia.append(omega.copy())
-            step(state, omega, pulls, epsilon0=epsilon0)
+            step(state, omega, pulls)
 
         monkeypatch.setattr(swarm, "step", recording)
         run_many(_sphere(2), [IpsoParams(0.0, 1.2, 1.0),
@@ -693,10 +676,10 @@ class TestBlockLength:
         expected = max(1, min(steps, budget // (8 * width)))
         inertia = []
 
-        def recording(state, omega, pulls, epsilon0=0.0):
+        def recording(state, omega, pulls):
             assert pulls.base.shape[1] == expected  # the block's tick count
             inertia.append(omega.copy())
-            step(state, omega, pulls, epsilon0=epsilon0)
+            step(state, omega, pulls)
 
         with monkeypatch.context() as patched:
             patched.setattr(swarm, "_RUN_BYTES", budget)
