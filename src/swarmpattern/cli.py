@@ -374,15 +374,13 @@ def cmd_schedule_dump(args) -> int:
     ticks = np.arange(0, args.t_max + 1, args.stride)
     omega, c, alpha, per_draw, per_success = coefficient_table(
         spec, args.t_max)[ticks].T
-    draws = per_draw != 0.0  # only these ticks draw, so -0.0 keeps its sign
-    omega[draws] += per_draw[draws] * np.random.default_rng(args.seed).random(
-        np.count_nonzero(draws))
     # Blank cells: the pattern of a schedule other than MAPSO, and an
-    # inertia that weights each run's own success rate.
+    # inertia that each run sets from its own draw or success rate.
     blank = [None] * ticks.size
     rho1, vc, focus = (_mapso_profile(ticks, args.t_max, spec)
                        if isinstance(spec, Mapso) else (blank, blank, blank))
-    omega = [None if s else w for s, w in zip(per_success, omega)]
+    omega = [None if d or s else w
+             for d, s, w in zip(per_draw, per_success, omega)]
     lines = ["t,vc,rho1,focus,omega,c,alpha"] + [
         ",".join([str(t), *("" if v is None else _float_csv(v) for v in cells)])
         for t, *cells in zip(ticks, vc, rho1, focus, omega, c, alpha)]
@@ -483,7 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule", default="mapso")
     p.add_argument("--t-max", type=int, default=10_000)
     p.add_argument("--stride", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output")
     p.set_defaults(func=cmd_schedule_dump)
 

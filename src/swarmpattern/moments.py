@@ -123,10 +123,6 @@ class MomentState:
         return float(self.z[0])
 
     @property
-    def second_moment(self) -> float:
-        return float(self.z[2])
-
-    @property
     def variance(self) -> float:
         return float(self.z[2] - self.z[0] ** 2)
 

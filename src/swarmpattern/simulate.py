@@ -239,8 +239,10 @@ def _simulate(params: IpsoParams, process: AttractorProcess, config: SimConfig
     and ``g[j]`` produced ``positions[j + 2]``."""
     rng = np.random.default_rng(config.seed)
     lo, hi = _init_range(process)
-    x0 = float(config.x0) if config.x0 is not None else float(rng.uniform(lo, hi))
-    x1 = float(config.x1) if config.x1 is not None else float(rng.uniform(lo, hi))
+    # Generator.uniform's own arithmetic on one standard uniform, in Python
+    # floats: a range whose width overflows seeds inf, and the trace diverges.
+    x0 = float(config.x0) if config.x0 is not None else lo + (hi - lo) * rng.random()
+    x1 = float(config.x1) if config.x1 is not None else lo + (hi - lo) * rng.random()
 
     nsteps = config.iterations - 2
     # phi1 and phi2 as one particle's (2, n, d) swarm pulls; an alpha c past
@@ -269,6 +271,9 @@ def simulate(params: IpsoParams, process: AttractorProcess,
 def _window(trace: SimTrace, burn_in: int, need: int, what: str) -> np.ndarray:
     if burn_in < 0:
         raise ValueError("burn_in must be non-negative")
+    if trace.diverged:
+        raise SampleError(f"{what} undefined: the trace diverged at step "
+                          f"{len(trace) - 1}")
     x = trace.positions[burn_in:]
     if x.size < need:
         raise SampleError(

@@ -13,6 +13,7 @@ from swarmpattern import (
     IpsoParams,
     LinearInertia,
     Mapso,
+    RandomInertia,
     RandomWalkAttractors,
     SimConfig,
     SuccessRateInertia,
@@ -154,15 +155,21 @@ _EXTREMES = ["0", "-0.0", "5e-324", "1e-300", "-1e-300", "1e300", "-1e300",
              "1.7e308", "-1.7e308", "nan", "inf"]
 
 # (command, process) and the float flags set in turn over _EXTREMES; a range
-# flag is set to (-v, v).  simulate's iterations leave the default burn-in
-# valid.
+# flag is set to (-v, v).  The simulated iterations leave the default
+# burn-in valid, and autocorr's fixed attractors stay apart, since a trace
+# seeded on p = g never moves; its estimator may name a diverged trace.
 _GRID = {("solve", None): ["rho1", "vc", "focus"],
          ("simulate", "iid"): ["omega", "c", "alpha", "x0", "x1", "p-range",
                                "g-range"],
          ("simulate", "walk"): ["p0", "g0", "step-range"],
-         ("simulate", "fixed"): ["p-value", "g-value"]}
+         ("simulate", "fixed"): ["p-value", "g-value"],
+         ("autocorr", "iid"): ["p-range", "g-range"],
+         ("autocorr", "walk"): ["p0", "g0", "step-range"],
+         ("autocorr", "fixed"): ["p-value", "g-value"]}
 _BASE = {"solve": ["--rho1=0.5", "--vc=1"],
-         "simulate": ["--omega=0.7", "--c=1.4", "--iterations=2000"]}
+         "simulate": ["--omega=0.7", "--c=1.4", "--iterations=2000"],
+         "autocorr": ["--omega=0.7", "--c=1.4", "--simulate",
+                      "--iterations=2000", "--p-value=1", "--g-value=2"]}
 
 
 class TestExitContract:
@@ -196,7 +203,10 @@ class TestExitContract:
         subject = errors[0][len("error: "):]
         field = subject.split(" ")[0].rpartition(".")[2]
         assert (field == flag.replace("-", "_")
-                or subject.startswith("pattern solver ")), subject
+                or subject.startswith("pattern solver ")
+                or (command == "autocorr" and subject.startswith(
+                    "empirical_autocorrelation undefined: the trace diverged "
+                    "at step "))), subject
 
 
 class TestAutocorr:
@@ -381,16 +391,20 @@ class TestSimulate:
         assert code == 0 and out == expected
 
     # An overflowing 1 + omega - phi1 - phi2, or phi2 g, raised under
-    # warnings-as-errors; an alpha c past the float range made numpy's
-    # uniform draw refuse its range.
+    # warnings-as-errors; an alpha c past the float range, or a walk's seed
+    # range p0 + step_range past it, made numpy's uniform draw refuse its
+    # range.
     @pytest.mark.parametrize("flags", [
         ["--omega", "2.0", "--c", "0.1"],
         ["--omega", "0.7", "--c", "1.7e308"],
         ["--omega", "0.7", "--c", "1", "--alpha", "1.7e308"],
         ["--omega", "0.7", "--c", "1.4", "--alpha", "1.7e308"],
         ["--omega", "0.7", "--c", "1.4", "--alpha=-1.7e308"],
+        ["--omega", "0.7", "--c", "1.4", "--process", "walk", "--p0", "1e308",
+         "--step-range", " -1", "1e308"],
     ], ids=["unstable", "overflowing-lead", "overflowing-pull",
-            "overflowing-bound", "overflowing-negative-bound"])
+            "overflowing-bound", "overflowing-negative-bound",
+            "overflowing-seed-range"])
     def test_divergent_trace_skips_summary(self, capsys, flags):
         code, out, err = _run(capsys, "simulate", *flags, "--iterations", "2000",
                               "--seed", "0")
@@ -494,16 +508,17 @@ class TestOptimize:
         assert "unknown test function 'slope'" in err
 
 
-def _reference_dump(spec, t_max, stride, seed):
-    """schedule-dump's CSV by the per-tick loop: one reference_row call
-    (and draw) and one reference_pattern call per printed tick.  An inertia
-    that weights the run's success rate has no value to print."""
+def _reference_dump(spec, t_max, stride):
+    """schedule-dump's CSV by the per-tick loop: one reference_row call and
+    one reference_pattern call per printed tick.  An inertia that each run
+    sets from its own draw or success rate has no value to print."""
+    draws = isinstance(spec, RandomInertia)
     weights_success = (isinstance(spec, SuccessRateInertia)
                        and spec.omega_max != spec.omega_min)
-    rng = np.random.default_rng(seed)
     lines = ["t,vc,rho1,focus,omega,c,alpha"]
     for t in range(0, t_max + 1, stride):
-        omega, c, alpha = reference_row(spec, t, t_max, rng)
+        omega, c, alpha = ((None, spec.c, spec.alpha) if draws
+                           else reference_row(spec, t, t_max))
         cells = [None, None, None, None if weights_success else omega, c,
                  alpha]
         if isinstance(spec, Mapso):
@@ -540,18 +555,21 @@ class TestScheduleDump:
             ["0", "", "", ""], ["5", "", "", ""], ["10", "", "", ""]]
         assert all(float(row[4]) == 0.7 for row in rows)
 
-    def test_success_rate_inertia_leaves_omega_blank(self, capsys):
-        # Only a run's live success rate sets that inertia; there is no
-        # schedule value to print.
-        code, out, _ = _run(capsys, "schedule-dump", "--schedule", "aiwpso",
+    @pytest.mark.parametrize("schedule, c, alpha", [
+        ("aiwpso", "1.49618", "1.0"), ("rwpso", "1.49618", "1.0"),
+        ("random:2,0.5", "2.0", "0.5")])
+    def test_run_set_inertia_leaves_omega_blank(self, capsys, schedule, c,
+                                                 alpha):
+        # Only a run's own draw or live success rate sets that inertia;
+        # there is no schedule value to print.
+        code, out, _ = _run(capsys, "schedule-dump", "--schedule", schedule,
                             "--t-max", "4", "--stride", "2")
         assert code == 0
         _, rows = _rows(out)
-        assert rows == [[t, "", "", "", "", "1.49618", "1.0"]
-                        for t in ("0", "2", "4")]
+        assert rows == [[t, "", "", "", "", c, alpha] for t in ("0", "2", "4")]
 
     @pytest.mark.parametrize("flags", [
-        (), ("--t-max", "997", "--stride", "7", "--seed", "3"),
+        (), ("--t-max", "997", "--stride", "7"),
         ("--t-max", "1", "--stride", "5")])
     @pytest.mark.parametrize("schedule", [
         *sorted(baseline_schedules()), "constant:-0.0,1.2,1.0", "linear:1,-1",
@@ -562,9 +580,9 @@ class TestScheduleDump:
                               *flags)
         assert code == 0
         config = _config_line(err)
+        assert "seed" not in config  # the dump draws nothing
         assert out == _reference_dump(cli._parse_schedule(schedule),
-                                      config["t_max"], config["stride"],
-                                      config["seed"])
+                                      config["t_max"], config["stride"])
 
     @pytest.mark.parametrize("stride", ["0", "-1"])
     def test_stride_below_one_is_an_input_error(self, capsys, stride):

@@ -219,7 +219,7 @@ class TestIteration:
     def test_second_moment_dominates_at_every_fixed_point(self, stable_sets):
         for _, coeffs, attractors in stable_sets:
             settled = iterate_to_fixed_point(build_moment_system(coeffs, attractors))
-            assert settled.second_moment >= settled.mean ** 2 - 1e-9
+            assert settled.z[2] >= settled.mean ** 2 - 1e-9
 
     def test_fixed_point_raises_on_divergent_system(self):
         system = build_moment_system(ipso_to_moments(UNSTABLE[0]), UNIT_ATTRACTORS)

@@ -103,6 +103,18 @@ class TestSimulate:
         assert len(trace) < 5000
         last = trace.positions[-1]
         assert not np.isfinite(last) or abs(last) > 1e100
+        # Every estimator shares one guard, which names the divergence.
+        for what, estimate in [
+                ("empirical_moments", lambda: empirical_moments(trace)),
+                ("empirical_autocorrelation",
+                 lambda: empirical_autocorrelation(trace, 0, 1)),
+                ("empirical_movement_distance",
+                 lambda: empirical_movement_distance(trace)),
+                ("empirical_focus", lambda: empirical_focus(trace, 0, 0.0, 1.0))]:
+            with pytest.raises(SampleError, match=(
+                    f"^{what} undefined: the trace diverged at step "
+                    f"{len(trace) - 1}$")):
+                estimate()
 
     @pytest.mark.parametrize("process", [WIDE_IID, WALK, FixedAttractors(1.0, 2.0)],
                              ids=["iid", "walk", "fixed"])
