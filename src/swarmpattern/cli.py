@@ -37,7 +37,7 @@ from .benchmark import (
     run_experiment,
     suite_function,
 )
-from .errors import StabilityError, SwarmPatternError
+from .errors import SwarmPatternError
 from .moments import (
     AttractorMoments,
     build_moment_system,
@@ -79,7 +79,6 @@ from .simulate import (
     empirical_autocorrelation,
     empirical_moments,
     empirical_movement_distance,
-    simulate,
 )
 from .stats import (
     digraph_edges_csv,
@@ -164,8 +163,8 @@ def _build(cls, args):
                   if hasattr(args, f.name)})
 
 
-def _add_process_flags(sub, default: str = "iid") -> None:
-    sub.add_argument("--process", choices=tuple(_PROCESSES), default=default)
+def _add_process_flags(sub) -> None:
+    sub.add_argument("--process", choices=tuple(_PROCESSES), default="iid")
     sub.add_argument("--p-range", nargs=2, type=float, default=(-9.0, 11.0),
                      metavar=("LO", "HI"))
     sub.add_argument("--g-range", nargs=2, type=float, default=(-5.0, 15.0),
@@ -174,8 +173,11 @@ def _add_process_flags(sub, default: str = "iid") -> None:
     sub.add_argument("--g0", type=float, default=5.0)
     sub.add_argument("--step-range", nargs=2, type=float, default=(-1.0, 1.0),
                      metavar=("LO", "HI"))
-    sub.add_argument("--p-value", type=float, default=0.0)
-    sub.add_argument("--g-value", type=float, default=0.0)
+
+
+def _check_max_lag(args) -> None:
+    if args.max_lag is not None and args.max_lag < 0:
+        raise _InputError(f"--max-lag must be at least 0, got {args.max_lag}")
 
 
 def _float_csv(value: float) -> str:
@@ -224,41 +226,9 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def cmd_autocorr(args) -> int:
-    _print_config(args)
-    params = _build(IpsoParams, args)
-    coeffs = ipso_to_moments(params)
-    if not is_order2_convergent(coeffs):
-        # Correlations exist only for a stationary series.  k2 squares the
-        # flags, overflowing only far outside omega's or the spread's range.
-        try:
-            report = convergence_report(params)
-        except OverflowError:
-            report = {"omega_in_range": -1.0 < params.omega < 1.0, "spread_ok": False}
-        failed = next(k for k in ("omega_in_range", "spread_ok", "k2_negative",
-                                  "convergent") if not report[k])
-        raise StabilityError(
-            f"autocorrelation needs an order-2 convergent set; {failed} is false")
-    analytic = autocorrelation(coeffs, args.max_lag)
-    empirical = None
-    if args.simulate:
-        trace = simulate(params, _build(_PROCESSES[args.process], args),
-                         _build(SimConfig, args))
-        empirical = empirical_autocorrelation(trace, args.burn_in, args.max_lag)
-    payload = {"lags": list(range(args.max_lag + 1)),
-               "rho_analytic": [float(v) for v in analytic.rho]}
-    if empirical is not None:
-        payload["rho_empirical"] = [float(v) for v in empirical.rho]
-    columns = [key for key in ("rho_analytic", "rho_empirical") if key in payload]
-    lines = [",".join(["lag", *columns])]
-    lines += [",".join([str(lag), *(_float_csv(payload[key][lag]) for key in columns)])
-              for lag in payload["lags"]]
-    _emit_payload(args, payload, lines)
-    return 0
-
-
 def cmd_moments(args) -> int:
     _print_config(args)
+    _check_max_lag(args)
     params = _build(IpsoParams, args)
     coeffs = ipso_to_moments(params)
     attractors = _build(AttractorMoments, args)
@@ -279,6 +249,9 @@ def cmd_moments(args) -> int:
     if order2:
         payload["movement_distance"] = expected_movement_distance(
             payload["v_x"], payload["rho1"])
+    if args.max_lag is not None:
+        payload["rho"] = (autocorrelation(coeffs, args.max_lag).rho.tolist()
+                          if order2 else None)
     _emit_payload(args, payload,
                   [f"{key} = {value!r}" for key, value in sorted(payload.items())])
     return 0
@@ -286,6 +259,7 @@ def cmd_moments(args) -> int:
 
 def cmd_simulate(args) -> int:
     _print_config(args)
+    _check_max_lag(args)
     params = _build(IpsoParams, args)
     trace, p, g = _simulate(params, _build(_PROCESSES[args.process], args),
                             _build(SimConfig, args))
@@ -296,9 +270,12 @@ def cmd_simulate(args) -> int:
         _write_trace_csv(sys.stdout, trace, p, g)
     if not trace.diverged:
         mean, variance = empirical_moments(trace, args.burn_in)
-        print(f"mean {mean!r}  variance {variance!r}  movement "
-              f"{empirical_movement_distance(trace, args.burn_in)!r}",
-              file=sys.stderr)
+        summary = (f"mean {mean!r}  variance {variance!r}  movement "
+                   f"{empirical_movement_distance(trace, args.burn_in)!r}")
+        if args.max_lag is not None:
+            rho = empirical_autocorrelation(trace, args.burn_in, args.max_lag).rho
+            summary += f"  rho {rho.tolist()!r}"
+        print(summary, file=sys.stderr)
     else:
         print("trace diverged; summary statistics skipped", file=sys.stderr)
     return 0
@@ -408,20 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("autocorr", help="analytic (and optional empirical) autocorrelation")
-    p.add_argument("--omega", type=float, required=True)
-    p.add_argument("--c", type=float, required=True)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--max-lag", type=int, default=20)
-    p.add_argument("--simulate", action="store_true")
-    _add_process_flags(p)
-    p.add_argument("--iterations", type=int, default=100_000)
-    p.add_argument("--burn-in", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_autocorr)
-
     p = sub.add_parser("moments", help="equilibrium moments and stability diagnostics")
     p.add_argument("--omega", type=float, required=True)
     p.add_argument("--c", type=float, required=True)
@@ -430,6 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma-p", type=float, default=1.0)
     p.add_argument("--mu-g", type=float, default=0.0)
     p.add_argument("--sigma-g", type=float, default=1.0)
+    p.add_argument("--max-lag", type=int, metavar="K", help="analytic rho to lag K")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--output")
     p.set_defaults(func=cmd_moments)
@@ -444,6 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--x0", type=float, default=None)
     p.add_argument("--x1", type=float, default=None)
+    p.add_argument("--max-lag", type=int, metavar="K", help="empirical rho to lag K")
     p.add_argument("--output")
     p.set_defaults(func=cmd_simulate)
 

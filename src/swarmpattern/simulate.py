@@ -100,10 +100,11 @@ class RandomWalkAttractors:
 
 @dataclass(frozen=True)
 class FixedAttractors:
-    """Constant attractors; the recursion's randomness then lies in the pulls alone."""
+    """Constant attractors ``p0`` and ``g0``, a walk that never steps; the
+    recursion's randomness then lies in the pulls alone."""
 
-    p_value: float
-    g_value: float
+    p0: float
+    g0: float
 
     __post_init__ = finite_fields
 
@@ -168,7 +169,7 @@ def _init_range(process: AttractorProcess) -> tuple[float, float]:
     if isinstance(process, RandomWalkAttractors):
         lo, hi = process.step_range
         return (process.p0 + lo, process.p0 + hi)
-    return (process.p_value, process.p_value)
+    return (process.p0, process.p0)
 
 
 def _attractor_streams(process: AttractorProcess, nsteps: int,
@@ -192,7 +193,7 @@ def _attractor_streams(process: AttractorProcess, nsteps: int,
                 walk[:1] = start
                 np.cumsum(walk, out=walk)
         return r1, r2
-    return (np.full(nsteps, process.p_value), np.full(nsteps, process.g_value))
+    return (np.full(nsteps, process.p0), np.full(nsteps, process.g0))
 
 
 def _recurse(x0: float, x1: float, w: float, phi1: np.ndarray, phi2: np.ndarray,

@@ -1,6 +1,7 @@
 """Command-line interface, driven in process through cli.main."""
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -59,14 +60,15 @@ class TestEffectiveConfig:
         assert config["command"] == "simulate"
         assert config["p_range"] == [0.0, 1.0]
 
-        code, _, err = _run(capsys, "autocorr", "--omega", "0.7", "--c", "1.4",
-                            "--simulate", "--process", "walk", "--g0", "3",
+        code, _, err = _run(capsys, "simulate", "--omega", "0.7", "--c", "1.4",
+                            "--process", "walk", "--g0", "3",
                             "--iterations", "2000", "--burn-in", "100",
                             "--max-lag", "2")
         assert code == 0
         config = _config_line(err)
         assert config["process"] == "walk"
         assert config["g0"] == 3.0
+        assert config["max_lag"] == 2
 
 
 class TestSolve:
@@ -154,22 +156,22 @@ class TestNumericalOverflow:
 _EXTREMES = ["0", "-0.0", "5e-324", "1e-300", "-1e-300", "1e300", "-1e300",
              "1.7e308", "-1.7e308", "nan", "inf"]
 
-# (command, process) and the float flags set in turn over _EXTREMES; a range
+# (base, process) and the float flags set in turn over _EXTREMES; a range
 # flag is set to (-v, v).  The simulated iterations leave the default
-# burn-in valid, and autocorr's fixed attractors stay apart, since a trace
-# seeded on p = g never moves; its estimator may name a diverged trace.
+# burn-in valid.  The omega, c and alpha rows run without --max-lag: a c
+# near 0 settles the trace on a constant, whose lag-1 window has no variance.
 _GRID = {("solve", None): ["rho1", "vc", "focus"],
          ("simulate", "iid"): ["omega", "c", "alpha", "x0", "x1", "p-range",
                                "g-range"],
          ("simulate", "walk"): ["p0", "g0", "step-range"],
-         ("simulate", "fixed"): ["p-value", "g-value"],
-         ("autocorr", "iid"): ["p-range", "g-range"],
-         ("autocorr", "walk"): ["p0", "g0", "step-range"],
-         ("autocorr", "fixed"): ["p-value", "g-value"]}
-_BASE = {"solve": ["--rho1=0.5", "--vc=1"],
-         "simulate": ["--omega=0.7", "--c=1.4", "--iterations=2000"],
-         "autocorr": ["--omega=0.7", "--c=1.4", "--simulate",
-                      "--iterations=2000", "--p-value=1", "--g-value=2"]}
+         ("simulate", "fixed"): ["p0", "g0"],
+         ("simulate-rho", "iid"): ["p-range", "g-range"],
+         ("simulate-rho", "walk"): ["p0", "g0", "step-range"],
+         ("simulate-rho", "fixed"): ["p0", "g0"]}
+_BASE = {"solve": ["solve", "--rho1=0.5", "--vc=1"],
+         "simulate": ["simulate", "--omega=0.7", "--c=1.4", "--iterations=2000"],
+         "simulate-rho": ["simulate", "--omega=0.7", "--c=1.4",
+                          "--iterations=2000", "--max-lag=20"]}
 
 
 class TestExitContract:
@@ -177,12 +179,12 @@ class TestExitContract:
     the flag's field or the quantity that failed, never a traceback."""
 
     @pytest.mark.parametrize("value", _EXTREMES)
-    @pytest.mark.parametrize("command, process, flag", [
-        (command, process, flag) for (command, process), flags in _GRID.items()
+    @pytest.mark.parametrize("base, process, flag", [
+        (base, process, flag) for (base, process), flags in _GRID.items()
         for flag in flags])
     def test_every_extreme_flag_value_keeps_the_contract(
-            self, capsys, command, process, flag, value):
-        argv = [command, *_BASE[command]]
+            self, capsys, base, process, flag, value):
+        argv = _BASE[base]
         argv = [a for a in argv if not a.startswith(f"--{flag}=")]
         if process:
             argv.append(f"--process={process}")
@@ -203,82 +205,146 @@ class TestExitContract:
         subject = errors[0][len("error: "):]
         field = subject.split(" ")[0].rpartition(".")[2]
         assert (field == flag.replace("-", "_")
-                or subject.startswith("pattern solver ")
-                or (command == "autocorr" and subject.startswith(
-                    "empirical_autocorrelation undefined: the trace diverged "
-                    "at step "))), subject
+                or subject.startswith("pattern solver ")), subject
 
 
-class TestAutocorr:
-    def test_pure_random_rows_are_zero(self, capsys):
-        code, out, _ = _run(capsys, "autocorr", "--omega", "0", "--c", "1")
+def _summary_rho(err):
+    """The ``rho [...]`` list ending ``simulate``'s stderr summary line."""
+    summary = err.splitlines()[-1]
+    assert summary.startswith("mean ")
+    return json.loads(summary.partition("  rho ")[2])
+
+
+# The rho sequences the former ``autocorr`` command printed, repr for repr,
+# for omega = 0.73084, c = 1.6443 at its defaults: --max-lag 20 and, with
+# --simulate, 101 000 iterations from seed 0 with a burn-in of 1 000.
+_AUTOCORR_ANALYTIC = [
+    1.0, 0.049998844491691924, -0.726513099997689, -0.09941359918210818,
+    0.5223615811290915, 0.11786060605716356, -0.3715630811041983,
+    -0.11829231436957476, 0.2613161453086493, 0.10906705424887055,
+    -0.18154162876267596, -0.09542117848036655, 0.12442013517922319,
+    0.08050493257900107, -0.08396431472899672, -0.06610249672268453,
+    0.05564396971015885, 0.053125777843523916, -0.03606933400839393,
+    -0.04194788364424743, 0.022730742216121445]
+_AUTOCORR_EMPIRICAL = [
+    1.0, 0.05571923596590517, -0.719452582301485, -0.11943770178593774,
+    0.5185688171828479, 0.12707742396398483, -0.3654158147632909,
+    -0.12494050723040827, 0.2570039280203341, 0.1171805753521348,
+    -0.17654193914101907, -0.10196872860440608, 0.11953102136579812,
+    0.08255259186014269, -0.08443558090509168, -0.06451668668134657,
+    0.061803656749871996, 0.050792976329435566, -0.048932393732757366,
+    -0.04287850815720422, 0.03867472252384406]
+
+# The order-2 cases of the flag grid below, each with the first 16 hex digits
+# of the sha256 of the repr of the 21 rho that ``autocorr`` printed for it.
+_TINY = ["0", "-0.0", "5e-324", "1e-300", "-1e-300"]
+_AUTOCORR_GRID_RHO = {
+    **dict.fromkeys([("omega", v) for v in _TINY], "21a6316ad0a35659"),
+    ("omega", "0.5"): "c6ea84eeae093e65",
+    ("c", "1e-300"): "b3f24803ed89a611",
+    ("c", "0.5"): "1ebf56cd11d3c76d",
+    **dict.fromkeys([("alpha", v) for v in _TINY], "77b5b2b36c4aed8f"),
+    ("alpha", "0.5"): "a4c0ed27c6402d48",
+}
+
+
+class TestMaxLag:
+    """``moments --max-lag`` adds the analytic rho sequence to the payload,
+    ``None`` off the order-2 set; ``simulate --max-lag`` adds the empirical
+    one to the stderr summary."""
+
+    def test_pure_random_rho_is_zero_past_lag_0(self, capsys):
+        code, out, _ = _run(capsys, "moments", "--omega", "0", "--c", "1",
+                            "--max-lag", "20", "--format", "json")
         assert code == 0
-        header, rows = _rows(out)
-        assert header == ["lag", "rho_analytic"]
-        assert len(rows) == 21
-        assert float(rows[0][1]) == 1.0
-        assert all(float(row[1]) == 0.0 for row in rows[1:])
+        assert json.loads(out)["rho"] == [1.0] + [0.0] * 20
 
     def test_zero_lag_only(self, capsys):
-        code, out, _ = _run(capsys, "autocorr", "--omega", "0.5", "--c", "1",
-                            "--max-lag", "0")
+        code, out, _ = _run(capsys, "moments", "--omega", "0.5", "--c", "1",
+                            "--max-lag", "0", "--format", "json")
         assert code == 0
-        _, rows = _rows(out)
-        assert [row[0] for row in rows] == ["0"]
+        assert json.loads(out)["rho"] == [1.0]
 
-    def test_empirical_column_tracks_analytic(self, capsys):
-        code, out, _ = _run(capsys, "autocorr", "--omega", "0.73084",
-                            "--c", "1.6443", "--simulate",
-                            "--iterations", "101000", "--seed", "0")
+    def test_json_payload_and_text_line(self, capsys):
+        expected = [1.0, 0.17647058823529416, -0.6470588235294117,
+                    -0.31764705882352945]
+        argv = ["moments", "--omega", "0.7", "--c", "1.4", "--max-lag", "3"]
+        code, out, _ = _run(capsys, *argv, "--format", "json")
         assert code == 0
-        header, rows = _rows(out)
-        assert header == ["lag", "rho_analytic", "rho_empirical"]
-        analytic, empirical = float(rows[1][1]), float(rows[1][2])
-        assert analytic == pytest.approx(0.05, abs=1e-4)
-        assert abs(empirical - analytic) < 0.02
-
-    def test_json_payload(self, capsys):
-        code, out, _ = _run(capsys, "autocorr", "--omega", "0.7", "--c", "1.4",
-                            "--max-lag", "3", "--format", "json")
+        assert json.loads(out)["rho"] == expected
+        code, out, _ = _run(capsys, *argv)
         assert code == 0
-        payload = json.loads(out)
-        assert payload["lags"] == [0, 1, 2, 3]
-        assert len(payload["rho_analytic"]) == 4
-        assert "rho_empirical" not in payload
+        assert f"rho = {expected!r}" in out.splitlines()
 
-    # Off the order-2 set these printed rho3 = -1.164 and rho1 = -1.94, or
-    # overflowed under warnings-as-errors.
-    @pytest.mark.parametrize("flags, failed", [
-        (["--omega", "1.2", "--c", "1.4"], "omega_in_range"),
-        (["--omega", "0.7", "--c", "5"], "spread_ok"),
-        (["--omega", "0.7", "--c", "3"], "k2_negative"),
-        (["--omega", "1e300", "--c", "1.4"], "omega_in_range"),
-        (["--omega", "0.7", "--c", "1e300"], "spread_ok"),
-        (["--omega", "0.7", "--c", "1.4", "--alpha", "1e300"], "spread_ok"),
-        (["--omega", "1.2", "--c", "1.4", "--simulate", "--iterations", "50"],
-         "omega_in_range"),
-    ], ids=["omega", "spread", "k2", "huge-omega", "huge-c", "huge-alpha",
-            "simulate"])
-    def test_a_set_off_the_order2_region_names_its_failed_condition(
-            self, capsys, flags, failed):
-        code, out, err = _run(capsys, "autocorr", *flags)
-        assert code == 3 and out == ""
-        assert err.splitlines()[1:] == [
-            "error: autocorrelation needs an order-2 convergent set; "
-            f"{failed} is false"]
+    def test_empirical_rho_tracks_analytic(self, capsys, tmp_path):
+        flags = ["--omega", "0.73084", "--c", "1.6443", "--max-lag", "20"]
+        code, out, _ = _run(capsys, "moments", *flags, "--format", "json")
+        assert code == 0
+        analytic = json.loads(out)["rho"]
+        code, _, err = _run(capsys, "simulate", *flags, "--iterations", "101000",
+                            "--seed", "0", "--output", str(tmp_path / "t.csv"))
+        assert code == 0
+        empirical = _summary_rho(err)
+        assert analytic == _AUTOCORR_ANALYTIC
+        assert empirical == _AUTOCORR_EMPIRICAL
+        assert analytic[1] == pytest.approx(0.05, abs=1e-4)
+        assert abs(empirical[1] - analytic[1]) < 0.02
+
+    # Off the order-2 set there is no rho, as there is no rho1, unless the
+    # moment system itself overflows.
+    @pytest.mark.parametrize("flags, error", [
+        (["--omega", "1.2", "--c", "1.4"], None),
+        (["--omega", "0.7", "--c", "5"], None),
+        (["--omega", "0.7", "--c", "3"], None),
+        (["--omega", "1e300", "--c", "1.4"], "moment system overflows"),
+        (["--omega", "0.7", "--c", "1e300"], "moment system overflows"),
+        (["--omega", "0.7", "--c", "1.4", "--alpha", "1e300"],
+         "moment system overflows"),
+    ], ids=["omega", "spread", "k2", "huge-omega", "huge-c", "huge-alpha"])
+    def test_off_the_order2_set_rho_is_none(self, capsys, flags, error):
+        code, out, err = _run(capsys, "moments", *flags, "--max-lag", "20",
+                              "--format", "json")
+        if error is None:
+            assert code == 0
+            payload = json.loads(out)
+            assert payload["order2_convergent"] is False
+            assert payload["rho"] is None and payload["rho1"] is None
+        else:
+            assert code == 3 and out == ""
+            assert err.splitlines()[1:] == [f"error: {error}"]
+
+    def test_an_unstable_trace_still_summarises_its_rho(self, capsys):
+        code, _, err = _run(capsys, "simulate", "--omega", "1.2", "--c", "1.4",
+                            "--iterations", "50", "--burn-in", "0",
+                            "--max-lag", "20")
+        assert code == 0
+        assert len(_summary_rho(err)) == 21
+
+    @pytest.mark.parametrize("command", ["moments", "simulate"])
+    def test_negative_max_lag_is_an_input_error_before_any_output(
+            self, capsys, tmp_path, command):
+        target = tmp_path / "out"
+        code, out, err = _run(capsys, command, "--omega", "0.7", "--c", "1.4",
+                              "--max-lag", "-1", "--output", str(target))
+        assert code == 2 and out == "" and not target.exists()
+        assert err.splitlines()[1:] == ["error: --max-lag must be at least 0, got -1"]
 
     @pytest.mark.parametrize("flag", ["omega", "c", "alpha"])
-    @pytest.mark.parametrize("value", ["0", "-0.0", "5e-324", "1e-300", "-1e-300",
-                                       "1e300", "-1e300", "1.7e308", "-1.7e308",
-                                       "nan", "inf", "-0.5", "0.5", "3"])
+    @pytest.mark.parametrize("value", [*_EXTREMES, "-0.5", "0.5", "3"])
     def test_every_answer_is_a_correlation_or_one_error_line(self, capsys,
                                                              flag, value):
         argv = {"omega": "0.7", "c": "1.4", "alpha": "1", flag: value}
-        code, out, err = _run(capsys, "autocorr", "--format", "json",
+        code, out, err = _run(capsys, "moments", "--format", "json",
+                              "--max-lag", "20",
                               *(f"--{name}={v}" for name, v in argv.items()))
         assert code in (0, 2, 3)
         if code == 0:
-            assert all(abs(r) <= 1.0 for r in json.loads(out)["rho_analytic"])
+            rho = json.loads(out)["rho"]
+            digest = _AUTOCORR_GRID_RHO.get((flag, value))
+            assert (rho is None) == (digest is None)
+            if rho is not None:
+                assert all(abs(r) <= 1.0 for r in rho)
+                assert hashlib.sha256(repr(rho).encode()).hexdigest()[:16] == digest
         else:
             assert out == ""
             assert len(err.splitlines()) == 2
@@ -298,6 +364,7 @@ class TestMoments:
         assert payload["movement_distance"] > 0.0
         assert payload["spectral_radius"] < 1.0
         assert payload["focus"] == pytest.approx(1.0)
+        assert "rho" not in payload
 
     def test_divergent_setting_reports_no_equilibrium(self, capsys):
         code, out, _ = _run(capsys, "moments", "--omega", "0.9", "--c", "4.5",
@@ -363,7 +430,7 @@ class TestSimulate:
          ["--process", "walk", "--p0", "2.5", "--g0", "-1",
           "--step-range", "-0.5", "2", "--x0", "0.25", "--x1", "-3"]),
         (0.7298, 5000, FixedAttractors(1.5, -2.0), {"x0": 7.0, "x1": 0.5},
-         ["--process", "fixed", "--p-value", "1.5", "--g-value", "-2",
+         ["--process", "fixed", "--p0", "1.5", "--g0", "-2",
           "--x0", "7", "--x1", "0.5"]),
     ], ids=["seeded", "diverged", "walk", "fixed"])
     def test_rows_spell_each_value_as_its_repr(self, capsys, tmp_path, omega,
@@ -389,6 +456,15 @@ class TestSimulate:
         assert target.read_text(encoding="utf-8") == expected
         code, out, _ = _run(capsys, *argv)
         assert code == 0 and out == expected
+
+    def test_fixed_process_reads_p0_and_g0(self, capsys):
+        code, out, err = _run(capsys, "simulate", "--omega", "0.7", "--c", "1.4",
+                              "--process", "fixed", "--iterations", "2000")
+        assert code == 0
+        _, rows = _rows(out)
+        assert rows[0][1] == rows[1][1] == "1.0"
+        assert {(row[2], row[3]) for row in rows[2:]} == {("1.0", "5.0")}
+        assert float(err.splitlines()[-1].split()[3]) > 0.0  # the variance
 
     # An overflowing 1 + omega - phi1 - phi2, or phi2 g, raised under
     # warnings-as-errors; an alpha c past the float range, or a walk's seed

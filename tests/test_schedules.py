@@ -273,7 +273,7 @@ FIELD_CONTRACT = {
     AttractorMoments: (dict(mu_p=0, sigma_p=1, mu_g=1, sigma_g=1), ValueError),
     MovementPattern: (dict(rho1=0, vc=10, focus=1), ValueError),
     RandomWalkAttractors: (dict(p0=0, g0=1), ValueError),
-    FixedAttractors: (dict(p_value=0, g_value=1), ValueError),
+    FixedAttractors: (dict(p0=0, g0=1), ValueError),
 }
 
 

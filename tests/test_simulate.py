@@ -176,7 +176,7 @@ class TestSimulate:
             IidUniformAttractors((0.0, -0.0), (0.0, 1.0))
         assert IidUniformAttractors((-0.0, 0.0), (0.0, 0.0)).p_range == (-0.0, 0.0)
         with pytest.raises(ValueError,
-                           match=r"FixedAttractors\.p_value must be a finite number"):
+                           match=r"FixedAttractors\.p0 must be a finite number"):
             FixedAttractors(float("inf"), 0.0)
 
     def test_a_trace_is_its_positions(self):
@@ -193,7 +193,7 @@ def _scalar_reference(params, process, config):
     elif isinstance(process, RandomWalkAttractors):
         lo, hi = process.p0 + process.step_range[0], process.p0 + process.step_range[1]
     else:
-        lo, hi = process.p_value, process.p_value
+        lo, hi = process.p0, process.p0
     x0 = float(config.x0) if config.x0 is not None else float(rng.uniform(lo, hi))
     x1 = float(config.x1) if config.x1 is not None else float(rng.uniform(lo, hi))
     nsteps = config.iterations - 2
@@ -214,7 +214,7 @@ def _scalar_reference(params, process, config):
             cur_g += r2[j - 1] / j
             p[j], g[j] = cur_p, cur_g
     else:
-        p, g = np.full(nsteps, process.p_value), np.full(nsteps, process.g_value)
+        p, g = np.full(nsteps, process.p0), np.full(nsteps, process.g0)
     xs = np.empty(config.iterations)
     xs[0], xs[1] = x0, x1
     w = params.omega
